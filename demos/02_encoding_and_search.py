@@ -19,6 +19,7 @@ from dualed import (
     similarity,
     token_range,
     tokenize,
+    tokenize_labels,
 )
 from dualed.verbalizer import verbalize_all
 
@@ -39,11 +40,11 @@ label_encoder = EncoderParams.init(vocab, dim, window=4, seed=1)
 
 # the cache holds one pooled embedding per label, refreshed from the
 # label encoder over the verbalization text (title tokens pooled, the
-# description acting as context)
+# description acting as context); each text is tokenized once up front
 verbs = verbalize_all(records, FormatSpec.from_name("title_desc"))
 cache = LabelCache.empty(sorted(records), dim, "first_last",
                          SimilaritySpec(kind="euclidean"))
-full_refresh(cache, label_encoder, verbs)
+full_refresh(cache, label_encoder, tokenize_labels(verbs, vocab))
 print(f"cache: {len(cache.ids)} labels x {cache.matrix.shape[1]} dims\n")
 
 text = "Italy beat England at rugby in Rome"

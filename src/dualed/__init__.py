@@ -34,12 +34,14 @@ from .errors import ValidationError
 from .evaluator import ChangeTable, EvalReport, change_analysis, score
 from .label_index import (
     LabelCache,
+    LabelTokens,
     full_refresh,
     load_cache,
     mine_hard_negatives,
     nearest_label,
     sample_in_batch_negatives,
     save_cache,
+    tokenize_labels,
     write_back,
 )
 from .losses import (

@@ -24,7 +24,7 @@ from .corpus import flag_unlinkable, load_corpus, load_label_set
 from .encoder import load_checkpoint, save_checkpoint
 from .errors import ValidationError
 from .evaluator import change_analysis, score
-from .label_index import LabelCache, full_refresh
+from .label_index import LabelCache, full_refresh, tokenize_labels
 from .losses import LOSS_KINDS, SIMILARITY_KINDS
 from .predictor import predict_corpus, target_label_set
 from .trainer import TrainConfig, Trainer, parse_config_file
@@ -159,11 +159,13 @@ def cmd_train(args) -> int:
 def _build_cache(records, label_params, pooling, sim, fmt):
     from .losses import SimilaritySpec
 
-    verbalizations = verbalize_all(records, FormatSpec.from_name(fmt))
+    label_tokens = tokenize_labels(
+        verbalize_all(records, FormatSpec.from_name(fmt)), label_params.vocab_size
+    )
     cache = LabelCache.empty(
         sorted(records), label_params.dim, pooling, SimilaritySpec(kind=sim)
     )
-    return full_refresh(cache, label_params, verbalizations)
+    return full_refresh(cache, label_params, label_tokens)
 
 
 def cmd_predict(args) -> int:

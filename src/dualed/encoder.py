@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_exact
 
 MEAN = "mean"
 FIRST_LAST = "first_last"
@@ -154,10 +154,18 @@ class EncoderParams:
 
 @dataclass
 class EncoderGrads:
+    """Gradients for one parameter set.
+
+    ``table`` is row-sparse when ``rows`` is set: row i is the gradient
+    of embedding-table row ``rows[i]``, and every other row's gradient
+    is zero. Without ``rows`` it is the dense (V, d) gradient.
+    """
+
     table: np.ndarray
     w_self: np.ndarray
     w_ctx: np.ndarray
     bias: np.ndarray
+    rows: np.ndarray | None = None
 
     @classmethod
     def zeros_like(cls, p: EncoderParams) -> "EncoderGrads":
@@ -204,8 +212,9 @@ def encoder_backward(
 ) -> EncoderGrads:
     """Exact gradients of encode() w.r.t. every parameter tensor.
 
-    ``upstream`` holds dLoss/d(out_t) rows; embedding-table gradients
-    accumulate over repeated token ids.
+    ``upstream`` holds dLoss/d(out_t) rows. The table gradient is
+    row-sparse: one row per unique token id, ascending, each summing its
+    tokens' gradients in sequence order.
     """
     if upstream.shape != (len(seq), params.dim):
         raise ValidationError(
@@ -215,18 +224,21 @@ def encoder_backward(
     counts = _window_counts(len(seq), params.window)
     ctx = _window_sums(emb, params.window) / counts[:, None]
 
-    grads = EncoderGrads.zeros_like(params)
-    grads.bias += upstream.sum(axis=0)
-    grads.w_self += upstream.T @ emb
-    grads.w_ctx += upstream.T @ ctx
-
     d_emb = upstream @ params.w_self
     # dL/d c_t spread back over each window: position u collects
     # sum_{t in window(u)} (dL/dc_t) / n_t  (the window relation is symmetric)
     d_ctx_scaled = (upstream @ params.w_ctx) / counts[:, None]
     d_emb = d_emb + _window_sums(d_ctx_scaled, params.window)
-    np.add.at(grads.table, seq.token_ids, d_emb)
-    return grads
+    rows, inverse = np.unique(seq.token_ids, return_inverse=True)
+    table = np.zeros((len(rows), params.dim))
+    np.add.at(table, inverse, d_emb)
+    return EncoderGrads(
+        table=table,
+        w_self=upstream.T @ emb,
+        w_ctx=upstream.T @ ctx,
+        bias=upstream.sum(axis=0),
+        rows=rows,
+    )
 
 
 def pool_span(
@@ -267,15 +279,6 @@ def pooled_width(dim: int, method: str) -> int:
     raise ValidationError(f"unknown pooling method {method!r}")
 
 
-def embed_span(
-    text: str, char_span: tuple[int, int], params: EncoderParams, method: str
-) -> np.ndarray:
-    """Encode a text and pool one char span (mention or label title)."""
-    seq = tokenize(text, params.vocab_size)
-    vectors = encode(seq, params)
-    return pool_span(vectors, token_range(seq, char_span), method)
-
-
 # ── checkpoint format ────────────────────────────────────────────────────────
 #
 # Single binary file: magic "VRBED1", then V, d, window as little-endian
@@ -303,15 +306,12 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams]:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValidationError(f"not a model checkpoint (bad magic {magic!r})")
-        v, d, w = struct.unpack("<III", fh.read(12))
+        v, d, w = struct.unpack("<III", read_exact(fh, 12, "checkpoint header"))
         out = []
         for _ in range(2):
             tensors = []
             for shape in ((v, d), (d, d), (d, d), (d,)):
-                count = int(np.prod(shape))
-                buf = fh.read(4 * count)
-                if len(buf) != 4 * count:
-                    raise ValidationError("truncated checkpoint file")
+                buf = read_exact(fh, 4 * int(np.prod(shape)), "checkpoint file")
                 tensors.append(
                     np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)
                 )

@@ -7,3 +7,11 @@ class ValidationError(ValueError):
     The CLI maps this to exit code 1; anything else that escapes is an
     internal error (exit code 2).
     """
+
+
+def read_exact(fh, size: int, what: str) -> bytes:
+    """Read exactly ``size`` bytes from a binary file, or fail naming ``what``."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValidationError(f"truncated {what}: expected {size} bytes, got {len(data)}")
+    return data

@@ -15,8 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderParams, embed_span, pooled_width, POOLING_METHODS
-from .errors import ValidationError
+from .encoder import (
+    POOLING_METHODS,
+    EncoderParams,
+    TokenSequence,
+    encode,
+    pool_span,
+    pooled_width,
+    token_range,
+    tokenize,
+)
+from .errors import ValidationError, read_exact
 from .losses import SimilaritySpec, SIMILARITY_KINDS, similarity_to_matrix
 from .verbalizer import Verbalization
 
@@ -58,14 +67,41 @@ class LabelCache:
         return self.matrix[self.row_of[label_id]]
 
 
+@dataclass(frozen=True)
+class LabelTokens:
+    """Label verbalizations tokenized once, for one vocab size.
+
+    The texts never change during training, so the trainer and the CLI
+    tokenize them once and every refresh and fresh label encode reuses
+    the sequences and title token ranges.
+    """
+
+    vocab_size: int
+    seqs: dict[str, TokenSequence]
+    title_spans: dict[str, tuple[int, int]]   # token range [lo, hi) of the title
+
+
+def tokenize_labels(
+    verbalizations: dict[str, Verbalization], vocab_size: int
+) -> LabelTokens:
+    """Tokenize every verbalization and locate its title tokens."""
+    seqs: dict[str, TokenSequence] = {}
+    title_spans: dict[str, tuple[int, int]] = {}
+    for label_id, verb in verbalizations.items():
+        seq = tokenize(verb.text, vocab_size)
+        seqs[label_id] = seq
+        title_spans[label_id] = token_range(seq, verb.title_char_span)
+    return LabelTokens(vocab_size=vocab_size, seqs=seqs, title_spans=title_spans)
+
+
 def full_refresh(
     cache: LabelCache,
     label_params: EncoderParams,
-    verbalizations: dict[str, Verbalization],
+    label_tokens: LabelTokens,
     batch_size: int = 128,
     span_count: int | None = None,
 ) -> LabelCache:
-    """Re-encode every cached row with the current label-encoder params.
+    """Re-encode every cached row from its tokens with the current label encoder.
 
     Rows are processed in batches of ``batch_size`` labels (a progress /
     memory knob only; results are batch-invariant). Resets the
@@ -73,15 +109,20 @@ def full_refresh(
     """
     if batch_size < 1:
         raise ValidationError("batch_size must be >= 1")
-    missing = [i for i in cache.ids if i not in verbalizations]
+    if label_tokens.vocab_size != label_params.vocab_size:
+        raise ValidationError(
+            f"label tokens were built for vocab size {label_tokens.vocab_size}, "
+            f"the label encoder has {label_params.vocab_size}"
+        )
+    missing = [i for i in cache.ids if i not in label_tokens.seqs]
     if missing:
         raise ValidationError(f"missing verbalizations for {len(missing)} labels, "
                               f"first: {missing[0]!r}")
     for lo in range(0, len(cache.ids), batch_size):
         for row, label_id in enumerate(cache.ids[lo:lo + batch_size], start=lo):
-            verb = verbalizations[label_id]
-            cache.matrix[row] = embed_span(
-                verb.text, verb.title_char_span, label_params, cache.pooling
+            vectors = encode(label_tokens.seqs[label_id], label_params)
+            cache.matrix[row] = pool_span(
+                vectors, label_tokens.title_spans[label_id], cache.pooling
             )
     cache.dirty_writes = 0
     if span_count is not None:
@@ -190,14 +231,22 @@ def load_cache(path) -> LabelCache:
         magic = fh.read(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
             raise ValidationError(f"not a cache snapshot (bad magic {magic!r})")
-        n, p, sim_code, pool_code = struct.unpack("<IIBB", fh.read(10))
+        n, p, sim_code, pool_code = struct.unpack(
+            "<IIBB", read_exact(fh, 10, "cache snapshot header")
+        )
+        if sim_code >= len(SIMILARITY_KINDS):
+            raise ValidationError(f"unknown similarity code {sim_code} in cache snapshot")
+        if pool_code >= len(POOLING_METHODS):
+            raise ValidationError(f"unknown pooling code {pool_code} in cache snapshot")
         ids = []
         for _ in range(n):
-            (length,) = struct.unpack("<I", fh.read(4))
-            ids.append(fh.read(length).decode("utf-8"))
-        buf = fh.read(4 * n * p)
-        if len(buf) != 4 * n * p:
-            raise ValidationError("truncated cache snapshot")
+            (length,) = struct.unpack("<I", read_exact(fh, 4, "cache snapshot id length"))
+            raw = read_exact(fh, length, "cache snapshot id")
+            try:
+                ids.append(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"cache snapshot id is not UTF-8: {exc}") from exc
+        buf = read_exact(fh, 4 * n * p, "cache snapshot matrix")
         matrix = np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(n, p)
     return LabelCache(
         ids=ids,

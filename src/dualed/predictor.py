@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .corpus import Chunk, Document, EntityRecord, Mention, chunk_document
 from .encoder import EncoderParams, encode, pool_span, token_range, tokenize
 from .errors import ValidationError
+from .evaluator import MentionKey
 from .label_index import LabelCache, nearest_label
 
 
@@ -181,9 +182,6 @@ def predict_iterative(
         MentionPrediction(s.mention, s.predicted_id, s.score) for s in state.slots
     ]
     return DocumentPrediction(doc_id, final, first_pass, iterations, state)
-
-
-MentionKey = tuple[str, int, int]  # (doc id, global start, global end)
 
 
 @dataclass

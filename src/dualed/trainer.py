@@ -43,6 +43,7 @@ from .label_index import (
     full_refresh,
     mine_hard_negatives,
     sample_in_batch_negatives,
+    tokenize_labels,
     write_back,
 )
 from .evaluator import score as eval_score
@@ -54,7 +55,7 @@ from .predictor import (
     predict_corpus,
     predict_document,
 )
-from .verbalizer import FormatSpec, Verbalization, verbalize_all
+from .verbalizer import FormatSpec, verbalize_all
 
 HARD = "hard"
 IN_BATCH = "in_batch"
@@ -304,8 +305,8 @@ class Trainer:
         self.label_params = label_params or EncoderParams.init(
             config.vocab_size, config.dim, config.window, seed=config.seed + 1
         )
-        self.verbalizations: dict[str, Verbalization] = verbalize_all(
-            records, config.format_spec
+        self.label_tokens = tokenize_labels(
+            verbalize_all(records, config.format_spec), self.label_params.vocab_size
         )
         self.cache = LabelCache.empty(
             sorted(records), config.dim, config.pooling, config.sim_spec
@@ -319,7 +320,7 @@ class Trainer:
         full_refresh(
             self.cache,
             self.label_params,
-            self.verbalizations,
+            self.label_tokens,
             batch_size=self.config.label_batch_size,
             span_count=self.counter.processed_spans,
         )
@@ -337,11 +338,9 @@ class Trainer:
     # -- fresh label encoding with gradient bookkeeping --
 
     def _fresh_label_forward(self, label_id: str):
-        verb = self.verbalizations[label_id]
-        seq = tokenize(verb.text, self.label_params.vocab_size)
-        vectors = encode(seq, self.label_params)
-        span = token_range(seq, verb.title_char_span)
-        emb = pool_span(vectors, span, self.config.pooling)
+        seq = self.label_tokens.seqs[label_id]
+        span = self.label_tokens.title_spans[label_id]
+        emb = pool_span(encode(seq, self.label_params), span, self.config.pooling)
         return seq, span, emb
 
     # -- one batch --
@@ -482,7 +481,7 @@ class Trainer:
         return full_refresh(
             cache,
             self.label_params,
-            self.verbalizations,
+            self.label_tokens,
             batch_size=self.config.label_batch_size,
         )
 
@@ -530,7 +529,8 @@ class Trainer:
 
 
 def _accumulate(into: EncoderGrads, grads: EncoderGrads) -> None:
-    into.table += grads.table
+    """Add one backward call's row-sparse gradients into a dense step buffer."""
+    into.table[grads.rows] += grads.table
     into.w_self += grads.w_self
     into.w_ctx += grads.w_ctx
     into.bias += grads.bias

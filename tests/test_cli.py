@@ -217,6 +217,14 @@ class TestExitCodes:
                    "--out", workspace / "x.jsonl")
         assert code == 1
 
+    def test_truncated_checkpoint_header_is_validation_error(self, workspace):
+        model = workspace / "short.bin"
+        model.write_bytes(b"VRBED1\x00\x10\x00\x00")  # 10 bytes: header cut short
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", model, "--out", workspace / "x.jsonl")
+        assert code == 1
+
     def test_bad_subcommand_is_validation_error(self):
         assert run("frobnicate") == 1
 

@@ -6,7 +6,10 @@ import pytest
 from dualed.encoder import (
     FIRST_LAST,
     MEAN,
+    EncoderGrads,
     EncoderParams,
+    _window_counts,
+    _window_sums,
     encode,
     encoder_backward,
     load_checkpoint,
@@ -165,6 +168,31 @@ def relative_error(a, b):
     return np.abs(a - b).max() / denom
 
 
+def dense_table(grads, vocab):
+    """Scatter a row-sparse table gradient into a zero (V, d) table."""
+    table = np.zeros((vocab, grads.table.shape[1]))
+    table[grads.rows] = grads.table
+    return table
+
+
+def reference_encoder_backward(seq, params, upstream):
+    """The dense-table backward pass: one (V, d) gradient per call."""
+    emb = params.table[seq.token_ids]
+    counts = _window_counts(len(seq), params.window)
+    ctx = _window_sums(emb, params.window) / counts[:, None]
+
+    grads = EncoderGrads.zeros_like(params)
+    grads.bias += upstream.sum(axis=0)
+    grads.w_self += upstream.T @ emb
+    grads.w_ctx += upstream.T @ ctx
+
+    d_emb = upstream @ params.w_self
+    d_ctx_scaled = (upstream @ params.w_ctx) / counts[:, None]
+    d_emb = d_emb + _window_sums(d_ctx_scaled, params.window)
+    np.add.at(grads.table, seq.token_ids, d_emb)
+    return grads
+
+
 class TestEncoderBackward:
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(5)
@@ -192,6 +220,7 @@ class TestEncoderBackward:
             upstream = rng.normal(size=(len(seq), dim))
             analytic = encoder_backward(seq, p, upstream)
             numeric = numerical_param_grads(seq, p, upstream)
+            analytic.table = dense_table(analytic, 8)
             for name in ("table", "w_self", "w_ctx", "bias"):
                 err = relative_error(getattr(analytic, name), numeric[name])
                 assert err <= 1e-4, f"trial {trial}, {name}: rel err {err}"
@@ -204,13 +233,38 @@ class TestEncoderBackward:
         upstream = rng.normal(size=(2, 3))
         grads = encoder_backward(seq, p, upstream)
         numeric = numerical_param_grads(seq, p, upstream)
-        assert relative_error(grads.table, numeric["table"]) <= 1e-4
+        assert relative_error(dense_table(grads, V), numeric["table"]) <= 1e-4
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(9)
         p = random_params(rng)
         with pytest.raises(ValidationError):
             encoder_backward(random_seq(rng, 4), p, np.zeros((3, 3)))
+
+    def test_rows_are_sorted_unique_token_ids(self):
+        rng = np.random.default_rng(10)
+        p = random_params(rng, vocab=8)
+        seq = random_seq(rng, 12, vocab=8)
+        grads = encoder_backward(seq, p, rng.normal(size=(12, 3)))
+        np.testing.assert_array_equal(grads.rows, np.unique(seq.token_ids))
+        assert grads.table.shape == (len(grads.rows), 3)
+
+    def test_row_sparse_equals_dense_reference_exactly(self):
+        rng = np.random.default_rng(11)
+        repeated = 0
+        for trial in range(60):
+            vocab = int(rng.choice([4, 8, 64]))
+            dim = int(rng.integers(1, 9))
+            p = random_params(rng, vocab=vocab, dim=dim, window=int(rng.integers(0, 5)))
+            seq = random_seq(rng, int(rng.integers(1, 40)), vocab=vocab)
+            repeated += len(np.unique(seq.token_ids)) < len(seq)
+            upstream = rng.normal(size=(len(seq), dim))
+            sparse = encoder_backward(seq, p, upstream)
+            dense = reference_encoder_backward(seq, p, upstream)
+            assert np.array_equal(dense_table(sparse, vocab), dense.table), trial
+            for name in ("w_self", "w_ctx", "bias"):
+                assert np.array_equal(getattr(sparse, name), getattr(dense, name)), name
+        assert repeated >= 50
 
 
 class TestPoolBackward:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualed.corpus import EntityRecord
-from dualed.encoder import EncoderParams
+from dualed.encoder import EncoderParams, encode, pool_span, token_range, tokenize
 from dualed.errors import ValidationError
 from dualed.label_index import (
     LabelCache,
@@ -16,6 +16,7 @@ from dualed.label_index import (
     nearest_label,
     sample_in_batch_negatives,
     save_cache,
+    tokenize_labels,
     write_back,
 )
 from dualed.losses import SimilaritySpec, similarity
@@ -55,48 +56,54 @@ class TestFullRefresh:
         self.records = toy_records()
         self.verbs = verbalize_all(self.records, FormatSpec.from_name("title_desc"))
         self.params = EncoderParams.init(256, 4, 2, seed=0)
+        self.tokens = tokenize_labels(self.verbs, 256)
         self.cache = LabelCache.empty(sorted(self.records), 4, "mean", EUCLIDEAN)
 
     def test_rows_equal_fresh_encoding(self):
-        from dualed.encoder import embed_span
-
-        full_refresh(self.cache, self.params, self.verbs)
+        full_refresh(self.cache, self.params, self.tokens)
         for label_id in self.cache.ids:
             verb = self.verbs[label_id]
-            expected = embed_span(verb.text, verb.title_char_span, self.params, "mean")
+            # independent path: tokenize the text afresh for every label
+            seq = tokenize(verb.text, 256)
+            span = token_range(seq, verb.title_char_span)
+            expected = pool_span(encode(seq, self.params), span, "mean")
             np.testing.assert_array_equal(self.cache.embedding(label_id), expected)
 
     def test_unchanged_params_byte_identical(self):
-        full_refresh(self.cache, self.params, self.verbs)
+        full_refresh(self.cache, self.params, self.tokens)
         before = self.cache.matrix.tobytes()
-        full_refresh(self.cache, self.params, self.verbs)
+        full_refresh(self.cache, self.params, self.tokens)
         assert self.cache.matrix.tobytes() == before
 
     def test_batch_size_invariance(self):
-        full_refresh(self.cache, self.params, self.verbs, batch_size=2)
+        full_refresh(self.cache, self.params, self.tokens, batch_size=2)
         small = self.cache.matrix.copy()
-        full_refresh(self.cache, self.params, self.verbs, batch_size=5)
+        full_refresh(self.cache, self.params, self.tokens, batch_size=5)
         np.testing.assert_array_equal(small, self.cache.matrix)
 
     def test_missing_verbalization_rejected(self):
         bad = dict(self.verbs)
         del bad["e3"]
         with pytest.raises(ValidationError, match="missing"):
-            full_refresh(self.cache, self.params, bad)
+            full_refresh(self.cache, self.params, tokenize_labels(bad, 256))
+
+    def test_tokens_for_another_vocab_size_rejected(self):
+        with pytest.raises(ValidationError, match="vocab size"):
+            full_refresh(self.cache, self.params, tokenize_labels(self.verbs, 512))
 
     def test_resets_bookkeeping(self):
-        full_refresh(self.cache, self.params, self.verbs)
+        full_refresh(self.cache, self.params, self.tokens)
         write_back(self.cache, "e1", np.ones(4))
         assert self.cache.dirty_writes == 1
-        full_refresh(self.cache, self.params, self.verbs, span_count=123)
+        full_refresh(self.cache, self.params, self.tokens, span_count=123)
         assert self.cache.dirty_writes == 0
         assert self.cache.last_full_refresh == 123
 
     def test_refresh_overwrites_write_back(self):
-        full_refresh(self.cache, self.params, self.verbs)
+        full_refresh(self.cache, self.params, self.tokens)
         original = self.cache.embedding("e2").copy()
         write_back(self.cache, "e2", np.full(4, 9.0))
-        full_refresh(self.cache, self.params, self.verbs)
+        full_refresh(self.cache, self.params, self.tokens)
         np.testing.assert_array_equal(self.cache.embedding("e2"), original)
 
 
@@ -236,13 +243,14 @@ class TestStalenessBookkeeping:
         verbs = verbalize_all(records, FormatSpec.from_name("title"))
         params = EncoderParams.init(256, 4, 1, seed=5)
         cache = LabelCache.empty(sorted(records), 4, "mean", EUCLIDEAN)
-        full_refresh(cache, params, verbs)
+        tokens = tokenize_labels(verbs, 256)
+        full_refresh(cache, params, tokens)
         seen = [cache.dirty_writes]
         for i in range(4):
             write_back(cache, "e1", np.full(4, float(i)))
             seen.append(cache.dirty_writes)
         assert seen == sorted(seen) == [0, 1, 2, 3, 4]
-        full_refresh(cache, params, verbs)
+        full_refresh(cache, params, tokens)
         assert cache.dirty_writes == 0
 
 
@@ -270,5 +278,24 @@ class TestSnapshotFormat:
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"JUNKJUNKJUNK")
+        with pytest.raises(ValidationError):
+            load_cache(path)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            pytest.param(lambda raw: raw[:12], id="short-header"),
+            pytest.param(lambda raw: raw[:20], id="short-id-length"),
+            pytest.param(lambda raw: raw[:23], id="short-id-bytes"),
+            pytest.param(lambda raw: raw[:-1], id="short-matrix"),
+            pytest.param(lambda raw: raw[:16] + b"\x07" + raw[17:], id="bad-sim-code"),
+            pytest.param(lambda raw: raw[:17] + b"\x07" + raw[18:], id="bad-pooling-code"),
+            pytest.param(lambda raw: raw[:22] + b"\xff" + raw[23:], id="id-not-utf8"),
+        ],
+    )
+    def test_truncated_or_corrupt_snapshot_rejected(self, tmp_path, cut):
+        path = tmp_path / "cache.bin"
+        save_cache(path, cache_from_matrix(np.zeros((3, 2))))
+        path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(ValidationError):
             load_cache(path)

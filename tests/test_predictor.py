@@ -137,12 +137,12 @@ class TestPredictIterative:
                          dev_mentions=30, max_mentions_per_doc=1, seed=3)
         params = EncoderParams.init(1 << 12, 8, 3, seed=0)
         label_params = EncoderParams.init(1 << 12, 8, 3, seed=1)
-        from dualed.label_index import LabelCache as LC, full_refresh
+        from dualed.label_index import LabelCache as LC, full_refresh, tokenize_labels
         from dualed.verbalizer import FormatSpec, verbalize_all
 
         verbs = verbalize_all(task.records, FormatSpec.from_name("title_desc"))
         cache = LC.empty(sorted(task.records), 8, "first_last", EUCLIDEAN)
-        full_refresh(cache, label_params, verbs)
+        full_refresh(cache, label_params, tokenize_labels(verbs, 1 << 12))
         for doc in task.dev_docs:
             one_shot = predict_document(doc, params, cache)
             result = predict_iterative(doc, params, cache, task.records)
@@ -175,12 +175,12 @@ class TestPredictIterative:
                          dev_mentions=120, max_mentions_per_doc=6, seed=5)
         params = EncoderParams.init(1 << 12, 6, 3, seed=7)
         label_params = EncoderParams.init(1 << 12, 6, 3, seed=8)
-        from dualed.label_index import LabelCache as LC, full_refresh
+        from dualed.label_index import LabelCache as LC, full_refresh, tokenize_labels
         from dualed.verbalizer import FormatSpec, verbalize_all
 
         verbs = verbalize_all(task.records, FormatSpec.from_name("title_desc"))
         cache = LC.empty(sorted(task.records), 6, "mean", EUCLIDEAN)
-        full_refresh(cache, label_params, verbs)
+        full_refresh(cache, label_params, tokenize_labels(verbs, 1 << 12))
         for doc in task.dev_docs:
             result = predict_iterative(doc, params, cache, task.records)
             assert 1 <= result.iterations <= len(doc.mentions)

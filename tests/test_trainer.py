@@ -1,5 +1,8 @@
 """Batching, negative counts, step contracts, insertions, scheduling."""
 
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from dualed.trainer import (
     make_batches,
     parse_config_file,
 )
+from dualed.verbalizer import verbalize_all
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -354,6 +358,32 @@ class TestTrainLoop:
         total_spans = metrics[-1]["spans"]
         assert total_spans == 60 * 3
         assert metrics[-1]["refreshes"] == 3 + total_spans // 25
+
+    def test_label_verbalizations_tokenized_once(self, monkeypatch):
+        import dualed
+        from dualed import encoder
+
+        task = tiny_task()
+        config = small_config(epochs=2, refresh_interval_spans=25)
+        verbs = verbalize_all(task.records, config.format_spec)
+        label_texts = {v.text for v in verbs.values()}
+        assert len(label_texts) == len(verbs)
+        calls = Counter()
+        tokenize = encoder.tokenize
+
+        def counting_tokenize(text, vocab_size):
+            if text in label_texts:
+                calls[text] += 1
+            return tokenize(text, vocab_size)
+
+        for name in dir(dualed):
+            module = getattr(dualed, name)
+            if inspect.ismodule(module) and hasattr(module, "tokenize"):
+                monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        trainer = Trainer(task.records, config)
+        metrics = trainer.train(task.train_docs, task.dev_docs)
+        assert metrics[-1]["refreshes"] > config.epochs
+        assert calls == Counter(label_texts)
 
     def test_refresh_disabled_only_epoch_refreshes(self):
         task = tiny_task()
