@@ -36,11 +36,9 @@ from .label_index import (
     LabelCache,
     LabelTokens,
     full_refresh,
-    load_cache,
     mine_hard_negatives,
     nearest_label,
     sample_in_batch_negatives,
-    save_cache,
     tokenize_labels,
     write_back,
 )

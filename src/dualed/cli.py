@@ -24,11 +24,10 @@ from .corpus import flag_unlinkable, load_corpus, load_label_set
 from .encoder import load_checkpoint, save_checkpoint
 from .errors import ValidationError
 from .evaluator import change_analysis, score
-from .label_index import LabelCache, full_refresh, tokenize_labels
 from .losses import LOSS_KINDS, SIMILARITY_KINDS
 from .predictor import predict_corpus, target_label_set
 from .trainer import TrainConfig, Trainer, parse_config_file
-from .verbalizer import FORMAT_NAMES, FormatSpec, verbalize, verbalize_all
+from .verbalizer import FORMAT_NAMES, FormatSpec, verbalize_all
 
 AXES = ("verbalization", "pooling", "loss_similarity", "negatives", "refresh")
 
@@ -43,15 +42,15 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None)
 
 
-def _resolve_config(args: argparse.Namespace) -> TrainConfig:
+def _config_mapping(args: argparse.Namespace) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         mapping.update(parse_config_file(args.config))
     for f in dataclasses.fields(TrainConfig):
-        value = getattr(args, f.name, None)
+        value = getattr(args, f.name)
         if value is not None:  # flag wins over the config file
             mapping[f.name] = value
-    return TrainConfig.from_mapping(mapping)
+    return mapping
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,11 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verbalize(args) -> int:
-    records = load_label_set(args.labels)
-    spec = FormatSpec.from_name(args.format)
+    verbs = verbalize_all(load_label_set(args.labels), FormatSpec.from_name(args.format))
     with open(args.out, "w", encoding="utf-8") as fh:
-        for rec_id, rec in records.items():
-            verb = verbalize(rec, spec)
+        for rec_id, verb in verbs.items():
             fh.write(
                 json.dumps(
                     {
@@ -128,7 +125,7 @@ def cmd_verbalize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _resolve_config(args)
+    config = TrainConfig.from_mapping(_config_mapping(args))
     corpus = load_corpus(args.corpus)
     records = load_label_set(args.labels)
     flag_unlinkable(corpus, set(records))
@@ -156,24 +153,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _build_cache(records, label_params, pooling, sim, fmt):
-    from .losses import SimilaritySpec
-
-    label_tokens = tokenize_labels(
-        verbalize_all(records, FormatSpec.from_name(fmt)), label_params.vocab_size
-    )
-    cache = LabelCache.empty(
-        sorted(records), label_params.dim, pooling, SimilaritySpec(kind=sim)
-    )
-    return full_refresh(cache, label_params, label_tokens)
-
-
 def cmd_predict(args) -> int:
     corpus = load_corpus(args.corpus)
     records = load_label_set(args.labels)
     flag_unlinkable(corpus, set(records))
     mention_params, label_params = load_checkpoint(args.checkpoint)
-    cache = _build_cache(records, label_params, args.pooling, args.sim, args.format)
+    config = TrainConfig(
+        sim=args.sim,
+        pooling=args.pooling,
+        verbalization=args.format,
+        vocab_size=label_params.vocab_size,
+        dim=label_params.dim,
+        window=label_params.window,
+    )
+    cache = Trainer(records, config, mention_params, label_params).eval_cache()
     allowed = target_label_set(corpus, cache) if args.restrict_to_targets else None
     preds = predict_corpus(
         corpus,
@@ -367,15 +360,8 @@ def cmd_ablate(args) -> int:
         raise ValidationError(f"bad --seeds value {args.seeds!r}") from exc
     if not seeds:
         raise ValidationError("at least one seed is required")
-    base: dict[str, str] = {}
-    if args.config:
-        base.update(parse_config_file(args.config))
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            base[f.name] = value
     plan = AblationPlan(axis=args.axis, variants=plan_for_axis(args.axis), seeds=seeds)
-    rows = run_ablation(plan, base, args.corpus, args.labels, args.dev)
+    rows = run_ablation(plan, _config_mapping(args), args.corpus, args.labels, args.dev)
     width = max(len(name) for name, *_ in rows)
     print(f"axis: {args.axis}  (accuracy over seeds {seeds})")
     print(f"{'variant':<{width}}  {'mean':>8}  {'sd':>8}")

@@ -10,7 +10,6 @@ ground truth; ties always break toward the lowest row index.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +24,9 @@ from .encoder import (
     token_range,
     tokenize,
 )
-from .errors import ValidationError, read_exact
-from .losses import SimilaritySpec, SIMILARITY_KINDS, similarity_to_matrix
+from .errors import ValidationError
+from .losses import SimilaritySpec, similarity_to_matrix
 from .verbalizer import Verbalization
-
-CACHE_MAGIC = b"VRBCACHE"
 
 
 @dataclass
@@ -98,17 +95,13 @@ def full_refresh(
     cache: LabelCache,
     label_params: EncoderParams,
     label_tokens: LabelTokens,
-    batch_size: int = 128,
     span_count: int | None = None,
 ) -> LabelCache:
     """Re-encode every cached row from its tokens with the current label encoder.
 
-    Rows are processed in batches of ``batch_size`` labels (a progress /
-    memory knob only; results are batch-invariant). Resets the
-    staleness bookkeeping.
+    Labels are encoded one at a time, in row order. Resets the staleness
+    bookkeeping.
     """
-    if batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
     if label_tokens.vocab_size != label_params.vocab_size:
         raise ValidationError(
             f"label tokens were built for vocab size {label_tokens.vocab_size}, "
@@ -118,12 +111,11 @@ def full_refresh(
     if missing:
         raise ValidationError(f"missing verbalizations for {len(missing)} labels, "
                               f"first: {missing[0]!r}")
-    for lo in range(0, len(cache.ids), batch_size):
-        for row, label_id in enumerate(cache.ids[lo:lo + batch_size], start=lo):
-            vectors = encode(label_tokens.seqs[label_id], label_params)
-            cache.matrix[row] = pool_span(
-                vectors, label_tokens.title_spans[label_id], cache.pooling
-            )
+    for row, label_id in enumerate(cache.ids):
+        vectors = encode(label_tokens.seqs[label_id], label_params)
+        cache.matrix[row] = pool_span(
+            vectors, label_tokens.title_spans[label_id], cache.pooling
+        )
     cache.dirty_writes = 0
     if span_count is not None:
         cache.last_full_refresh = span_count
@@ -194,63 +186,3 @@ def nearest_label(
     else:
         best = int(np.argmax(sims))
     return cache.ids[best], float(sims[best])
-
-
-# ── snapshot format ──────────────────────────────────────────────────────────
-#
-# Header: magic "VRBCACHE", |E| and p as little-endian uint32, one byte
-# each for similarity kind and pooling method; then every id as a
-# uint32-length-prefixed UTF-8 string; then the matrix as row-major
-# little-endian float32.
-
-_POOLING_CODES = {name: i for i, name in enumerate(POOLING_METHODS)}
-_SIM_CODES = {name: i for i, name in enumerate(SIMILARITY_KINDS)}
-
-
-def save_cache(path, cache: LabelCache) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIBB",
-                len(cache.ids),
-                cache.matrix.shape[1],
-                _SIM_CODES[cache.sim_spec.kind],
-                _POOLING_CODES[cache.pooling],
-            )
-        )
-        for label_id in cache.ids:
-            raw = label_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        fh.write(np.ascontiguousarray(cache.matrix, dtype="<f4").tobytes())
-
-
-def load_cache(path) -> LabelCache:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise ValidationError(f"not a cache snapshot (bad magic {magic!r})")
-        n, p, sim_code, pool_code = struct.unpack(
-            "<IIBB", read_exact(fh, 10, "cache snapshot header")
-        )
-        if sim_code >= len(SIMILARITY_KINDS):
-            raise ValidationError(f"unknown similarity code {sim_code} in cache snapshot")
-        if pool_code >= len(POOLING_METHODS):
-            raise ValidationError(f"unknown pooling code {pool_code} in cache snapshot")
-        ids = []
-        for _ in range(n):
-            (length,) = struct.unpack("<I", read_exact(fh, 4, "cache snapshot id length"))
-            raw = read_exact(fh, length, "cache snapshot id")
-            try:
-                ids.append(raw.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise ValidationError(f"cache snapshot id is not UTF-8: {exc}") from exc
-        buf = read_exact(fh, 4 * n * p, "cache snapshot matrix")
-        matrix = np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(n, p)
-    return LabelCache(
-        ids=ids,
-        matrix=matrix,
-        pooling=POOLING_METHODS[pool_code],
-        sim_spec=SimilaritySpec(kind=SIMILARITY_KINDS[sim_code]),
-    )

@@ -133,12 +133,11 @@ def predict_iterative(
     cache: LabelCache,
     records: dict[str, EntityRecord],
     allowed_ids: set[str] | None = None,
-    rescore_resolved: bool = True,
 ) -> DocumentPrediction:
     """Insert-and-repredict until every mention carries an insertion.
 
-    Per round: re-encode the working text, re-predict (all mentions, or
-    only unresolved ones when ``rescore_resolved`` is off) keeping the
+    Per round: re-encode the working text, re-predict every mention
+    (resolved ones too, since their context has changed) keeping the
     higher-scoring prediction, then insert verbalizations for the
     top-scoring third of the mentions among those still unresolved.
     """
@@ -156,8 +155,6 @@ def predict_iterative(
         seq = tokenize(state.working_text, mention_params.vocab_size)
         vectors = encode(seq, mention_params)
         for slot in state.slots:
-            if slot.resolved and not rescore_resolved:
-                continue
             anchor = pool_span(vectors, token_range(seq, slot.span), cache.pooling)
             label_id, score = nearest_label(cache, anchor, allowed_ids)
             if score > slot.score:
@@ -201,7 +198,6 @@ def predict_corpus(
     limits: tuple[int, int] = (100, 2800),
     iterative: bool = False,
     allowed_ids: set[str] | None = None,
-    rescore_resolved: bool = True,
 ) -> CorpusPredictions:
     """Chunk every document and predict all mentions, one-shot or iterative.
 
@@ -219,8 +215,7 @@ def predict_corpus(
                 continue
             if iterative:
                 result = predict_iterative(
-                    chunk, mention_params, cache, records, allowed_ids,
-                    rescore_resolved=rescore_resolved,
+                    chunk, mention_params, cache, records, allowed_ids
                 )
                 rounds = result.iterations
                 first_preds = result.first_pass

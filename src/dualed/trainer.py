@@ -85,7 +85,6 @@ class TrainConfig:
     verbalization: str = "title_desc_cat"
     max_mentions_per_chunk: int = 100
     max_chars_per_chunk: int = 2800
-    label_batch_size: int = 128
     vocab_size: int = 65536
     dim: int = 64
     window: int = 5
@@ -101,7 +100,7 @@ class TrainConfig:
             raise ValidationError("corrupt_rate must be in [0, 1]")
         if not 0.0 < self.insert_fraction < 1.0:
             raise ValidationError("insert_fraction must be in (0, 1)")
-        for name in ("batch_docs", "neg_budget", "label_batch_size"):
+        for name in ("batch_docs", "neg_budget"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if self.epochs < 0:  # 0 epochs = a valid no-op run
@@ -134,17 +133,22 @@ class TrainConfig:
 def _cast_config_value(key: str, raw):
     if not isinstance(raw, str):
         return raw
-    if key in ("lr", "margin", "insert_fraction", "corrupt_rate", "clip_norm"):
-        return None if raw == "none" else float(raw)
     if key in ("on_the_fly", "iterative"):
         if raw.lower() not in ("true", "false", "0", "1"):
             raise ValidationError(f"{key} must be a boolean, got {raw!r}")
         return raw.lower() in ("true", "1")
-    if key == "neg_count":
-        return raw if raw == DYNAMIC else int(raw)
     if key in ("sim", "loss", "pooling", "neg_mode", "verbalization"):
         return raw
-    return int(raw)
+    if key == "neg_count" and raw == DYNAMIC:
+        return raw
+    if key == "margin" and raw == "none":  # the per-similarity default
+        return None
+    floats = ("lr", "margin", "insert_fraction", "corrupt_rate", "clip_norm")
+    cast = float if key in floats else int
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ValidationError(f"{key} must be {cast.__name__}, got {raw!r}") from exc
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -321,7 +325,6 @@ class Trainer:
             self.cache,
             self.label_params,
             self.label_tokens,
-            batch_size=self.config.label_batch_size,
             span_count=self.counter.processed_spans,
         )
         self.refreshes += 1
@@ -478,12 +481,7 @@ class Trainer:
         cache = LabelCache.empty(
             self.cache.ids, self.config.dim, self.config.pooling, self.config.sim_spec
         )
-        return full_refresh(
-            cache,
-            self.label_params,
-            self.label_tokens,
-            batch_size=self.config.label_batch_size,
-        )
+        return full_refresh(cache, self.label_params, self.label_tokens)
 
     def evaluate(self, docs: list[Document], iterative: bool = False) -> float:
         limits = (self.config.max_mentions_per_chunk, self.config.max_chars_per_chunk)

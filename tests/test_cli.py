@@ -18,7 +18,7 @@ def workspace(tmp_path_factory):
     write_label_file(task.records, root / "labels.jsonl")
     (root / "config.txt").write_text(
         "epochs=2\nlr=0.5\nvocab_size=4096\ndim=8\nwindow=4\n"
-        "neg_count=2\nrefresh_interval_spans=40\nlabel_batch_size=16\n"
+        "neg_count=2\nrefresh_interval_spans=40\n"
         "verbalization=title_desc\nbatch_docs=8\nseed=0\n"
     )
     return root
@@ -176,7 +176,7 @@ class TestAblateCommand:
                             variants=[("mean", {"pooling": "mean"})], seeds=[0])
         base = {
             "epochs": "1", "lr": "0.5", "vocab_size": "4096", "dim": "8",
-            "window": "4", "neg_count": "2", "label_batch_size": "16",
+            "window": "4", "neg_count": "2",
             "verbalization": "title_desc", "batch_docs": "8",
         }
         rows = run_ablation(plan, base, str(workspace / "train.jsonl"),
@@ -224,6 +224,31 @@ class TestExitCodes:
                    "--labels", workspace / "labels.jsonl",
                    "--checkpoint", model, "--out", workspace / "x.jsonl")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags, config_text, key",
+        [
+            pytest.param(["--epochs", "two"], None, "epochs", id="epochs-flag"),
+            pytest.param(["--lr", "fast"], None, "lr", id="lr-flag"),
+            pytest.param(["--neg-count", "abc"], None, "neg_count", id="neg-count-flag"),
+            pytest.param(["--margin", "x"], None, "margin", id="margin-flag"),
+            pytest.param(["--lr", "none"], None, "lr", id="lr-none-flag"),
+            pytest.param([], "epochs=two\n", "epochs", id="epochs-config"),
+            pytest.param([], "label_batch_size=16\n", "label_batch_size",
+                         id="removed-key-config"),
+        ],
+    )
+    def test_malformed_config_value_is_validation_error(
+        self, workspace, tmp_path, capsys, flags, config_text, key
+    ):
+        if config_text is not None:
+            (tmp_path / "config.txt").write_text(config_text)
+            flags = [*flags, "--config", tmp_path / "config.txt"]
+        code = run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--out", tmp_path / "run", *flags)
+        assert code == 1
+        assert key in capsys.readouterr().err
 
     def test_bad_subcommand_is_validation_error(self):
         assert run("frobnicate") == 1

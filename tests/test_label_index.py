@@ -1,4 +1,4 @@
-"""Cache semantics, exact search, mining, and the snapshot format."""
+"""Cache semantics, exact search and mining."""
 
 import math
 
@@ -11,11 +11,9 @@ from dualed.errors import ValidationError
 from dualed.label_index import (
     LabelCache,
     full_refresh,
-    load_cache,
     mine_hard_negatives,
     nearest_label,
     sample_in_batch_negatives,
-    save_cache,
     tokenize_labels,
     write_back,
 )
@@ -74,12 +72,6 @@ class TestFullRefresh:
         before = self.cache.matrix.tobytes()
         full_refresh(self.cache, self.params, self.tokens)
         assert self.cache.matrix.tobytes() == before
-
-    def test_batch_size_invariance(self):
-        full_refresh(self.cache, self.params, self.tokens, batch_size=2)
-        small = self.cache.matrix.copy()
-        full_refresh(self.cache, self.params, self.tokens, batch_size=5)
-        np.testing.assert_array_equal(small, self.cache.matrix)
 
     def test_missing_verbalization_rejected(self):
         bad = dict(self.verbs)
@@ -252,50 +244,3 @@ class TestStalenessBookkeeping:
         assert seen == sorted(seen) == [0, 1, 2, 3, 4]
         full_refresh(cache, params, tokens)
         assert cache.dirty_writes == 0
-
-
-class TestSnapshotFormat:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        cache = cache_from_matrix(
-            rng.normal(size=(7, 4)), sim=SimilaritySpec(kind="cosine"),
-            pooling="first_last",
-        )
-        path = tmp_path / "cache.bin"
-        save_cache(path, cache)
-        loaded = load_cache(path)
-        assert loaded.ids == cache.ids
-        assert loaded.pooling == "first_last"
-        assert loaded.sim_spec.kind == "cosine"
-        np.testing.assert_allclose(loaded.matrix, cache.matrix, atol=1e-6)
-
-    def test_magic(self, tmp_path):
-        cache = cache_from_matrix(np.zeros((1, 2)))
-        path = tmp_path / "cache.bin"
-        save_cache(path, cache)
-        assert path.read_bytes()[:8] == b"VRBCACHE"
-
-    def test_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"JUNKJUNKJUNK")
-        with pytest.raises(ValidationError):
-            load_cache(path)
-
-    @pytest.mark.parametrize(
-        "cut",
-        [
-            pytest.param(lambda raw: raw[:12], id="short-header"),
-            pytest.param(lambda raw: raw[:20], id="short-id-length"),
-            pytest.param(lambda raw: raw[:23], id="short-id-bytes"),
-            pytest.param(lambda raw: raw[:-1], id="short-matrix"),
-            pytest.param(lambda raw: raw[:16] + b"\x07" + raw[17:], id="bad-sim-code"),
-            pytest.param(lambda raw: raw[:17] + b"\x07" + raw[18:], id="bad-pooling-code"),
-            pytest.param(lambda raw: raw[:22] + b"\xff" + raw[23:], id="id-not-utf8"),
-        ],
-    )
-    def test_truncated_or_corrupt_snapshot_rejected(self, tmp_path, cut):
-        path = tmp_path / "cache.bin"
-        save_cache(path, cache_from_matrix(np.zeros((3, 2))))
-        path.write_bytes(cut(path.read_bytes()))
-        with pytest.raises(ValidationError):
-            load_cache(path)

@@ -1,6 +1,7 @@
 """Similarities, losses, and gradient checks across all six combinations."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -165,9 +166,19 @@ def numeric_input_grads(anchor, positive, negatives, loss_spec, sim_spec, h=1e-5
     return grads[0], grads[1], grads[2:]
 
 
-def rel_err(a, b):
-    denom = max(np.abs(a).max(), np.abs(b).max(), 1e-8)
+def rel_err(a, b, floor=1e-8):
+    denom = max(np.abs(a).max(), np.abs(b).max(), floor)
     return np.abs(a - b).max() / denom
+
+
+def case_floor(*grads):
+    """Denominator floor for one case: 1e-6 of its largest gradient entry.
+
+    Central differences carry roundoff near 1e-10 whatever the gradient's
+    size, so a block far below the case's scale (a negative of softmax
+    weight ~1e-8) cannot be judged relative to its own magnitude.
+    """
+    return max(1e-8, 1e-6 * max(np.abs(g).max() for g in grads))
 
 
 class TestLossGradients:
@@ -191,7 +202,7 @@ class TestLossGradients:
     @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
     @pytest.mark.parametrize("sim_kind", SIMILARITY_KINDS)
     def test_matches_finite_differences(self, loss_kind, sim_kind):
-        rng = np.random.default_rng(hash((loss_kind, sim_kind)) % (2**32))
+        rng = np.random.default_rng(zlib.crc32(f"{loss_kind}/{sim_kind}".encode()))
         loss_spec = LossSpec(kind=loss_kind)
         sim_spec = SimilaritySpec(kind=sim_kind)
         checked = 0
@@ -211,10 +222,12 @@ class TestLossGradients:
                     continue
             loss, grads = loss_gradients(a, p, negs, loss_spec, sim_spec)
             na, np_, nn = numeric_input_grads(a, p, negs, loss_spec, sim_spec)
-            assert rel_err(grads.anchor, na) <= 1e-4
-            assert rel_err(grads.positive, np_) <= 1e-4
+            floor = case_floor(grads.anchor, grads.positive, *grads.negatives,
+                               na, np_, *nn)
+            assert rel_err(grads.anchor, na, floor) <= 1e-4
+            assert rel_err(grads.positive, np_, floor) <= 1e-4
             for g, num in zip(grads.negatives, nn):
-                assert rel_err(g, num) <= 1e-4
+                assert rel_err(g, num, floor) <= 1e-4
             assert loss == pytest.approx(
                 loss_value(a, p, negs, loss_spec, sim_spec), rel=1e-12
             )

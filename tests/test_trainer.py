@@ -31,7 +31,6 @@ def small_config(**overrides) -> TrainConfig:
         window=4,
         neg_count=2,
         refresh_interval_spans=50,
-        label_batch_size=16,
         verbalization="title_desc",
         seed=0,
     )
