@@ -35,11 +35,13 @@ from .evaluator import ChangeTable, EvalReport, change_analysis, score
 from .label_index import (
     LabelCache,
     LabelTokens,
+    allowed_rows,
     full_refresh,
     mine_hard_negatives,
     nearest_label,
     sample_in_batch_negatives,
     tokenize_labels,
+    top_rows,
     write_back,
 )
 from .losses import (

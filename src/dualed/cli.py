@@ -144,8 +144,8 @@ def cmd_train(args) -> int:
         for row in metrics:
             fh.write(json.dumps(row) + "\n")
     with open(out_dir / "config.txt", "w", encoding="utf-8") as fh:
-        for f in dataclasses.fields(TrainConfig):
-            fh.write(f"{f.name}={getattr(config, f.name)}\n")
+        for key, value in config.to_mapping().items():
+            fh.write(f"{key}={value}\n")
     for row in metrics:
         dev_part = "" if row["dev_acc"] is None else f"  dev_acc={row['dev_acc']:.4f}"
         print(f"epoch {row['epoch']}  loss={row['loss']:.4f}{dev_part}  "

@@ -20,6 +20,8 @@ of the verbalization acts as context.
 
 from __future__ import annotations
 
+import functools
+import re
 import struct
 from dataclasses import dataclass
 
@@ -38,11 +40,22 @@ _FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
 
 
+# A maximal run of characters for which str.isalnum() is true: \w is
+# exactly isalnum() plus the underscore.
+_TOKEN_RUN = re.compile(r"[^\W_]+")
+
+
 def fnv1a_64(data: bytes) -> int:
     h = _FNV_OFFSET
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _U64
     return h
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _token_hash(token: str) -> int:
+    """FNV-1a of the lowercased token's UTF-8 bytes, memoized per token."""
+    return fnv1a_64(token.lower().encode("utf-8"))
 
 
 @dataclass
@@ -63,21 +76,9 @@ def tokenize(text: str, vocab_size: int) -> TokenSequence:
     Char spans index the original text, so offsets stay valid even when
     lowercasing changes a token's length.
     """
-    ids: list[int] = []
-    spans: list[tuple[int, int]] = []
-    start = None
-    for i, ch in enumerate(text):
-        if ch.isalnum():
-            if start is None:
-                start = i
-        elif start is not None:
-            spans.append((start, i))
-            start = None
-    if start is not None:
-        spans.append((start, len(text)))
-    for s, e in spans:
-        token = text[s:e].lower()
-        ids.append(fnv1a_64(token.encode("utf-8")) % vocab_size)
+    runs = list(_TOKEN_RUN.finditer(text))
+    spans = [run.span() for run in runs]
+    ids = [_token_hash(run.group()) % vocab_size for run in runs]
     return TokenSequence(
         token_ids=np.asarray(ids, dtype=np.int64), char_spans=spans, source=text
     )

@@ -3,9 +3,21 @@
 The cache holds one embedding row per label in the full label set.
 During training it goes stale as the label encoder moves, so it is
 fully re-encoded at intervals and patched on-the-fly for labels a
-training step just embedded. Search is an exact linear scan — at the
-pool sizes this package targets that is both affordable and its own
-ground truth; ties always break toward the lowest row index.
+training step just embedded.
+
+Search is exact: every result (row and score bits) is the one a full
+per-row ``similarity_to_matrix`` scan of the cache would give, with ties
+broken toward the lowest row index. ``top_rows`` scores a block of
+anchors at once. Dot and cosine keep one matrix-vector product per
+anchor. Euclidean search shortlists rows from one GEMM of the quadratic
+form q = ||a||^2 + ||r||^2 - 2 a.r, whose computed value lies within
+E = 2 gamma_{p+2} (||a||^2 + max ||r||^2) of the exact squared distance
+(gamma_n = n u / (1 - n u), u the float64 unit roundoff, p the width).
+The shortlist threshold adds E on both sides of the best computed q and
+widens it by the per-row formula's own relative error, so it holds every
+row the scan could rank first, ties included. Only shortlisted rows are
+rescored with ``similarity_to_matrix``. An anchor whose inputs are not
+finite, or whose norms overflow, is scanned in full.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from .encoder import (
     tokenize,
 )
 from .errors import ValidationError
-from .losses import SimilaritySpec, similarity_to_matrix
+from .losses import COSINE, EUCLIDEAN, SimilaritySpec, similarity_to_matrix
 from .verbalizer import Verbalization
 
 
@@ -148,10 +160,10 @@ def mine_hard_negatives(
         raise ValidationError("k must be >= 1")
     if gold_id not in cache.row_of:
         raise ValidationError(f"gold id {gold_id!r} not in cache")
-    sims = similarity_to_matrix(anchor, cache.matrix, cache.sim_spec)
-    sims[cache.row_of[gold_id]] = -np.inf
-    order = np.argsort(-sims, kind="stable")[: min(k, len(cache.ids) - 1)]
-    return [(cache.ids[i], float(sims[i])) for i in order]
+    rows, scores = top_rows(
+        cache, anchor[None, :], gold=np.array([cache.row_of[gold_id]]), k=k
+    )
+    return [(cache.ids[r], float(s)) for r, s in zip(rows[0], scores[0])]
 
 
 def sample_in_batch_negatives(
@@ -170,19 +182,135 @@ def sample_in_batch_negatives(
     return [eligible[i] for i in picked]
 
 
+def allowed_rows(
+    cache: LabelCache, allowed_ids: set[str] | np.ndarray | None
+) -> np.ndarray | None:
+    """Ascending cache rows of an allowed-id set.
+
+    None (every row) and rows this function already resolved pass through,
+    so a caller can resolve a set once and reuse it for every anchor.
+    """
+    if allowed_ids is None or isinstance(allowed_ids, np.ndarray):
+        return allowed_ids
+    if not allowed_ids:
+        raise ValidationError("allowed_ids must be non-empty")
+    unknown = [i for i in allowed_ids if i not in cache.row_of]
+    if unknown:
+        raise ValidationError(f"allowed id {unknown[0]!r} not in cache")
+    return np.array(sorted(cache.row_of[i] for i in allowed_ids))
+
+
 def nearest_label(
     cache: LabelCache, anchor: np.ndarray, allowed_ids: set[str] | None = None
 ) -> tuple[str, float]:
     """Most similar label over the allowed set (full set when absent)."""
-    sims = similarity_to_matrix(anchor, cache.matrix, cache.sim_spec)
-    if allowed_ids is not None:
-        if not allowed_ids:
-            raise ValidationError("allowed_ids must be non-empty")
-        unknown = [i for i in allowed_ids if i not in cache.row_of]
-        if unknown:
-            raise ValidationError(f"allowed id {unknown[0]!r} not in cache")
-        rows = np.array(sorted(cache.row_of[i] for i in allowed_ids))
-        best = rows[np.argmax(sims[rows])]
+    rows, scores = top_rows(cache, anchor[None, :], allowed_rows(cache, allowed_ids))
+    return cache.ids[rows[0, 0]], float(scores[0, 0])
+
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), the bound on n rounding errors."""
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def top_rows(
+    cache: LabelCache,
+    anchors: np.ndarray,
+    allowed: np.ndarray | None = None,
+    gold: np.ndarray | None = None,
+    k: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best cache rows and their scores for a block of anchors, shape (M, p).
+
+    Without ``gold``: each anchor's most similar row among the ascending
+    rows ``allowed`` (every row when None), as (M, 1) row and score
+    arrays. With ``gold`` (one row per anchor; exclusive with
+    ``allowed``): the min(k, N-1) most similar rows other than the gold,
+    best first, as (M, t) arrays. Ties break toward the lowest row, and
+    every row and score bit equals that of a full per-anchor
+    ``similarity_to_matrix`` scan (see the module docstring).
+    """
+    matrix, spec = cache.matrix, cache.sim_spec
+    if anchors.ndim != 2 or anchors.shape[1] != matrix.shape[1]:
+        raise ValidationError(
+            f"width mismatch: anchors {anchors.shape} vs matrix {matrix.shape}"
+        )
+    if allowed is not None and gold is not None:
+        raise ValidationError("allowed and gold rows are exclusive")
+    take = 1 if gold is None else min(k, matrix.shape[0] - 1)
+    out_rows = np.zeros((len(anchors), take), dtype=np.int64)
+    out_scores = np.zeros((len(anchors), take))
+    if take < 1:
+        return out_rows, out_scores
+    if spec.kind == EUCLIDEAN:
+        shortlists = _euclidean_shortlists(matrix, anchors, allowed, gold, take)
     else:
-        best = int(np.argmax(sims))
-    return cache.ids[best], float(sims[best])
+        shortlists = [None] * len(anchors)
+    row_norms = np.linalg.norm(matrix, axis=1) if spec.kind == COSINE else None
+    for i, (anchor, rows) in enumerate(zip(anchors, shortlists)):
+        if rows is None:  # the full scan
+            sims = similarity_to_matrix(anchor, matrix, spec, row_norms)
+            rows = allowed
+            if rows is not None:
+                sims = sims[rows]
+            elif gold is not None:
+                sims[gold[i]] = -np.inf
+        else:
+            sims = similarity_to_matrix(anchor, matrix[rows], spec)
+        if gold is None:
+            best = np.argmax(sims, keepdims=True)
+        else:
+            best = np.argsort(-sims, kind="stable")[:take]
+        out_rows[i] = best if rows is None else rows[best]
+        out_scores[i] = sims[best]
+    return out_rows, out_scores
+
+
+def _euclidean_shortlists(
+    matrix: np.ndarray,
+    anchors: np.ndarray,
+    allowed: np.ndarray | None,
+    gold: np.ndarray | None,
+    take: int,
+) -> list[np.ndarray | None]:
+    """Per anchor, the ascending rows a full scan could rank in its first ``take``.
+
+    With m the take-th smallest computed q (gold excluded) and E the
+    GEMM bound, the take-th smallest exact squared distance is at most
+    m + E. The per-row formula
+    computes the squared distance with relative error gamma_{p+2}, and
+    the square root merges values up to a factor 1 + 4u apart, so each
+    row that the scan can rank in place ``take`` or better has an exact
+    squared distance of at most (m + E)(1 + 4 gamma_{p+4}) and a computed
+    q at most E above that. The threshold adds 2E, not E, and the factor
+    4 leaves room over the 2.5 the bound needs, so the rounding of the
+    threshold itself cannot cut such a row. None marks an anchor to scan
+    in full: a non-finite threshold means a non-finite input or an
+    overflowing norm.
+    """
+    p = matrix.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # such anchors are scanned
+        row_sq = np.einsum("ij,ij->i", matrix, matrix)
+        anchor_sq = np.einsum("ij,ij->i", anchors, anchors)
+        quad = anchor_sq[:, None] + row_sq - 2.0 * (anchors @ matrix.T)
+        if allowed is not None:
+            quad = quad[:, allowed]
+        if gold is not None:
+            quad[np.arange(len(anchors)), gold] = np.inf
+        if take == 1:
+            best = quad.min(axis=1)
+        else:
+            best = np.partition(quad, take - 1, axis=1)[:, take - 1]
+        err = 2.0 * _gamma(p + 2) * (anchor_sq + row_sq.max())
+        limit = (best + err) * (1.0 + 4.0 * _gamma(p + 4)) + 2.0 * err
+    out: list[np.ndarray | None] = []
+    for q, lim in zip(quad, limit):
+        if not np.isfinite(lim):
+            out.append(None)
+            continue
+        hits = np.flatnonzero(q <= lim)
+        out.append(hits if allowed is None else allowed[hits])
+    return out

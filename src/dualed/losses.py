@@ -73,9 +73,16 @@ def similarity(a: np.ndarray, b: np.ndarray, spec: SimilaritySpec) -> float:
 
 
 def similarity_to_matrix(
-    anchor: np.ndarray, matrix: np.ndarray, spec: SimilaritySpec
+    anchor: np.ndarray,
+    matrix: np.ndarray,
+    spec: SimilaritySpec,
+    row_norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Similarity of one anchor against every row, shape (N,)."""
+    """Similarity of one anchor against every row, shape (N,).
+
+    ``row_norms`` optionally passes ``np.linalg.norm(matrix, axis=1)``
+    (used by cosine) when several anchors share one matrix.
+    """
     if matrix.ndim != 2 or matrix.shape[1] != anchor.shape[0]:
         raise ValidationError(
             f"width mismatch: anchor {anchor.shape} vs matrix {matrix.shape}"
@@ -87,7 +94,9 @@ def similarity_to_matrix(
         # equal to a row must score exactly 0
         diff = matrix - anchor
         return -np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(anchor)
+    if row_norms is None:
+        row_norms = np.linalg.norm(matrix, axis=1)
+    norms = row_norms * np.linalg.norm(anchor)
     return (matrix @ anchor) / np.maximum(norms, spec.epsilon)
 
 

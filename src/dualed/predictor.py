@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import Chunk, Document, EntityRecord, Mention, chunk_document
 from .encoder import EncoderParams, encode, pool_span, token_range, tokenize
 from .errors import ValidationError
 from .evaluator import MentionKey
-from .label_index import LabelCache, nearest_label
+from .label_index import LabelCache, allowed_rows, top_rows
 
 
 def insertion_text(record: EntityRecord) -> str:
@@ -108,23 +110,43 @@ class DocumentPrediction:
     state: PredictionState | None = None  # final working text, iterative mode
 
 
+def _nearest_labels(
+    text: str,
+    spans: list[tuple[int, int]],
+    mention_params: EncoderParams,
+    cache: LabelCache,
+    rows: np.ndarray | None,
+) -> list[tuple[str, float]]:
+    """Encode a text once and score all of its mention spans in one block."""
+    seq = tokenize(text, mention_params.vocab_size)
+    vectors = encode(seq, mention_params)
+    anchors = np.array(
+        [pool_span(vectors, token_range(seq, span), cache.pooling) for span in spans]
+    )
+    best, scores = top_rows(cache, anchors, rows)
+    return [(cache.ids[r], float(s)) for r, s in zip(best[:, 0], scores[:, 0])]
+
+
 def predict_document(
     doc: Document | Chunk,
     mention_params: EncoderParams,
     cache: LabelCache,
-    allowed_ids: set[str] | None = None,
+    allowed_ids: set[str] | np.ndarray | None = None,
 ) -> list[MentionPrediction]:
-    """Nearest cached label for every mention, in mention order."""
+    """Nearest cached label for every mention, in mention order.
+
+    ``allowed_ids`` restricts the search to a label set, given as ids or
+    as the rows ``label_index.allowed_rows`` resolved them to.
+    """
     if not doc.mentions:
         return []
-    seq = tokenize(doc.text, mention_params.vocab_size)
-    vectors = encode(seq, mention_params)
-    out = []
-    for m in doc.mentions:
-        anchor = pool_span(vectors, token_range(seq, (m.start, m.end)), cache.pooling)
-        label_id, score = nearest_label(cache, anchor, allowed_ids)
-        out.append(MentionPrediction(mention=m, predicted_id=label_id, score=score))
-    return out
+    rows = allowed_rows(cache, allowed_ids)
+    spans = [(m.start, m.end) for m in doc.mentions]
+    predictions = _nearest_labels(doc.text, spans, mention_params, cache, rows)
+    return [
+        MentionPrediction(mention=m, predicted_id=label_id, score=score)
+        for m, (label_id, score) in zip(doc.mentions, predictions)
+    ]
 
 
 def predict_iterative(
@@ -132,7 +154,7 @@ def predict_iterative(
     mention_params: EncoderParams,
     cache: LabelCache,
     records: dict[str, EntityRecord],
-    allowed_ids: set[str] | None = None,
+    allowed_ids: set[str] | np.ndarray | None = None,
 ) -> DocumentPrediction:
     """Insert-and-repredict until every mention carries an insertion.
 
@@ -140,23 +162,23 @@ def predict_iterative(
     (resolved ones too, since their context has changed) keeping the
     higher-scoring prediction, then insert verbalizations for the
     top-scoring third of the mentions among those still unresolved.
+    ``allowed_ids`` is as for ``predict_document``.
     """
     doc_id = doc.id if isinstance(doc, Document) else doc.parent_doc
     state = PredictionState.for_document(doc)
     total = len(state.slots)
     if total == 0:
         return DocumentPrediction(doc_id, [], [], 0, state)
+    rows = allowed_rows(cache, allowed_ids)
     per_round = math.ceil(total / 3)
 
     first_pass: list[MentionPrediction] = []
     iterations = 0
     while True:
         iterations += 1
-        seq = tokenize(state.working_text, mention_params.vocab_size)
-        vectors = encode(seq, mention_params)
-        for slot in state.slots:
-            anchor = pool_span(vectors, token_range(seq, slot.span), cache.pooling)
-            label_id, score = nearest_label(cache, anchor, allowed_ids)
+        spans = [slot.span for slot in state.slots]
+        predictions = _nearest_labels(state.working_text, spans, mention_params, cache, rows)
+        for slot, (label_id, score) in zip(state.slots, predictions):
             if score > slot.score:
                 slot.predicted_id, slot.score = label_id, score
         if iterations == 1:
@@ -206,6 +228,7 @@ def predict_corpus(
     """
     if iterative and records is None:
         raise ValidationError("iterative prediction needs the entity records")
+    rows = allowed_rows(cache, allowed_ids)
     final: dict[MentionKey, MentionPrediction] = {}
     first: dict[MentionKey, MentionPrediction] = {}
     iterations: dict[MentionKey, int] = {}
@@ -214,14 +237,12 @@ def predict_corpus(
             if not chunk.mentions:
                 continue
             if iterative:
-                result = predict_iterative(
-                    chunk, mention_params, cache, records, allowed_ids
-                )
+                result = predict_iterative(chunk, mention_params, cache, records, rows)
                 rounds = result.iterations
                 first_preds = result.first_pass
                 preds = result.predictions
             else:
-                preds = predict_document(chunk, mention_params, cache, allowed_ids)
+                preds = predict_document(chunk, mention_params, cache, rows)
                 first_preds = preds
                 rounds = 1
             for pred, first_pred in zip(preds, first_preds):

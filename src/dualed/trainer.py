@@ -22,7 +22,7 @@ in the text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -92,6 +92,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _FLOAT_KEYS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.neg_mode not in (HARD, IN_BATCH):
             raise ValidationError(f"neg_mode must be hard or in_batch, got {self.neg_mode!r}")
         if self.neg_count != DYNAMIC and int(self.neg_count) < 1:
@@ -129,6 +133,13 @@ class TrainConfig:
             kwargs[key] = _cast_config_value(key, raw)
         return cls(**kwargs)
 
+    def to_mapping(self) -> dict[str, str]:
+        """Flat string key=value pairs that ``from_mapping`` reads back."""
+        return {k: "none" if v is None else str(v) for k, v in asdict(self).items()}
+
+
+_FLOAT_KEYS = ("lr", "margin", "insert_fraction", "corrupt_rate", "clip_norm")
+
 
 def _cast_config_value(key: str, raw):
     if not isinstance(raw, str):
@@ -143,8 +154,7 @@ def _cast_config_value(key: str, raw):
         return raw
     if key == "margin" and raw == "none":  # the per-similarity default
         return None
-    floats = ("lr", "margin", "insert_fraction", "corrupt_rate", "clip_norm")
-    cast = float if key in floats else int
+    cast = float if key in _FLOAT_KEYS else int
     try:
         return cast(raw)
     except ValueError as exc:

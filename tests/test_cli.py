@@ -131,6 +131,21 @@ class TestTrainPredictEvalPipeline:
 
 
 class TestDeterminism:
+    def test_written_config_retrains_identically(self, workspace):
+        first = workspace / "roundtrip_a"
+        assert run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--config", workspace / "config.txt",
+                   "--epochs", "1", "--out", first) == 0
+        assert "margin=none" in (first / "config.txt").read_text()
+        second = workspace / "roundtrip_b"
+        assert run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--config", first / "config.txt", "--out", second) == 0
+        assert (first / "config.txt").read_bytes() == (second / "config.txt").read_bytes()
+        assert (first / "checkpoint.bin").read_bytes() == (
+            second / "checkpoint.bin").read_bytes()
+
     def test_train_predict_byte_identical(self, workspace):
         outputs = []
         for tag in ("a", "b"):
@@ -236,6 +251,12 @@ class TestExitCodes:
             pytest.param([], "epochs=two\n", "epochs", id="epochs-config"),
             pytest.param([], "label_batch_size=16\n", "label_batch_size",
                          id="removed-key-config"),
+            pytest.param(["--lr", "nan"], None, "lr", id="lr-nan-flag"),
+            pytest.param(["--clip-norm", "inf"], None, "clip_norm", id="clip-inf-flag"),
+            pytest.param(["--margin", "-inf"], None, "margin", id="margin-inf-flag"),
+            pytest.param(["--insert-fraction", "nan"], None, "insert_fraction",
+                         id="insert-nan-flag"),
+            pytest.param([], "corrupt_rate=NaN\n", "corrupt_rate", id="corrupt-nan-config"),
         ],
     )
     def test_malformed_config_value_is_validation_error(

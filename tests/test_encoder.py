@@ -1,9 +1,14 @@
 """Tokenizer, encoder forward/backward, pooling, and checkpoint format."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualed.encoder import (
+    _TOKEN_RUN,
     FIRST_LAST,
     MEAN,
     EncoderGrads,
@@ -12,6 +17,7 @@ from dualed.encoder import (
     _window_sums,
     encode,
     encoder_backward,
+    fnv1a_64,
     load_checkpoint,
     pool_span,
     pool_span_backward,
@@ -32,6 +38,23 @@ def random_params(rng, vocab=V, dim=3, window=1) -> EncoderParams:
         bias=rng.normal(size=dim),
         window=window,
     )
+
+
+def tokenize_loop(text, vocab_size):
+    """Reference tokenizer: one isalnum() test per character."""
+    spans = []
+    start = None
+    for i, ch in enumerate(text):
+        if ch.isalnum():
+            if start is None:
+                start = i
+        elif start is not None:
+            spans.append((start, i))
+            start = None
+    if start is not None:
+        spans.append((start, len(text)))
+    ids = [fnv1a_64(text[s:e].lower().encode("utf-8")) % vocab_size for s, e in spans]
+    return ids, spans
 
 
 def random_seq(rng, length, vocab=V):
@@ -60,6 +83,27 @@ class TestTokenize:
     def test_ids_within_vocab(self):
         seq = tokenize("some words 123 and §§ more", 32)
         assert all(0 <= t < 32 for t in seq.token_ids)
+
+    def test_token_pattern_is_isalnum_on_every_code_point(self):
+        every = "".join(chr(c) for c in range(sys.maxunicode + 1))
+        matched = set()
+        for run in _TOKEN_RUN.finditer(every):
+            matched.update(range(*run.span()))
+        assert matched == {c for c in range(sys.maxunicode + 1) if chr(c).isalnum()}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(
+            st.one_of(st.sampled_from(" _-.,İßﬁΣς٣²Ⅻ"), st.characters()), max_size=60
+        ),
+        vocab=st.sampled_from([1, 32, 1 << 16]),
+    )
+    def test_matches_per_character_loop(self, text, vocab):
+        seq = tokenize(text, vocab)
+        ids, spans = tokenize_loop(text, vocab)
+        assert seq.char_spans == spans
+        assert seq.token_ids.tolist() == ids
+        assert seq.token_ids.dtype == np.int64
 
 
 class TestTokenRange:

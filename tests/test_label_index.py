@@ -4,20 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dualed.corpus import EntityRecord
 from dualed.encoder import EncoderParams, encode, pool_span, token_range, tokenize
 from dualed.errors import ValidationError
 from dualed.label_index import (
     LabelCache,
+    _euclidean_shortlists,
+    allowed_rows,
     full_refresh,
     mine_hard_negatives,
     nearest_label,
     sample_in_batch_negatives,
     tokenize_labels,
+    top_rows,
     write_back,
 )
-from dualed.losses import SimilaritySpec, similarity
+from dualed.losses import SIMILARITY_KINDS, SimilaritySpec, similarity, similarity_to_matrix
 from dualed.verbalizer import FormatSpec, verbalize_all
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
@@ -244,3 +250,139 @@ class TestStalenessBookkeeping:
         assert seen == sorted(seen) == [0, 1, 2, 3, 4]
         full_refresh(cache, params, tokens)
         assert cache.dirty_writes == 0
+
+
+# ── the block scorer against the per-row scan ───────────────────────────────
+
+
+def scan_nearest(cache, anchor, allowed=None):
+    """Per-row reference: a full scan, then the first maximum over the allowed rows."""
+    sims = similarity_to_matrix(anchor, cache.matrix, cache.sim_spec)
+    rows = np.arange(len(cache.ids))
+    if allowed is not None:
+        rows = np.array(sorted(cache.row_of[i] for i in allowed))
+    best = rows[np.argmax(sims[rows])]
+    return cache.ids[best], float(sims[best]).hex()
+
+
+def scan_negatives(cache, anchor, gold_id, k):
+    """Per-row reference: a full scan, the gold dropped, a stable descending sort."""
+    sims = similarity_to_matrix(anchor, cache.matrix, cache.sim_spec)
+    sims[cache.row_of[gold_id]] = -np.inf
+    order = np.argsort(-sims, kind="stable")[: min(k, len(cache.ids) - 1)]
+    return [(cache.ids[i], float(sims[i]).hex()) for i in order]
+
+
+def hexed(pairs):
+    return [(label_id, float(score).hex()) for label_id, score in pairs]
+
+
+# small integers make exact ties and duplicate rows common; the scale
+# moves every norm between 1e-3 and 1e3
+VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+)
+
+
+SCALES = st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3])
+
+
+@st.composite
+def spread_blocks(draw):
+    """(matrix, anchors): duplicated rows, and anchors that copy a row."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    scale = draw(SCALES)
+    matrix = draw(arrays(np.float64, (n, p), elements=VALUES))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)), max_size=3)):
+        matrix[dst] = matrix[src]
+    anchors = draw(arrays(np.float64, (m, p), elements=VALUES))
+    for a, r in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                        st.integers(0, n - 1)), max_size=m)):
+        anchors[a] = matrix[r]
+    return matrix * scale, anchors * scale
+
+
+@st.composite
+def near_tie_blocks(draw):
+    """(matrix, anchors) all within a few ulps of one vector: near-exact ties."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    base = draw(arrays(np.float64, p, elements=st.floats(-4, 4).filter(bool)))
+    base = base * draw(SCALES)
+    steps = st.integers(-3, 3)
+    ulps = np.spacing(np.abs(base))
+    matrix = base + draw(arrays(np.int64, (n, p), elements=steps)) * ulps
+    anchors = base + draw(arrays(np.int64, (m, p), elements=steps)) * ulps
+    return matrix, anchors
+
+
+BLOCKS = st.one_of(spread_blocks(), near_tie_blocks())
+
+
+class TestBlockScorerMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(block=BLOCKS, kind=st.sampled_from(SIMILARITY_KINDS), data=st.data())
+    def test_nearest(self, block, kind, data):
+        matrix, anchors = block
+        cache = cache_from_matrix(matrix, sim=SimilaritySpec(kind=kind))
+        allowed = data.draw(st.none() | st.sets(st.sampled_from(cache.ids), min_size=1))
+        rows, scores = top_rows(cache, anchors, allowed_rows(cache, allowed))
+        assert rows.shape == scores.shape == (len(anchors), 1)
+        for anchor, row, score in zip(anchors, rows[:, 0], scores[:, 0]):
+            want = scan_nearest(cache, anchor, allowed)
+            assert (cache.ids[row], float(score).hex()) == want
+            assert hexed([nearest_label(cache, anchor, allowed)]) == [want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=BLOCKS, kind=st.sampled_from(SIMILARITY_KINDS), data=st.data())
+    def test_mining(self, block, kind, data):
+        matrix, anchors = block
+        cache = cache_from_matrix(matrix, sim=SimilaritySpec(kind=kind))
+        gold = data.draw(st.sampled_from(cache.ids))
+        k = data.draw(st.integers(1, len(cache.ids) + 1))
+        for anchor in anchors:
+            want = scan_negatives(cache, anchor, gold, k)
+            assert hexed(mine_hard_negatives(cache, anchor, gold, k)) == want
+
+    def test_anchor_equal_to_a_row_scores_zero(self):
+        cache = cache_from_matrix([[3.0, -1.0], [0.5, 0.5], [3.0, -1.0]])
+        rows, scores = top_rows(cache, np.array([[3.0, -1.0], [0.5, 0.5]]))
+        assert rows[:, 0].tolist() == [0, 1]
+        assert [float(s).hex() for s in scores[:, 0]] == [(-0.0).hex()] * 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scan's own
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_or_overflowing_inputs_scan_in_full(self, kind, bad):
+        rng = np.random.default_rng(4)
+        matrix = rng.normal(size=(9, 3))
+        matrix[[2, 6], 1] = bad
+        cache = cache_from_matrix(matrix, sim=SimilaritySpec(kind=kind))
+        anchors = np.vstack([rng.normal(size=(2, 3)), matrix[6], [bad, 0.0, 1.0]])
+        for anchor in anchors:
+            assert hexed([nearest_label(cache, anchor)]) == [scan_nearest(cache, anchor)]
+            assert hexed([nearest_label(cache, anchor, {"e3", "e5"})]) == [
+                scan_nearest(cache, anchor, {"e3", "e5"})]
+            assert hexed(mine_hard_negatives(cache, anchor, "e3", 4)) == scan_negatives(
+                cache, anchor, "e3", 4)
+
+    def test_shortlist_is_short_on_generic_rows(self):
+        rng = np.random.default_rng(6)
+        matrix = rng.normal(size=(2000, 64))
+        anchors = rng.normal(size=(20, 64))
+        for shortlist in _euclidean_shortlists(matrix, anchors, None, None, 1):
+            assert len(shortlist) == 1
+
+    def test_allowed_and_gold_rows_are_exclusive(self):
+        cache = cache_from_matrix(np.eye(3))
+        with pytest.raises(ValidationError):
+            top_rows(cache, np.ones((1, 3)), np.array([0]), np.array([1]))
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            top_rows(cache_from_matrix(np.eye(3)), np.ones((2, 4)))
