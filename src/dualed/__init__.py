@@ -44,14 +44,7 @@ from .label_index import (
     top_rows,
     write_back,
 )
-from .losses import (
-    LossSpec,
-    SimilaritySpec,
-    cross_entropy_loss,
-    loss_gradients,
-    similarity,
-    triplet_loss,
-)
+from .losses import LossSpec, SimilaritySpec, loss_gradients, similarity
 from .predictor import (
     DocumentPrediction,
     MentionPrediction,

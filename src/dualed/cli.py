@@ -24,7 +24,8 @@ from .corpus import flag_unlinkable, load_corpus, load_label_set
 from .encoder import load_checkpoint, save_checkpoint
 from .errors import ValidationError
 from .evaluator import change_analysis, score
-from .losses import LOSS_KINDS, SIMILARITY_KINDS
+from .label_index import build_cache, tokenize_labels
+from .losses import LOSS_KINDS, SIMILARITY_KINDS, SimilaritySpec
 from .predictor import predict_corpus, target_label_set
 from .trainer import TrainConfig, Trainer, parse_config_file
 from .verbalizer import FORMAT_NAMES, FormatSpec, verbalize_all
@@ -158,15 +159,12 @@ def cmd_predict(args) -> int:
     records = load_label_set(args.labels)
     flag_unlinkable(corpus, set(records))
     mention_params, label_params = load_checkpoint(args.checkpoint)
-    config = TrainConfig(
-        sim=args.sim,
-        pooling=args.pooling,
-        verbalization=args.format,
-        vocab_size=label_params.vocab_size,
-        dim=label_params.dim,
-        window=label_params.window,
+    label_tokens = tokenize_labels(
+        verbalize_all(records, FormatSpec.from_name(args.format)), label_params.vocab_size
     )
-    cache = Trainer(records, config, mention_params, label_params).eval_cache()
+    cache = build_cache(
+        sorted(records), label_params, label_tokens, args.pooling, SimilaritySpec(args.sim)
+    )
     allowed = target_label_set(corpus, cache) if args.restrict_to_targets else None
     preds = predict_corpus(
         corpus,

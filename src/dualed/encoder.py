@@ -16,6 +16,12 @@ Span pooling reduces a token range to one vector: ``mean`` averages the
 range (width d) and ``first_last`` concatenates the first and last
 token vectors (width 2d). Label spans cover title tokens only; the rest
 of the verbalization acts as context.
+
+The forward and backward passes have one implementation each, for many
+sequences at once: ``_encode_blocks`` and ``_backward_blocks`` stack
+sequences of equal token count into (L, T, d) blocks, and ``encode``
+and ``encoder_backward`` are their one-sequence calls. The stacked
+matmuls and cumsums give every sequence the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ from __future__ import annotations
 import functools
 import re
 import struct
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -87,13 +96,12 @@ def tokenize(text: str, vocab_size: int) -> TokenSequence:
 def token_range(seq: TokenSequence, char_span: tuple[int, int]) -> tuple[int, int]:
     """Token index range [lo, hi) of tokens overlapping a char span."""
     s, e = char_span
-    lo = hi = None
-    for i, (ts, te) in enumerate(seq.char_spans):
-        if ts < e and te > s:
-            if lo is None:
-                lo = i
-            hi = i + 1
-    if lo is None:
+    # Token spans are non-empty, disjoint and ascending, so starts and ends
+    # both ascend: the overlapping tokens are those ending after s (from lo
+    # on) and starting before e (up to hi).
+    lo = bisect_right(seq.char_spans, s, key=itemgetter(1))
+    hi = bisect_left(seq.char_spans, e, key=itemgetter(0))
+    if lo >= hi:
         raise ValidationError(f"span ({s}, {e}) covers no tokens in {seq.source!r:.60}")
     return lo, hi
 
@@ -181,6 +189,11 @@ class EncoderGrads:
 # ── forward / backward ───────────────────────────────────────────────────────
 
 
+# Sequences stacked into one (L, T, d) block of a grouped pass. It bounds
+# the memory a pass holds at once; results do not depend on it.
+_BLOCK = 64
+
+
 def _window_counts(n: int, w: int) -> np.ndarray:
     t = np.arange(n)
     lo = np.maximum(t - w, 0)
@@ -189,23 +202,125 @@ def _window_counts(n: int, w: int) -> np.ndarray:
 
 
 def _window_sums(rows: np.ndarray, w: int) -> np.ndarray:
-    """Row t gets the sum of rows max(0, t-w) .. min(n-1, t+w)."""
-    n = rows.shape[0]
-    csum = np.vstack([np.zeros((1, rows.shape[1])), np.cumsum(rows, axis=0)])
+    """Along axis 1 of stacked rows (L, n, d), row t gets the sum of rows
+    max(0, t-w) .. min(n-1, t+w)."""
+    n = rows.shape[1]
+    zero = np.zeros((rows.shape[0], 1, rows.shape[2]))
+    csum = np.concatenate([zero, np.cumsum(rows, axis=1)], axis=1)
     t = np.arange(n)
     lo = np.maximum(t - w, 0)
     hi = np.minimum(t + w, n - 1)
-    return csum[hi + 1] - csum[lo]
+    # take(), not csum[:, idx]: the result stays C-ordered, as it is for one
+    # sequence, so the matmuls that follow see the same strides
+    return np.take(csum, hi + 1, axis=1) - np.take(csum, lo, axis=1)
+
+
+def _length_blocks(seqs: Sequence[TokenSequence], positions: range) -> list[list[int]]:
+    """The positions grouped by token count, at most _BLOCK per block."""
+    groups: dict[int, list[int]] = {}
+    for i in positions:
+        groups.setdefault(len(seqs[i]), []).append(i)
+    if 0 in groups:
+        raise ValidationError("cannot encode an empty token sequence")
+    return [
+        group[start:start + _BLOCK]
+        for group in groups.values()
+        for start in range(0, len(group), _BLOCK)
+    ]
+
+
+def _block_inputs(
+    ids: np.ndarray, params: EncoderParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Embeddings, window sizes (T, 1) and window means of stacked token ids (L, T)."""
+    emb = params.table[ids]
+    counts = _window_counts(ids.shape[1], params.window)[:, None]
+    return emb, counts, _window_sums(emb, params.window) / counts
+
+
+def _forward_block(
+    seqs: Sequence[TokenSequence], positions: list[int], params: EncoderParams
+) -> np.ndarray:
+    ids = np.stack([seqs[i].token_ids for i in positions])
+    emb, _, ctx = _block_inputs(ids, params)
+    return emb @ params.w_self.T + ctx @ params.w_ctx.T + params.bias
+
+
+def _encode_blocks(
+    seqs: Sequence[TokenSequence], params: EncoderParams
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Contextual token vectors of many sequences, one block at a time.
+
+    Yields ``(positions, vectors)``: the positions in ``seqs`` of up to
+    _BLOCK sequences that share one token count T, and their stacked
+    (L, T, d) vectors. A block runs one 3-D matmul per weight, which
+    numpy computes as one GEMM of M = T rows per stacked sequence, and
+    one cumsum along the token axis, so every sequence's vectors have
+    the bits of encoding it alone. A flat GEMM over all rows, or padding
+    to a common length, would not keep them.
+    """
+    blocks = _length_blocks(seqs, range(len(seqs)))
+    return ((positions, _forward_block(seqs, positions, params)) for positions in blocks)
+
+
+def _backward_blocks(
+    seqs: Sequence[TokenSequence],
+    params: EncoderParams,
+    upstreams: Sequence[np.ndarray],
+) -> list[EncoderGrads]:
+    """Exact gradients of encode() for many sequences, in input order.
+
+    ``upstreams[i]`` holds dLoss/d(out_t) rows of ``seqs[i]``. Sequences
+    of equal token count are stacked in blocks, as ``_encode_blocks``
+    stacks them. Each table gradient is row-sparse: one row per unique
+    token id of its sequence, ascending, each summing its tokens'
+    gradients in sequence order. The results are views of the stacked
+    blocks, so a caller holds all of them until it drops the last one;
+    to bound that, pass a window of sequences at a time.
+    """
+    if len(upstreams) != len(seqs):
+        raise ValidationError(f"{len(upstreams)} upstreams for {len(seqs)} sequences")
+    for seq, upstream in zip(seqs, upstreams):
+        if upstream.shape != (len(seq), params.dim):
+            raise ValidationError(
+                f"upstream shape {upstream.shape} does not match ({len(seq)}, {params.dim})"
+            )
+    d, vocab = params.dim, params.vocab_size
+    out: list[EncoderGrads | None] = [None] * len(seqs)
+    for positions in _length_blocks(seqs, range(len(seqs))):
+        ids = np.stack([seqs[i].token_ids for i in positions])
+        up = np.stack([upstreams[i] for i in positions])
+        emb, counts, ctx = _block_inputs(ids, params)
+
+        d_emb = up @ params.w_self
+        # dL/d c_t spread back over each window: position u collects
+        # sum_{t in window(u)} (dL/dc_t) / n_t  (the window relation is symmetric)
+        d_ctx_scaled = (up @ params.w_ctx) / counts
+        d_emb = d_emb + _window_sums(d_ctx_scaled, params.window)
+        up_t = up.swapaxes(1, 2)
+        w_self, w_ctx, bias = up_t @ emb, up_t @ ctx, up.sum(axis=1)
+
+        # One unique over (sequence, token id) keys gives every sequence its
+        # ascending rows; add.at adds each row's tokens in sequence order.
+        keys = (np.arange(len(positions))[:, None] * vocab + ids).ravel()
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        table = np.zeros((len(uniq), d))
+        np.add.at(table, inverse.ravel(), d_emb.reshape(-1, d))
+        bounds = np.searchsorted(uniq, np.arange(len(positions) + 1) * vocab)
+        rows = uniq % vocab
+        for j, i in enumerate(positions):
+            lo, hi = bounds[j], bounds[j + 1]
+            out[i] = EncoderGrads(
+                table=table[lo:hi], w_self=w_self[j], w_ctx=w_ctx[j], bias=bias[j],
+                rows=rows[lo:hi],
+            )
+    return out
 
 
 def encode(seq: TokenSequence, params: EncoderParams) -> np.ndarray:
     """Contextual vectors for every token, shape (T, d)."""
-    if len(seq) == 0:
-        raise ValidationError("cannot encode an empty token sequence")
-    emb = params.table[seq.token_ids]
-    counts = _window_counts(len(seq), params.window)
-    ctx = _window_sums(emb, params.window) / counts[:, None]
-    return emb @ params.w_self.T + ctx @ params.w_ctx.T + params.bias
+    [(_, vectors)] = _encode_blocks([seq], params)
+    return vectors[0]
 
 
 def encoder_backward(
@@ -217,29 +332,13 @@ def encoder_backward(
     row-sparse: one row per unique token id, ascending, each summing its
     tokens' gradients in sequence order.
     """
-    if upstream.shape != (len(seq), params.dim):
-        raise ValidationError(
-            f"upstream shape {upstream.shape} does not match ({len(seq)}, {params.dim})"
-        )
-    emb = params.table[seq.token_ids]
-    counts = _window_counts(len(seq), params.window)
-    ctx = _window_sums(emb, params.window) / counts[:, None]
+    [grads] = _backward_blocks([seq], params, [upstream])
+    return grads
 
-    d_emb = upstream @ params.w_self
-    # dL/d c_t spread back over each window: position u collects
-    # sum_{t in window(u)} (dL/dc_t) / n_t  (the window relation is symmetric)
-    d_ctx_scaled = (upstream @ params.w_ctx) / counts[:, None]
-    d_emb = d_emb + _window_sums(d_ctx_scaled, params.window)
-    rows, inverse = np.unique(seq.token_ids, return_inverse=True)
-    table = np.zeros((len(rows), params.dim))
-    np.add.at(table, inverse, d_emb)
-    return EncoderGrads(
-        table=table,
-        w_self=upstream.T @ emb,
-        w_ctx=upstream.T @ ctx,
-        bias=upstream.sum(axis=0),
-        rows=rows,
-    )
+
+def _check_span(lo: int, hi: int, n_tokens: int) -> None:
+    if not (0 <= lo < hi <= n_tokens):
+        raise ValidationError(f"empty or out-of-range pooling span ({lo}, {hi})")
 
 
 def pool_span(
@@ -247,13 +346,26 @@ def pool_span(
 ) -> np.ndarray:
     """Reduce token vectors in [lo, hi) to one span embedding."""
     lo, hi = span
-    if not (0 <= lo < hi <= token_vectors.shape[0]):
-        raise ValidationError(f"empty or out-of-range pooling span ({lo}, {hi})")
+    _check_span(lo, hi, token_vectors.shape[0])
     if method == MEAN:
         return token_vectors[lo:hi].mean(axis=0)
     if method == FIRST_LAST:
         return np.concatenate([token_vectors[lo], token_vectors[hi - 1]])
     raise ValidationError(f"unknown pooling method {method!r}")
+
+
+def _pool_block(vectors: np.ndarray, spans: np.ndarray, method: str) -> np.ndarray:
+    """``pool_span`` of each stacked sequence: (L, T, d) vectors, (L, 2) spans.
+
+    ``first_last`` gathers by fancy indexing; every other method goes
+    through ``pool_span`` row by row, which keeps the bits of ``mean``.
+    """
+    if method != FIRST_LAST:
+        return np.stack([pool_span(v, span, method) for v, span in zip(vectors, spans)])
+    for lo, hi in spans.tolist():
+        _check_span(lo, hi, vectors.shape[1])
+    at, lo, hi = np.arange(len(vectors)), spans[:, 0], spans[:, 1]
+    return np.concatenate([vectors[at, lo], vectors[at, hi - 1]], axis=1)
 
 
 def pool_span_backward(

@@ -3,7 +3,10 @@
 The cache holds one embedding row per label in the full label set.
 During training it goes stale as the label encoder moves, so it is
 fully re-encoded at intervals and patched on-the-fly for labels a
-training step just embedded.
+training step just embedded. ``encode_labels`` computes label
+embeddings for a refresh and for a training step alike: it encodes the
+labels in blocks of equal token count (``encoder._encode_blocks``), and
+every row has the bits of encoding and pooling its label alone.
 
 Search is exact: every result (row and score bits) is the one a full
 per-row ``similarity_to_matrix`` scan of the cache would give, with ties
@@ -30,8 +33,8 @@ from .encoder import (
     POOLING_METHODS,
     EncoderParams,
     TokenSequence,
-    encode,
-    pool_span,
+    _encode_blocks,
+    _pool_block,
     pooled_width,
     token_range,
     tokenize,
@@ -103,6 +106,33 @@ def tokenize_labels(
     return LabelTokens(vocab_size=vocab_size, seqs=seqs, title_spans=title_spans)
 
 
+def encode_labels(
+    label_params: EncoderParams,
+    label_tokens: LabelTokens,
+    label_ids: list[str],
+    pooling: str,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Pooled title embeddings of the labels, row i for ``label_ids[i]``.
+
+    Labels are encoded in length-grouped blocks; each row has the bits of
+    ``pool_span(encode(seq), title_span)`` for its label. Writes into
+    ``out`` (shape (n, p)) when given.
+    """
+    if label_tokens.vocab_size != label_params.vocab_size:
+        raise ValidationError(
+            f"label tokens were built for vocab size {label_tokens.vocab_size}, "
+            f"the label encoder has {label_params.vocab_size}"
+        )
+    seqs = [label_tokens.seqs[i] for i in label_ids]
+    spans = np.array([label_tokens.title_spans[i] for i in label_ids], dtype=np.int64)
+    if out is None:
+        out = np.empty((len(label_ids), pooled_width(label_params.dim, pooling)))
+    for positions, vectors in _encode_blocks(seqs, label_params):
+        out[positions] = _pool_block(vectors, spans[positions], pooling)
+    return out
+
+
 def full_refresh(
     cache: LabelCache,
     label_params: EncoderParams,
@@ -111,27 +141,30 @@ def full_refresh(
 ) -> LabelCache:
     """Re-encode every cached row from its tokens with the current label encoder.
 
-    Labels are encoded one at a time, in row order. Resets the staleness
+    The rows are those ``encode_labels`` gives. Resets the staleness
     bookkeeping.
     """
-    if label_tokens.vocab_size != label_params.vocab_size:
-        raise ValidationError(
-            f"label tokens were built for vocab size {label_tokens.vocab_size}, "
-            f"the label encoder has {label_params.vocab_size}"
-        )
     missing = [i for i in cache.ids if i not in label_tokens.seqs]
     if missing:
         raise ValidationError(f"missing verbalizations for {len(missing)} labels, "
                               f"first: {missing[0]!r}")
-    for row, label_id in enumerate(cache.ids):
-        vectors = encode(label_tokens.seqs[label_id], label_params)
-        cache.matrix[row] = pool_span(
-            vectors, label_tokens.title_spans[label_id], cache.pooling
-        )
+    encode_labels(label_params, label_tokens, cache.ids, cache.pooling, out=cache.matrix)
     cache.dirty_writes = 0
     if span_count is not None:
         cache.last_full_refresh = span_count
     return cache
+
+
+def build_cache(
+    ids: list[str],
+    label_params: EncoderParams,
+    label_tokens: LabelTokens,
+    pooling: str,
+    sim_spec: SimilaritySpec,
+) -> LabelCache:
+    """A freshly encoded cache for inference, outside any refresh schedule."""
+    cache = LabelCache.empty(ids, label_params.dim, pooling, sim_spec)
+    return full_refresh(cache, label_params, label_tokens)
 
 
 def write_back(cache: LabelCache, label_id: str, fresh: np.ndarray) -> LabelCache:

@@ -132,46 +132,6 @@ def _check_triplet_inputs(anchor, positive, negatives):
             raise ValidationError("anchor, positive and negatives must share width")
 
 
-def triplet_loss(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negatives: list[np.ndarray],
-    spec: SimilaritySpec,
-    margin: float,
-) -> float:
-    _check_triplet_inputs(anchor, positive, negatives)
-    s_pos = similarity(anchor, positive, spec)
-    hinges = [
-        max(0.0, margin - s_pos + similarity(anchor, n, spec)) for n in negatives
-    ]
-    return float(np.mean(hinges))
-
-
-def cross_entropy_loss(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negatives: list[np.ndarray],
-    spec: SimilaritySpec,
-) -> float:
-    _check_triplet_inputs(anchor, positive, negatives)
-    logits = np.array(
-        [similarity(anchor, positive, spec)]
-        + [similarity(anchor, n, spec) for n in negatives]
-    )
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[0])
-
-
-def loss_value(
-    anchor, positive, negatives, loss_spec: LossSpec, sim_spec: SimilaritySpec
-) -> float:
-    if loss_spec.kind == TRIPLET:
-        return triplet_loss(
-            anchor, positive, negatives, sim_spec, loss_spec.resolve_margin(sim_spec)
-        )
-    return cross_entropy_loss(anchor, positive, negatives, sim_spec)
-
-
 @dataclass
 class LossGradients:
     anchor: np.ndarray

@@ -3,14 +3,15 @@
 A step processes one batch of document chunks. Every mention is encoded
 in its full chunk context and pooled into an anchor; negatives come
 either from the other mentions' gold labels (in-batch) or from a scan
-against the cached label embeddings (hard). The gold and the selected
-negatives are then re-encoded fresh so gradients flow into the label
-encoder, the loss is taken between the anchor and those fresh
-embeddings, and both encoders receive one accumulated, norm-clipped
-gradient-descent update per batch. The cache never enters a backward
-pass: it only serves mining and gets patched with the fresh embeddings
-afterwards, plus a full re-encode whenever the processed-span counter
-crosses a refresh-interval boundary (and at every epoch start).
+against the cached label embeddings (hard). The batch's golds and
+selected negatives are then re-encoded fresh, in one grouped pass, so
+gradients flow into the label encoder; the loss is taken between the
+anchor and those fresh embeddings, and both encoders receive one
+accumulated, norm-clipped gradient-descent update per batch. The cache
+never enters a backward pass: it only serves mining and gets patched
+with the fresh embeddings afterwards, plus a full re-encode whenever the
+processed-span counter crosses a refresh-interval boundary (and at every
+epoch start).
 
 The iterative-training variant additionally inserts label descriptions
 after a sampled subset of mentions before encoding (gold labels early,
@@ -28,8 +29,10 @@ import numpy as np
 
 from .corpus import Chunk, Document, EntityRecord, chunk_document
 from .encoder import (
+    _BLOCK,
     EncoderGrads,
     EncoderParams,
+    _backward_blocks,
     encode,
     encoder_backward,
     pool_span,
@@ -40,6 +43,8 @@ from .encoder import (
 from .errors import ValidationError
 from .label_index import (
     LabelCache,
+    build_cache,
+    encode_labels,
     full_refresh,
     mine_hard_negatives,
     sample_in_batch_negatives,
@@ -327,6 +332,7 @@ class Trainer:
         )
         self.counter = SpanCounter()
         self.refreshes = 0
+        self._grads: tuple[EncoderGrads, EncoderGrads] | None = None
 
     # -- cache scheduling --
 
@@ -348,17 +354,20 @@ class Trainer:
             self.refresh_cache()
         return fires
 
-    # -- fresh label encoding with gradient bookkeeping --
-
-    def _fresh_label_forward(self, label_id: str):
-        seq = self.label_tokens.seqs[label_id]
-        span = self.label_tokens.title_spans[label_id]
-        emb = pool_span(encode(seq, self.label_params), span, self.config.pooling)
-        return seq, span, emb
-
     # -- one batch --
 
     def train_step(self, batch: list[Chunk]) -> StepStats:
+        """One update from one batch, in four phases.
+
+        1. Per chunk: tokenize and encode the text, pool each mention's
+           anchor and pick its negatives, in mention order.
+        2. One grouped forward of the step's labels, in first-use order
+           (per mention: the gold, then its negatives).
+        3. The losses in mention order.
+        4. The mention backward per chunk, then the grouped label
+           backward, a window of labels at a time, added in first-use
+           label order, and the update.
+        """
         config = self.config
         batch_mentions = sum(len(c.mentions) for c in batch)
 
@@ -386,26 +395,16 @@ class Trainer:
             m.gold_label for c in batch for m in c.mentions if not m.unlinkable
         ]
 
-        mention_grads = EncoderGrads.zeros_like(self.mention_params)
-        label_grads = EncoderGrads.zeros_like(self.label_params)
-        label_forward: dict[str, tuple] = {}
-        label_upstream: dict[str, np.ndarray] = {}
-        negatives_used: list[str] = []
-        total_loss, n_terms, skipped = 0.0, 0, 0
-
-        def fresh(label_id: str) -> np.ndarray:
-            if label_id not in label_forward:
-                label_forward[label_id] = self._fresh_label_forward(label_id)
-                label_upstream[label_id] = np.zeros(self.cache.matrix.shape[1])
-            return label_forward[label_id][2]
-
+        # 1. anchors and negatives
+        chunk_terms: list[tuple] = []       # (seq, [(span, anchor, gold, neg_ids)])
+        label_row: dict[str, int] = {}      # step labels in first-use order
+        skipped = 0
         for ci, (chunk, prep) in enumerate(zip(batch, prepared)):
             if not chunk.mentions:
                 continue
             seq = tokenize(prep.text, self.mention_params.vocab_size)
             vectors = encode(seq, self.mention_params)
-            chunk_upstream = np.zeros_like(vectors)
-            chunk_touched = False
+            terms = []
             for mi, mention in enumerate(chunk.mentions):
                 if mention.unlinkable:
                     skipped += 1
@@ -428,11 +427,33 @@ class Trainer:
                     )
                 if not neg_ids:
                     continue
+                for label_id in (mention.gold_label, *neg_ids):
+                    label_row.setdefault(label_id, len(label_row))
+                terms.append((span, anchor, mention.gold_label, neg_ids))
+            if terms:
+                chunk_terms.append((seq, terms))
 
-                positive = fresh(mention.gold_label)
-                neg_embs = [fresh(n) for n in neg_ids]
+        # 2. fresh label embeddings, so gradients reach the label encoder
+        label_ids = list(label_row)
+        label_embs = encode_labels(
+            self.label_params, self.label_tokens, label_ids, config.pooling
+        )
+
+        # 3. losses in mention order
+        mention_upstreams: list[tuple] = []     # (seq, upstream) per chunk
+        label_upstream = np.zeros_like(label_embs)
+        negatives_used: list[str] = []
+        total_loss, n_terms = 0.0, 0
+        for seq, terms in chunk_terms:
+            chunk_upstream = np.zeros((len(seq), config.dim))
+            for span, anchor, gold, neg_ids in terms:
+                neg_rows = [label_row[nid] for nid in neg_ids]
                 loss, grads = loss_gradients(
-                    anchor, positive, neg_embs, config.loss_spec, config.sim_spec
+                    anchor,
+                    label_embs[label_row[gold]],
+                    [label_embs[r] for r in neg_rows],
+                    config.loss_spec,
+                    config.sim_spec,
                 )
                 total_loss += loss
                 n_terms += 1
@@ -440,33 +461,19 @@ class Trainer:
                 chunk_upstream += pool_span_backward(
                     grads.anchor, span, config.pooling, len(seq), config.dim
                 )
-                chunk_touched = True
-                label_upstream[mention.gold_label] += grads.positive
-                for nid, g in zip(neg_ids, grads.negatives):
-                    label_upstream[nid] += g
-            if chunk_touched:
-                _accumulate(
-                    mention_grads,
-                    encoder_backward(seq, self.mention_params, chunk_upstream),
-                )
+                label_upstream[label_row[gold]] += grads.positive
+                for r, g in zip(neg_rows, grads.negatives):
+                    label_upstream[r] += g
+            mention_upstreams.append((seq, chunk_upstream))
 
-        for label_id, (seq, span, _) in label_forward.items():
-            upstream = pool_span_backward(
-                label_upstream[label_id], span, config.pooling, len(seq), config.dim
-            )
-            _accumulate(label_grads, encoder_backward(seq, self.label_params, upstream))
-
+        # 4. backward passes and the update
         if n_terms:
-            _scale(mention_grads, 1.0 / n_terms)
-            _scale(label_grads, 1.0 / n_terms)
-            _clip_global_norm(mention_grads, label_grads, config.clip_norm)
-            _apply_update(self.mention_params, mention_grads, config.lr)
-            _apply_update(self.label_params, label_grads, config.lr)
+            self._update(mention_upstreams, label_ids, label_upstream, n_terms)
 
         write_log: list[str] = []
         if config.on_the_fly:
-            for label_id in sorted(label_forward):
-                write_back(self.cache, label_id, label_forward[label_id][2])
+            for label_id in sorted(label_row):
+                write_back(self.cache, label_id, label_embs[label_row[label_id]])
                 write_log.append(label_id)
 
         before = self.counter.processed_spans
@@ -484,14 +491,84 @@ class Trainer:
             excluded=excluded,
         )
 
+    def _update(
+        self,
+        mention_upstreams: list[tuple],
+        label_ids: list[str],
+        label_upstream: np.ndarray,
+        n_terms: int,
+    ) -> None:
+        """The step's backward passes and one clipped update of both encoders.
+
+        The mention backward runs per chunk; the label backward runs once,
+        grouped (``_label_grads``). Results are added to one dense buffer
+        per encoder in chunk order and in label order.
+        """
+        config = self.config
+        mention_grads, label_grads = self._step_grads()
+        for seq, upstream in mention_upstreams:
+            _accumulate(mention_grads, encoder_backward(seq, self.mention_params, upstream))
+        self._label_grads(label_ids, label_upstream, label_grads)
+        _scale(mention_grads, 1.0 / n_terms)
+        _scale(label_grads, 1.0 / n_terms)
+        _clip_global_norm(mention_grads, label_grads, config.clip_norm)
+        _apply_update(self.mention_params, mention_grads, config.lr)
+        _apply_update(self.label_params, label_grads, config.lr)
+
+    def _step_grads(self) -> tuple[EncoderGrads, EncoderGrads]:
+        """Zeroed dense gradient buffers of the mention and label encoders.
+
+        They are kept for the steps of an epoch, not allocated per step:
+        between steps the label block passes' mid-size arrays can split
+        freed (V, d) tables on the heap, and peak RSS then grew by a whole
+        table in some runs.
+        """
+        if self._grads is None:
+            self._grads = (
+                EncoderGrads.zeros_like(self.mention_params),
+                EncoderGrads.zeros_like(self.label_params),
+            )
+        else:
+            for grads in self._grads:
+                for t in (grads.table, grads.w_self, grads.w_ctx, grads.bias):
+                    t.fill(0.0)
+        return self._grads
+
+    def _label_grads(
+        self, label_ids: list[str], upstream: np.ndarray, into: EncoderGrads
+    ) -> None:
+        """Add the label-encoder gradients of pooled-embedding gradients
+        ``upstream`` (row i for ``label_ids[i]``) into ``into``, in label order.
+
+        Labels go through the block backward a window of _BLOCK at a
+        time, so one window's token gradients and per-label results (views
+        of stacked blocks) are alive at once; returning releases the last
+        of them before the dense update runs.
+        """
+        tokens, config = self.label_tokens, self.config
+        for start in range(0, len(label_ids), _BLOCK):
+            window = label_ids[start:start + _BLOCK]
+            seqs = [tokens.seqs[i] for i in window]
+            upstreams = [
+                pool_span_backward(
+                    up, tokens.title_spans[i], config.pooling, len(seq), config.dim
+                )
+                for i, seq, up in zip(window, seqs, upstream[start:start + _BLOCK])
+            ]
+            for label in _backward_blocks(seqs, self.label_params, upstreams):
+                _accumulate(into, label)
+
     # -- full runs --
 
     def eval_cache(self) -> LabelCache:
         """A freshly encoded cache for inference, outside the refresh schedule."""
-        cache = LabelCache.empty(
-            self.cache.ids, self.config.dim, self.config.pooling, self.config.sim_spec
+        return build_cache(
+            self.cache.ids,
+            self.label_params,
+            self.label_tokens,
+            self.config.pooling,
+            self.config.sim_spec,
         )
-        return full_refresh(cache, self.label_params, self.label_tokens)
 
     def evaluate(self, docs: list[Document], iterative: bool = False) -> float:
         limits = (self.config.max_mentions_per_chunk, self.config.max_chars_per_chunk)
@@ -523,6 +600,7 @@ class Trainer:
                 stats = self.train_step(batch)
                 epoch_loss += stats.loss * stats.loss_terms
                 epoch_terms += stats.loss_terms
+            self._grads = None  # evaluation and the caller need no gradients
             dev_acc = self.evaluate(dev_corpus) if dev_corpus is not None else None
             metrics.append(
                 {
@@ -552,9 +630,14 @@ def _scale(grads: EncoderGrads, factor: float) -> None:
 
 
 def _clip_global_norm(a: EncoderGrads, b: EncoderGrads, max_norm: float) -> None:
+    """Scale both gradients to a global norm of at most ``max_norm``."""
     total = 0.0
+    # one scratch table holds each embedding table's squares in turn
+    squares = np.empty((max(len(a.table), len(b.table)), a.table.shape[1]))
     for g in (a, b):
-        for t in (g.table, g.w_self, g.w_ctx, g.bias):
+        table_squares = np.multiply(g.table, g.table, out=squares[: len(g.table)])
+        total += float(np.sum(table_squares))
+        for t in (g.w_self, g.w_ctx, g.bias):
             total += float(np.sum(t * t))
     norm = math.sqrt(total)
     if norm > max_norm > 0:
@@ -563,7 +646,9 @@ def _clip_global_norm(a: EncoderGrads, b: EncoderGrads, max_norm: float) -> None
 
 
 def _apply_update(params: EncoderParams, grads: EncoderGrads, lr: float) -> None:
-    params.table -= lr * grads.table
-    params.w_self -= lr * grads.w_self
-    params.w_ctx -= lr * grads.w_ctx
-    params.bias -= lr * grads.bias
+    """params -= lr * grads, with lr * grads formed in place in ``grads``."""
+    _scale(grads, lr)
+    params.table -= grads.table
+    params.w_self -= grads.w_self
+    params.w_ctx -= grads.w_ctx
+    params.bias -= grads.bias

@@ -1,0 +1,231 @@
+"""Independent reference implementations that the tests compare against.
+
+These are the straightforward forms the library no longer runs: the
+per-sequence encoder forward and backward, the token-range scan, the
+training step that encodes one label at a time, and the forward-only
+losses. Library results must match them bit for bit (encoder, token
+range, training step) or to the stated tolerance (loss values).
+"""
+
+import math
+
+import numpy as np
+
+from dualed import trainer as tm
+from dualed.encoder import EncoderGrads, pool_span, pool_span_backward, tokenize
+from dualed.errors import ValidationError
+from dualed.label_index import mine_hard_negatives, sample_in_batch_negatives, write_back
+from dualed.losses import TRIPLET, _check_triplet_inputs, loss_gradients, similarity
+
+# ── the encoder, one sequence at a time ──────────────────────────────────────
+
+
+def window_counts(n, w):
+    t = np.arange(n)
+    lo = np.maximum(t - w, 0)
+    hi = np.minimum(t + w, n - 1)
+    return (hi - lo + 1).astype(np.float64)
+
+
+def window_sums(rows, w):
+    """Row t gets the sum of rows max(0, t-w) .. min(n-1, t+w)."""
+    n = rows.shape[0]
+    csum = np.vstack([np.zeros((1, rows.shape[1])), np.cumsum(rows, axis=0)])
+    t = np.arange(n)
+    lo = np.maximum(t - w, 0)
+    hi = np.minimum(t + w, n - 1)
+    return csum[hi + 1] - csum[lo]
+
+
+def encode_one(seq, params):
+    """Contextual vectors (T, d) of one sequence, as 2-D matmuls."""
+    if len(seq) == 0:
+        raise ValidationError("cannot encode an empty token sequence")
+    emb = params.table[seq.token_ids]
+    counts = window_counts(len(seq), params.window)
+    ctx = window_sums(emb, params.window) / counts[:, None]
+    return emb @ params.w_self.T + ctx @ params.w_ctx.T + params.bias
+
+
+def encoder_backward_one(seq, params, upstream):
+    """Row-sparse gradients of ``encode_one`` for one sequence."""
+    emb = params.table[seq.token_ids]
+    counts = window_counts(len(seq), params.window)
+    ctx = window_sums(emb, params.window) / counts[:, None]
+
+    d_emb = upstream @ params.w_self
+    d_ctx_scaled = (upstream @ params.w_ctx) / counts[:, None]
+    d_emb = d_emb + window_sums(d_ctx_scaled, params.window)
+    rows, inverse = np.unique(seq.token_ids, return_inverse=True)
+    table = np.zeros((len(rows), params.dim))
+    np.add.at(table, inverse, d_emb)
+    return EncoderGrads(
+        table=table,
+        w_self=upstream.T @ emb,
+        w_ctx=upstream.T @ ctx,
+        bias=upstream.sum(axis=0),
+        rows=rows,
+    )
+
+
+def token_range_scan(seq, char_span):
+    """Token range [lo, hi) overlapping a char span, by scanning every token."""
+    s, e = char_span
+    lo = hi = None
+    for i, (ts, te) in enumerate(seq.char_spans):
+        if ts < e and te > s:
+            if lo is None:
+                lo = i
+            hi = i + 1
+    if lo is None:
+        raise ValidationError(f"span ({s}, {e}) covers no tokens in {seq.source!r:.60}")
+    return lo, hi
+
+
+# ── the training step, one label at a time ───────────────────────────────────
+
+
+def clip_global_norm(a, b, max_norm):
+    total = 0.0
+    for g in (a, b):
+        for t in (g.table, g.w_self, g.w_ctx, g.bias):
+            total += float(np.sum(t * t))
+    norm = math.sqrt(total)
+    if norm > max_norm > 0:
+        tm._scale(a, max_norm / norm)
+        tm._scale(b, max_norm / norm)
+
+
+def apply_update(params, grads, lr):
+    for name in ("table", "w_self", "w_ctx", "bias"):
+        getattr(params, name)[...] -= lr * getattr(grads, name)
+
+
+def train_step_per_label(trainer, batch):
+    """``Trainer.train_step`` with every label encoded and back-propagated
+    on its own, at its first use, by the per-sequence oracles above."""
+    config = trainer.config
+    batch_mentions = sum(len(c.mentions) for c in batch)
+    if config.iterative and batch_mentions:
+        prepared, excluded = tm.apply_iterative_insertions(
+            batch, trainer.records, config, trainer.counter, trainer.rng,
+            lambda chunk: tm.predict_document(chunk, trainer.mention_params, trainer.cache),
+        )
+    else:
+        prepared = [tm.PreparedChunk(c.text, [(m.start, m.end) for m in c.mentions])
+                    for c in batch]
+        excluded = set()
+    if config.neg_count == tm.DYNAMIC:
+        k = tm.dynamic_negative_count(max(batch_mentions, 1), config.neg_budget)
+    else:
+        k = int(config.neg_count)
+    batch_golds = [m.gold_label for c in batch for m in c.mentions if not m.unlinkable]
+
+    mention_grads = EncoderGrads.zeros_like(trainer.mention_params)
+    label_grads = EncoderGrads.zeros_like(trainer.label_params)
+    label_forward, label_upstream = {}, {}
+    negatives_used = []
+    total_loss, n_terms, skipped = 0.0, 0, 0
+
+    def fresh(label_id):
+        if label_id not in label_forward:
+            seq = trainer.label_tokens.seqs[label_id]
+            span = trainer.label_tokens.title_spans[label_id]
+            emb = pool_span(encode_one(seq, trainer.label_params), span, config.pooling)
+            label_forward[label_id] = (seq, span, emb)
+            label_upstream[label_id] = np.zeros(trainer.cache.matrix.shape[1])
+        return label_forward[label_id][2]
+
+    for ci, (chunk, prep) in enumerate(zip(batch, prepared)):
+        if not chunk.mentions:
+            continue
+        seq = tokenize(prep.text, trainer.mention_params.vocab_size)
+        vectors = encode_one(seq, trainer.mention_params)
+        chunk_upstream = np.zeros_like(vectors)
+        touched = False
+        for mi, mention in enumerate(chunk.mentions):
+            if mention.unlinkable:
+                skipped += 1
+                continue
+            if (ci, mi) in excluded:
+                continue
+            span = token_range_scan(seq, prep.spans[mi])
+            anchor = pool_span(vectors, span, config.pooling)
+            if config.neg_mode == tm.HARD:
+                mined = mine_hard_negatives(trainer.cache, anchor, mention.gold_label, k)
+                neg_ids = [nid for nid, _ in mined]
+            else:
+                neg_ids = sample_in_batch_negatives(
+                    batch_golds, mention.gold_label, k, trainer.rng)
+            if not neg_ids:
+                continue
+            positive = fresh(mention.gold_label)
+            neg_embs = [fresh(n) for n in neg_ids]
+            loss, grads = loss_gradients(
+                anchor, positive, neg_embs, config.loss_spec, config.sim_spec)
+            total_loss += loss
+            n_terms += 1
+            negatives_used.extend(neg_ids)
+            chunk_upstream += pool_span_backward(
+                grads.anchor, span, config.pooling, len(seq), config.dim)
+            touched = True
+            label_upstream[mention.gold_label] += grads.positive
+            for nid, g in zip(neg_ids, grads.negatives):
+                label_upstream[nid] += g
+        if touched:
+            tm._accumulate(mention_grads,
+                           encoder_backward_one(seq, trainer.mention_params, chunk_upstream))
+    for label_id, (seq, span, _) in label_forward.items():
+        upstream = pool_span_backward(
+            label_upstream[label_id], span, config.pooling, len(seq), config.dim)
+        tm._accumulate(label_grads, encoder_backward_one(seq, trainer.label_params, upstream))
+
+    if n_terms:
+        tm._scale(mention_grads, 1.0 / n_terms)
+        tm._scale(label_grads, 1.0 / n_terms)
+        clip_global_norm(mention_grads, label_grads, config.clip_norm)
+        apply_update(trainer.mention_params, mention_grads, config.lr)
+        apply_update(trainer.label_params, label_grads, config.lr)
+    write_log = []
+    if config.on_the_fly:
+        for label_id in sorted(label_forward):
+            write_back(trainer.cache, label_id, label_forward[label_id][2])
+            write_log.append(label_id)
+    before = trainer.counter.processed_spans
+    trainer.counter.processed_spans += batch_mentions
+    fires = trainer._interval_refreshes(before, trainer.counter.processed_spans)
+    return tm.StepStats(
+        loss=total_loss / n_terms if n_terms else 0.0, loss_terms=n_terms,
+        spans=batch_mentions, refreshes=fires, skipped_unlinkable=skipped,
+        write_log=write_log, negatives_used=negatives_used, excluded=excluded,
+    )
+
+
+# ── forward-only losses ──────────────────────────────────────────────────────
+
+
+def triplet_loss(anchor, positive, negatives, spec, margin):
+    _check_triplet_inputs(anchor, positive, negatives)
+    s_pos = similarity(anchor, positive, spec)
+    hinges = [
+        max(0.0, margin - s_pos + similarity(anchor, n, spec)) for n in negatives
+    ]
+    return float(np.mean(hinges))
+
+
+def cross_entropy_loss(anchor, positive, negatives, spec):
+    _check_triplet_inputs(anchor, positive, negatives)
+    logits = np.array(
+        [similarity(anchor, positive, spec)]
+        + [similarity(anchor, n, spec) for n in negatives]
+    )
+    shifted = logits - logits.max()
+    return float(np.log(np.exp(shifted).sum()) - shifted[0])
+
+
+def loss_value(anchor, positive, negatives, loss_spec, sim_spec):
+    if loss_spec.kind == TRIPLET:
+        return triplet_loss(
+            anchor, positive, negatives, sim_spec, loss_spec.resolve_margin(sim_spec)
+        )
+    return cross_entropy_loss(anchor, positive, negatives, sim_spec)

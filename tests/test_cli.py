@@ -4,8 +4,13 @@ import json
 
 import pytest
 
+from dualed import cli
 from dualed.cli import main
+from dualed.corpus import load_corpus, load_label_set
+from dualed.encoder import load_checkpoint
+from dualed.predictor import predict_corpus
 from dualed.synthetic import make_task, write_corpus_file, write_label_file
+from dualed.trainer import TrainConfig, Trainer
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +133,38 @@ class TestTrainPredictEvalPipeline:
         four = (changes["correct"] + changes["incorrect_to_correct"]
                 + changes["correct_to_incorrect"] + changes["incorrect"])
         assert four == report["mentions"]
+
+
+    def test_predict_uses_the_eval_cache_without_a_trainer(self, workspace, monkeypatch):
+        run_dir = workspace / "run_eval_cache"
+        assert run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--config", workspace / "config.txt",
+                   "--epochs", "1", "--out", run_dir) == 0
+
+        def no_trainer(*args, **kwargs):
+            raise AssertionError("predict constructed a Trainer")
+
+        monkeypatch.setattr(cli, "Trainer", no_trainer)
+        pred_file = workspace / "preds_eval_cache.jsonl"
+        assert run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", run_dir / "checkpoint.bin",
+                   "--format", "title_desc", "--out", pred_file) == 0
+
+        mention, label = load_checkpoint(run_dir / "checkpoint.bin")
+        records = load_label_set(workspace / "labels.jsonl")
+        config = TrainConfig(verbalization="title_desc", vocab_size=label.vocab_size,
+                             dim=label.dim, window=label.window)
+        cache = Trainer(records, config, mention, label).eval_cache()
+        limits = (config.max_mentions_per_chunk, config.max_chars_per_chunk)
+        expected = predict_corpus(load_corpus(workspace / "dev.jsonl"), mention, cache,
+                                  records, limits).final
+        rows = [json.loads(line) for line in pred_file.read_text().splitlines()]
+        assert len(rows) == len(expected)
+        for row in rows:
+            want = expected[(row["doc"], row["start"], row["end"])]
+            assert (row["pred"], row["score"]) == (want.predicted_id, want.score)
 
 
 class TestDeterminism:

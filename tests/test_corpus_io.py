@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dualed.corpus import (
     Document,
@@ -14,6 +16,7 @@ from dualed.corpus import (
     load_label_set,
 )
 from dualed.errors import ValidationError
+from strategies import documents
 
 
 def write_jsonl(path, rows):
@@ -238,6 +241,24 @@ class TestChunkDocument:
             for c in chunks:
                 assert len(c.text) <= max_chars
                 assert doc.text[c.parent_offset:c.parent_offset + len(c.text)] == c.text
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=documents(alphabet="abcdefg "), max_mentions=st.integers(1, 6),
+           max_chars=st.integers(1, 60))
+    def test_roundtrip_property(self, doc, max_mentions, max_chars):
+        assume(all(m.end - m.start <= max_chars for m in doc.mentions))
+        chunks = chunk_document(doc, max_mentions, max_chars)
+        restored = []
+        for c in chunks:
+            assert len(c.text) <= max_chars
+            assert len(c.mentions) <= max_mentions
+            assert doc.text[c.parent_offset:c.parent_offset + len(c.text)] == c.text
+            for m in c.mentions:
+                start, end = m.start + c.parent_offset, m.end + c.parent_offset
+                assert c.text[m.start:m.end] == doc.text[start:end] == m.surface
+                restored.append((start, end, m.gold_label))
+        # every mention in exactly one chunk, in document order
+        assert restored == [(m.start, m.end, m.gold_label) for m in doc.mentions]
 
     def test_deterministic(self):
         doc = make_doc("d", " ".join(["word"] * 40), [])

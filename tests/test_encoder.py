@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualed.encoder import (
+    _BLOCK,
     _TOKEN_RUN,
+    _backward_blocks,
+    _encode_blocks,
+    _pool_block,
     FIRST_LAST,
     MEAN,
     EncoderGrads,
     EncoderParams,
-    _window_counts,
-    _window_sums,
+    TokenSequence,
     encode,
     encoder_backward,
     fnv1a_64,
@@ -26,6 +29,13 @@ from dualed.encoder import (
     tokenize,
 )
 from dualed.errors import ValidationError
+from oracles import (
+    encode_one,
+    encoder_backward_one,
+    token_range_scan,
+    window_counts,
+    window_sums,
+)
 
 V = 64  # power of two
 
@@ -116,6 +126,23 @@ class TestTokenRange:
         seq = tokenize("a b", 1 << 16)
         with pytest.raises(ValidationError):
             token_range(seq, (1, 2))  # just the space
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.text(st.sampled_from("ab9 .-_Σ²"), max_size=40),
+        s=st.integers(-3, 44),
+        e=st.integers(-3, 44),
+    )
+    def test_matches_scan(self, text, s, e):
+        seq = tokenize(text, 64)
+        try:
+            expected = token_range_scan(seq, (s, e))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                token_range(seq, (s, e))
+            assert str(raised.value) == str(exc)
+        else:
+            assert token_range(seq, (s, e)) == expected
 
 
 class TestEncodeForward:
@@ -222,8 +249,8 @@ def dense_table(grads, vocab):
 def reference_encoder_backward(seq, params, upstream):
     """The dense-table backward pass: one (V, d) gradient per call."""
     emb = params.table[seq.token_ids]
-    counts = _window_counts(len(seq), params.window)
-    ctx = _window_sums(emb, params.window) / counts[:, None]
+    counts = window_counts(len(seq), params.window)
+    ctx = window_sums(emb, params.window) / counts[:, None]
 
     grads = EncoderGrads.zeros_like(params)
     grads.bias += upstream.sum(axis=0)
@@ -232,7 +259,7 @@ def reference_encoder_backward(seq, params, upstream):
 
     d_emb = upstream @ params.w_self
     d_ctx_scaled = (upstream @ params.w_ctx) / counts[:, None]
-    d_emb = d_emb + _window_sums(d_ctx_scaled, params.window)
+    d_emb = d_emb + window_sums(d_ctx_scaled, params.window)
     np.add.at(grads.table, seq.token_ids, d_emb)
     return grads
 
@@ -309,6 +336,99 @@ class TestEncoderBackward:
             for name in ("w_self", "w_ctx", "bias"):
                 assert np.array_equal(getattr(sparse, name), getattr(dense, name)), name
         assert repeated >= 50
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def grouped_vectors(seqs, params):
+    """_encode_blocks' vectors, back in input order."""
+    out = [None] * len(seqs)
+    for positions, vectors in _encode_blocks(seqs, params):
+        assert vectors.shape[0] == len(positions) <= _BLOCK
+        for j, i in enumerate(positions):
+            out[i] = vectors[j]
+    return out
+
+
+def check_grouped_against_oracle(rng, lengths, vocab, dim, window):
+    """Grouped forward, backward and pooling equal the per-sequence oracle in bits."""
+    p = random_params(rng, vocab=vocab, dim=dim, window=window)
+    seqs = [
+        TokenSequence(rng.integers(0, vocab, size=n), [(i, i + 1) for i in range(n)], "")
+        for n in lengths
+    ]
+    upstreams = [rng.normal(size=(n, dim)) for n in lengths]
+    spans = np.array([sorted(rng.choice(n + 1, size=2, replace=False)) for n in lengths])
+
+    vectors = grouped_vectors(seqs, p)
+    grads = list(_backward_blocks(seqs, p, upstreams))
+    assert len(grads) == len(seqs)
+    for i, seq in enumerate(seqs):
+        expected = encode_one(seq, p)
+        assert np.array_equal(bits(vectors[i]), bits(expected)), i
+        assert np.array_equal(bits(encode(seq, p)), bits(expected)), i
+        ref = encoder_backward_one(seq, p, upstreams[i])
+        single = encoder_backward(seq, p, upstreams[i])
+        for name in ("table", "w_self", "w_ctx", "bias", "rows"):
+            assert np.array_equal(bits(getattr(grads[i], name)), bits(getattr(ref, name)))
+            assert np.array_equal(bits(getattr(single, name)), bits(getattr(ref, name)))
+    for method in (MEAN, FIRST_LAST):
+        for positions, block in _encode_blocks(seqs, p):
+            pooled = _pool_block(block, spans[positions], method)
+            for j, i in enumerate(positions):
+                lo, hi = spans[i]
+                expected = pool_span(encode_one(seqs[i], p), (lo, hi), method)
+                assert np.array_equal(bits(pooled[j]), bits(expected)), (method, i)
+
+
+class TestGroupedEncoder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=40),
+        vocab=st.sampled_from([2, 8, 1024]),
+        dim=st.sampled_from([1, 2, 3, 8, 32, 64]),
+        window=st.sampled_from([0, 1, 2, 5, 50]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_sequence_oracle(self, lengths, vocab, dim, window, seed):
+        check_grouped_against_oracle(
+            np.random.default_rng(seed), lengths, vocab, dim, window
+        )
+
+    def test_single_sequence_and_split_blocks(self):
+        rng = np.random.default_rng(12)
+        check_grouped_against_oracle(rng, [1], 8, 32, 5)
+        check_grouped_against_oracle(rng, [7], 8, 32, 300)
+        # more sequences of one length than one block holds
+        lengths = [3] * (2 * _BLOCK + 5) + [1] * (_BLOCK + 1) + list(range(1, 30))
+        check_grouped_against_oracle(rng, lengths, 64, 32, 2)
+
+    def test_empty_sequence_rejected(self):
+        p = random_params(np.random.default_rng(14))
+        with pytest.raises(ValidationError, match="empty"):
+            list(_encode_blocks([tokenize("a", V), tokenize("", V)], p))
+
+    def test_upstream_mismatch_rejected(self):
+        p = random_params(np.random.default_rng(15))
+        seqs = [tokenize("a b", V), tokenize("c", V)]
+        with pytest.raises(ValidationError, match="upstreams"):
+            _backward_blocks(seqs, p, [np.zeros((2, 3))])
+        with pytest.raises(ValidationError, match="upstream shape"):
+            _backward_blocks(seqs, p, [np.zeros((2, 3)), np.zeros((2, 3))])
+
+    @pytest.mark.parametrize("method", [MEAN, FIRST_LAST])
+    def test_pool_block_rejects_bad_span(self, method):
+        vectors = np.zeros((2, 3, 4))
+        with pytest.raises(ValidationError, match=r"\(2, 2\)"):
+            _pool_block(vectors, np.array([[0, 3], [2, 2]]), method)
+        with pytest.raises(ValidationError, match=r"\(1, 4\)"):
+            _pool_block(vectors, np.array([[0, 3], [1, 4]]), method)
+
+    def test_pool_block_rejects_unknown_method(self):
+        with pytest.raises(ValidationError, match="unknown pooling"):
+            _pool_block(np.zeros((1, 3, 4)), np.array([[0, 3]]), "max")
 
 
 class TestPoolBackward:

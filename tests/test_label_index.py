@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualed.corpus import EntityRecord
-from dualed.encoder import EncoderParams, encode, pool_span, token_range, tokenize
+from dualed.encoder import _BLOCK, EncoderParams, pool_span, token_range, tokenize
 from dualed.errors import ValidationError
 from dualed.label_index import (
     LabelCache,
     _euclidean_shortlists,
     allowed_rows,
+    build_cache,
+    encode_labels,
     full_refresh,
     mine_hard_negatives,
     nearest_label,
@@ -25,6 +27,7 @@ from dualed.label_index import (
 )
 from dualed.losses import SIMILARITY_KINDS, SimilaritySpec, similarity, similarity_to_matrix
 from dualed.verbalizer import FormatSpec, verbalize_all
+from oracles import encode_one
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
 
@@ -70,7 +73,7 @@ class TestFullRefresh:
             # independent path: tokenize the text afresh for every label
             seq = tokenize(verb.text, 256)
             span = token_range(seq, verb.title_char_span)
-            expected = pool_span(encode(seq, self.params), span, "mean")
+            expected = pool_span(encode_one(seq, self.params), span, "mean")
             np.testing.assert_array_equal(self.cache.embedding(label_id), expected)
 
     def test_unchanged_params_byte_identical(self):
@@ -103,6 +106,53 @@ class TestFullRefresh:
         write_back(self.cache, "e2", np.full(4, 9.0))
         full_refresh(self.cache, self.params, self.tokens)
         np.testing.assert_array_equal(self.cache.embedding("e2"), original)
+
+
+def varied_records(n, seed):
+    """Labels whose verbalizations span many token counts, some shared by
+    more labels than one encoder block holds."""
+    rng = np.random.default_rng(seed)
+    records = {}
+    for i in range(n):
+        if i % 2:  # one shared token count
+            title, words = f"Entity n{i}", 3
+        else:
+            title, words = f"Entity n{i} x" * (i % 3 + 1), int(rng.integers(0, 40))
+        desc = " ".join(f"w{int(rng.integers(50))}" for _ in range(words))
+        records[f"e{i}"] = EntityRecord(
+            id=f"e{i}", title=title, description=desc or None
+        )
+    return records
+
+
+class TestGroupedRefresh:
+    @pytest.mark.parametrize("pooling", ["mean", "first_last"])
+    def test_equals_per_label_refresh_bit_for_bit(self, pooling):
+        records = varied_records(3 * _BLOCK, seed=0)
+        verbs = verbalize_all(records, FormatSpec.from_name("title_desc"))
+        params = EncoderParams.init(1024, 32, 5, seed=3)
+        tokens = tokenize_labels(verbs, 1024)
+        counts = [len(seq) for seq in tokens.seqs.values()]
+        assert len(set(counts)) > 10 and max(counts.count(c) for c in counts) > _BLOCK
+        cache = LabelCache.empty(sorted(records), 32, pooling, EUCLIDEAN)
+        full_refresh(cache, params, tokens)
+        for row, label_id in enumerate(cache.ids):
+            seq = tokens.seqs[label_id]
+            expected = pool_span(encode_one(seq, params), tokens.title_spans[label_id],
+                                 pooling)
+            assert cache.matrix[row].tobytes() == expected.tobytes(), label_id
+
+    def test_encode_labels_follows_the_given_order(self):
+        records = varied_records(40, seed=1)
+        tokens = tokenize_labels(verbalize_all(records, FormatSpec.from_name("title_desc")),
+                                 256)
+        params = EncoderParams.init(256, 8, 2, seed=4)
+        order = [f"e{i}" for i in (7, 3, 39, 0, 3)]
+        embs = encode_labels(params, tokens, order, "first_last")
+        cache = build_cache(sorted(records), params, tokens, "first_last", EUCLIDEAN)
+        for row, label_id in enumerate(order):
+            assert embs[row].tobytes() == cache.embedding(label_id).tobytes()
+        assert encode_labels(params, tokens, [], "mean").shape == (0, 8)
 
 
 class TestWriteBack:

@@ -12,14 +12,12 @@ from dualed.losses import (
     SIMILARITY_KINDS,
     LossSpec,
     SimilaritySpec,
-    cross_entropy_loss,
     default_margin,
     loss_gradients,
-    loss_value,
     similarity,
     similarity_to_matrix,
-    triplet_loss,
 )
+from oracles import cross_entropy_loss, loss_value, triplet_loss
 
 COSINE = SimilaritySpec(kind="cosine")
 DOT = SimilaritySpec(kind="dot")

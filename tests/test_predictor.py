@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualed.corpus import Document, EntityRecord, Mention
 from dualed.encoder import EncoderParams, encode, pool_span, token_range, tokenize
@@ -18,6 +20,7 @@ from dualed.predictor import (
     target_label_set,
 )
 from dualed.synthetic import make_task
+from strategies import documents
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
 
@@ -77,6 +80,23 @@ class TestInsertVerbalization:
         insert_verbalization(state, 0, "then left")
         insert_verbalization(state, 2, "then right")
         assert state.strip_insertions() == doc.text
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=documents(alphabet="ab ()"), data=st.data())
+    def test_offsets_property(self, doc, data):
+        state = PredictionState.for_document(doc)
+        order = data.draw(st.permutations(range(len(doc.mentions))))
+        count = data.draw(st.integers(0, len(order)))
+        for slot_index in order[:count]:
+            insert_verbalization(state, slot_index, data.draw(st.text(max_size=8)))
+            for slot in state.slots:
+                s, e = slot.span
+                assert state.working_text[s:e] == slot.mention.surface
+            assert state.strip_insertions() == doc.text
+        assert [slot.resolved for slot in state.slots] == [
+            i in order[:count] for i in range(len(doc.mentions))
+        ]
 
 
 def build_fixture():

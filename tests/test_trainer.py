@@ -19,6 +19,7 @@ from dualed.trainer import (
     parse_config_file,
 )
 from dualed.verbalizer import verbalize_all
+from oracles import train_step_per_label
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -179,6 +180,37 @@ class TestTrainStep:
             # mention's own gold is excluded; spot-check single-gold batches
             if len(golds) == 1:
                 assert golds.isdisjoint(stats.negatives_used)
+
+
+class TestAgainstPerLabelStep:
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(pooling="mean", neg_mode="in_batch"),
+        dict(loss="triplet", sim="cosine", on_the_fly=False),
+        dict(neg_count="dyn", sim="dot", lr=0.05),  # over 64 labels per step
+        dict(iterative=True, switch_after_spans=30),
+    ])
+    def test_steps_equal_the_per_label_oracle(self, overrides):
+        """Grouped label passes and the phase order change no bit of a step."""
+        task = make_task(n_entities=90, n_surfaces=18, train_mentions=90,
+                         dev_mentions=20, seed=4)
+        config = small_config(**{"refresh_interval_spans": 40, "lr": 0.5, **overrides})
+        grouped, reference = Trainer(task.records, config), Trainer(task.records, config)
+        for epoch in range(2):
+            for trainer in (grouped, reference):
+                trainer.refresh_cache()
+            limits = (config.max_mentions_per_chunk, config.max_chars_per_chunk)
+            for seed_batches in zip(
+                make_batches(task.train_docs, config.batch_docs, limits, seed=[0, epoch]),
+                make_batches(task.train_docs, config.batch_docs, limits, seed=[0, epoch]),
+            ):
+                got = grouped.train_step(seed_batches[0])
+                want = train_step_per_label(reference, seed_batches[1])
+                assert got == want
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(params_snapshot(grouped), params_snapshot(reference)))
+        assert grouped.cache.matrix.tobytes() == reference.cache.matrix.tobytes()
+        assert grouped.rng.random() == reference.rng.random()
 
 
 class TestLossDecrease:
