@@ -5,6 +5,8 @@ Builds both encoders, fills a label cache, and compares the package's
 vectorized nearest-label search against a hand-rolled scan.
 """
 
+import numpy as np
+
 from dualed import (
     EncoderParams,
     EntityRecord,
@@ -16,7 +18,6 @@ from dualed import (
     mine_hard_negatives,
     nearest_label,
     pool_span,
-    similarity,
     token_range,
     tokenize,
     tokenize_labels,
@@ -62,7 +63,7 @@ for neg_id, neg_score in mine_hard_negatives(cache, anchor, "Italy_rugby", k=3):
 
 print("\nthe exact scan doubles as its own oracle:")
 by_hand = max(
-    ((i, similarity(anchor, cache.matrix[i], cache.sim_spec))
+    ((i, -float(np.linalg.norm(anchor - cache.matrix[i])))  # negated euclidean
      for i in range(len(cache.ids))),
     key=lambda t: t[1],
 )

@@ -44,7 +44,7 @@ from .label_index import (
     top_rows,
     write_back,
 )
-from .losses import LossSpec, SimilaritySpec, loss_gradients, similarity
+from .losses import LossSpec, SimilaritySpec, loss_gradients
 from .predictor import (
     DocumentPrediction,
     MentionPrediction,
@@ -56,7 +56,6 @@ from .predictor import (
     target_label_set,
 )
 from .trainer import (
-    SpanCounter,
     TrainConfig,
     Trainer,
     apply_iterative_insertions,

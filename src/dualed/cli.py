@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import flag_unlinkable, load_corpus, load_label_set
-from .encoder import load_checkpoint, save_checkpoint
+from .encoder import POOLING_METHODS, load_checkpoint, save_checkpoint
 from .errors import ValidationError
 from .evaluator import change_analysis, score
 from .label_index import build_cache, tokenize_labels
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restrict-to-targets", action="store_true",
                    help="restrict inference to the corpus gold-label set")
     p.add_argument("--format", default=TrainConfig.verbalization, choices=FORMAT_NAMES)
-    p.add_argument("--pooling", default=TrainConfig.pooling)
+    p.add_argument("--pooling", default=TrainConfig.pooling, choices=POOLING_METHODS)
     p.add_argument("--sim", default=TrainConfig.sim, choices=SIMILARITY_KINDS)
     p.add_argument("--max-mentions-per-chunk", type=int,
                    default=TrainConfig.max_mentions_per_chunk)
@@ -239,10 +239,7 @@ def cmd_eval(args) -> int:
         print(f"{'accuracy step 1':<22} {table.first_pass_accuracy:>8.4f}")
         print(f"{'accuracy last step':<22} {table.last_pass_accuracy:>8.4f}")
         payload["changes"] = {
-            "correct": table.correct,
-            "incorrect_to_correct": table.incorrect_to_correct,
-            "correct_to_incorrect": table.correct_to_incorrect,
-            "incorrect": table.incorrect,
+            **dataclasses.asdict(table),
             "first_pass_accuracy": table.first_pass_accuracy,
             "last_pass_accuracy": table.last_pass_accuracy,
         }
@@ -258,7 +255,6 @@ def cmd_eval(args) -> int:
 
 @dataclasses.dataclass
 class AblationPlan:
-    axis: str
     variants: list[tuple[str, dict]]
     seeds: list[int]
 
@@ -358,7 +354,7 @@ def cmd_ablate(args) -> int:
         raise ValidationError(f"bad --seeds value {args.seeds!r}") from exc
     if not seeds:
         raise ValidationError("at least one seed is required")
-    plan = AblationPlan(axis=args.axis, variants=plan_for_axis(args.axis), seeds=seeds)
+    plan = AblationPlan(variants=plan_for_axis(args.axis), seeds=seeds)
     rows = run_ablation(plan, _config_mapping(args), args.corpus, args.labels, args.dev)
     width = max(len(name) for name, *_ in rows)
     print(f"axis: {args.axis}  (accuracy over seeds {seeds})")

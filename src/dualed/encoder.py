@@ -131,10 +131,8 @@ class EncoderParams:
             raise ValidationError(f"vocab size must be a power of two, got {v}")
 
     @classmethod
-    def init(
-        cls, vocab_size: int, dim: int, window: int, seed: int, scale: float = 0.5
-    ) -> "EncoderParams":
-        """Seeded uniform init in [-scale, scale].
+    def init(cls, vocab_size: int, dim: int, window: int, seed: int) -> "EncoderParams":
+        """Seeded uniform init in [-0.5, 0.5].
 
         The scale must be large enough that token identity dominates the
         shared bias at the start; much below ~0.3 the embedding space
@@ -142,22 +140,13 @@ class EncoderParams:
         training never escapes the uniform-logits plateau.
         """
         rng = np.random.default_rng(seed)
-        u = lambda *shape: rng.uniform(-scale, scale, shape)
+        u = lambda *shape: rng.uniform(-0.5, 0.5, shape)
         return cls(
             table=u(vocab_size, dim),
             w_self=u(dim, dim),
             w_ctx=u(dim, dim),
             bias=u(dim),
             window=window,
-        )
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            table=self.table.copy(),
-            w_self=self.w_self.copy(),
-            w_ctx=self.w_ctx.copy(),
-            bias=self.bias.copy(),
-            window=self.window,
         )
 
 

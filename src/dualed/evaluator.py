@@ -46,7 +46,6 @@ class EvalReport:
     mentions: int
     correct: int
     accuracy: float
-    changes: ChangeTable | None = None
 
 
 def _gold_map(docs: list[Document]) -> dict[MentionKey, str]:

@@ -50,13 +50,12 @@ class LabelCache:
     matrix: np.ndarray             # (|E|, p)
     pooling: str
     sim_spec: SimilaritySpec
-    last_full_refresh: int = 0     # span-counter value at the last full refresh
+    last_full_refresh: int = 0     # processed spans at the last full refresh
     dirty_writes: int = 0          # on-the-fly writes since the last full refresh
-    row_of: dict[str, int] = field(default_factory=dict)
+    row_of: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.row_of:
-            self.row_of = {label_id: i for i, label_id in enumerate(self.ids)}
+        self.row_of = {label_id: i for i, label_id in enumerate(self.ids)}
         if len(self.row_of) != len(self.ids):
             raise ValidationError("duplicate label ids in cache")
         if self.matrix.shape[0] != len(self.ids):

@@ -30,11 +30,12 @@ TRIPLET = "triplet"
 CROSS_ENTROPY = "cross_entropy"
 LOSS_KINDS = (TRIPLET, CROSS_ENTROPY)
 
+_EPSILON = 1e-12  # floor of the cosine denominator
+
 
 @dataclass(frozen=True)
 class SimilaritySpec:
     kind: str = EUCLIDEAN
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in SIMILARITY_KINDS:
@@ -59,17 +60,6 @@ class LossSpec:
 
 
 # ── similarities ─────────────────────────────────────────────────────────────
-
-
-def similarity(a: np.ndarray, b: np.ndarray, spec: SimilaritySpec) -> float:
-    if a.shape != b.shape:
-        raise ValidationError(f"width mismatch: {a.shape} vs {b.shape}")
-    if spec.kind == DOT:
-        return float(a @ b)
-    if spec.kind == EUCLIDEAN:
-        return -float(np.linalg.norm(a - b))
-    denom = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), spec.epsilon)
-    return float(a @ b) / denom
 
 
 def similarity_to_matrix(
@@ -97,7 +87,7 @@ def similarity_to_matrix(
     if row_norms is None:
         row_norms = np.linalg.norm(matrix, axis=1)
     norms = row_norms * np.linalg.norm(anchor)
-    return (matrix @ anchor) / np.maximum(norms, spec.epsilon)
+    return (matrix @ anchor) / np.maximum(norms, _EPSILON)
 
 
 def _similarity_grads(
@@ -114,9 +104,9 @@ def _similarity_grads(
         return -n, -r / n, r / n
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     raw = na * nb
-    if raw <= spec.epsilon:
+    if raw <= _EPSILON:
         # degenerate: the guard max(.., eps) is active, denominator constant
-        return float(a @ b) / spec.epsilon, b / spec.epsilon, a / spec.epsilon
+        return float(a @ b) / _EPSILON, b / _EPSILON, a / _EPSILON
     s = float(a @ b) / raw
     return s, b / raw - s * a / (na * na), a / raw - s * b / (nb * nb)
 

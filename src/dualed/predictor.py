@@ -42,7 +42,6 @@ class MentionSlot:
 class PredictionState:
     """Per-document working text with insertion and offset bookkeeping."""
 
-    original_text: str
     working_text: str
     slots: list[MentionSlot]
     inserted_spans: list[tuple[int, int]] = field(default_factory=list)
@@ -50,7 +49,6 @@ class PredictionState:
     @classmethod
     def for_document(cls, doc: Document | Chunk) -> "PredictionState":
         return cls(
-            original_text=doc.text,
             working_text=doc.text,
             slots=[MentionSlot(mention=m, span=(m.start, m.end)) for m in doc.mentions],
         )
@@ -103,7 +101,6 @@ class MentionPrediction:
 
 @dataclass
 class DocumentPrediction:
-    doc_id: str
     predictions: list[MentionPrediction]
     first_pass: list[MentionPrediction]
     iterations: int
@@ -164,11 +161,10 @@ def predict_iterative(
     top-scoring third of the mentions among those still unresolved.
     ``allowed_ids`` is as for ``predict_document``.
     """
-    doc_id = doc.id if isinstance(doc, Document) else doc.parent_doc
     state = PredictionState.for_document(doc)
     total = len(state.slots)
     if total == 0:
-        return DocumentPrediction(doc_id, [], [], 0, state)
+        return DocumentPrediction([], [], 0, state)
     rows = allowed_rows(cache, allowed_ids)
     per_round = math.ceil(total / 3)
 
@@ -200,7 +196,7 @@ def predict_iterative(
     final = [
         MentionPrediction(s.mention, s.predicted_id, s.score) for s in state.slots
     ]
-    return DocumentPrediction(doc_id, final, first_pass, iterations, state)
+    return DocumentPrediction(final, first_pass, iterations, state)
 
 
 @dataclass
@@ -208,7 +204,6 @@ class CorpusPredictions:
     """Predictions for a whole corpus, keyed by global mention offsets."""
 
     final: dict[MentionKey, MentionPrediction]
-    first: dict[MentionKey, MentionPrediction]
     iterations: dict[MentionKey, int]
 
 
@@ -230,7 +225,6 @@ def predict_corpus(
         raise ValidationError("iterative prediction needs the entity records")
     rows = allowed_rows(cache, allowed_ids)
     final: dict[MentionKey, MentionPrediction] = {}
-    first: dict[MentionKey, MentionPrediction] = {}
     iterations: dict[MentionKey, int] = {}
     for doc in docs:
         for chunk in chunk_document(doc, *limits):
@@ -238,14 +232,11 @@ def predict_corpus(
                 continue
             if iterative:
                 result = predict_iterative(chunk, mention_params, cache, records, rows)
-                rounds = result.iterations
-                first_preds = result.first_pass
-                preds = result.predictions
+                preds, rounds = result.predictions, result.iterations
             else:
                 preds = predict_document(chunk, mention_params, cache, rows)
-                first_preds = preds
                 rounds = 1
-            for pred, first_pred in zip(preds, first_preds):
+            for pred in preds:
                 m = pred.mention
                 key = (
                     doc.id,
@@ -253,9 +244,8 @@ def predict_corpus(
                     m.end + chunk.parent_offset,
                 )
                 final[key] = pred
-                first[key] = first_pred
                 iterations[key] = rounds
-    return CorpusPredictions(final=final, first=first, iterations=iterations)
+    return CorpusPredictions(final=final, iterations=iterations)
 
 
 def target_label_set(docs: list[Document], cache: LabelCache) -> set[str]:

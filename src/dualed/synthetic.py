@@ -41,7 +41,6 @@ class SyntheticTask:
     records: dict[str, EntityRecord]
     train_docs: list[Document]
     dev_docs: list[Document]
-    surface_of: dict[str, str]  # entity id -> shared surface form
 
 
 def make_task(
@@ -89,9 +88,7 @@ def make_task(
         "dev", dev_mentions, ids, surface_of, signatures,
         max_mentions_per_doc, dev_rng,
     )
-    return SyntheticTask(
-        records=records, train_docs=train_docs, dev_docs=dev_docs, surface_of=surface_of
-    )
+    return SyntheticTask(records=records, train_docs=train_docs, dev_docs=dev_docs)
 
 
 def _make_docs(

@@ -52,7 +52,7 @@ from .label_index import (
     write_back,
 )
 from .evaluator import score as eval_score
-from .losses import LossSpec, SimilaritySpec, loss_gradients
+from .losses import LOSS_KINDS, LossSpec, SimilaritySpec, loss_gradients
 from .predictor import (
     PredictionState,
     insert_verbalization,
@@ -103,17 +103,25 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.neg_mode not in (HARD, IN_BATCH):
             raise ValidationError(f"neg_mode must be hard or in_batch, got {self.neg_mode!r}")
+        if self.loss not in LOSS_KINDS:
+            raise ValidationError(
+                f"loss must be one of {', '.join(LOSS_KINDS)}, got {self.loss!r}"
+            )
         if self.neg_count != DYNAMIC and int(self.neg_count) < 1:
             raise ValidationError("neg_count must be >= 1 or 'dyn'")
         if not 0.0 <= self.corrupt_rate <= 1.0:
             raise ValidationError("corrupt_rate must be in [0, 1]")
         if not 0.0 < self.insert_fraction < 1.0:
             raise ValidationError("insert_fraction must be in (0, 1)")
-        for name in ("batch_docs", "neg_budget"):
+        for name in ("batch_docs", "neg_budget", "max_mentions_per_chunk",
+                     "max_chars_per_chunk", "vocab_size", "dim"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        if self.epochs < 0:  # 0 epochs = a valid no-op run
-            raise ValidationError("epochs must be >= 0")
+        # 0 epochs is a valid no-op run; a 0 refresh interval disables the
+        # mid-epoch refreshes
+        for name in ("epochs", "refresh_interval_spans", "window", "seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
 
     @property
     def sim_spec(self) -> SimilaritySpec:
@@ -181,11 +189,6 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-@dataclass
-class SpanCounter:
-    processed_spans: int = 0
-
-
 def make_batches(
     corpus: list[Document],
     batch_docs: int,
@@ -226,7 +229,7 @@ def apply_iterative_insertions(
     batch: list[Chunk],
     records: dict[str, EntityRecord],
     config: TrainConfig,
-    span_counter: SpanCounter,
+    processed_spans: int,
     rng: np.random.Generator,
     predict_fn,
 ) -> tuple[list[PreparedChunk], set[tuple[int, int]]]:
@@ -239,7 +242,7 @@ def apply_iterative_insertions(
     Returns the prepared texts plus the set of (chunk index, mention
     index) pairs whose loss terms must be dropped.
     """
-    use_predictions = span_counter.processed_spans >= config.switch_after_spans
+    use_predictions = processed_spans >= config.switch_after_spans
     sorted_ids = sorted(records)
 
     batch_preds: list[list] = []
@@ -306,22 +309,16 @@ class StepStats:
 
 
 class Trainer:
-    """Owns both encoders, the label cache, and the span-counter schedule."""
+    """Owns both encoders, the label cache, and the processed-span schedule."""
 
-    def __init__(
-        self,
-        records: dict[str, EntityRecord],
-        config: TrainConfig,
-        mention_params: EncoderParams | None = None,
-        label_params: EncoderParams | None = None,
-    ):
+    def __init__(self, records: dict[str, EntityRecord], config: TrainConfig):
         self.config = config
         self.records = records
         self.rng = np.random.default_rng(config.seed)
-        self.mention_params = mention_params or EncoderParams.init(
+        self.mention_params = EncoderParams.init(
             config.vocab_size, config.dim, config.window, seed=config.seed
         )
-        self.label_params = label_params or EncoderParams.init(
+        self.label_params = EncoderParams.init(
             config.vocab_size, config.dim, config.window, seed=config.seed + 1
         )
         self.label_tokens = tokenize_labels(
@@ -330,7 +327,7 @@ class Trainer:
         self.cache = LabelCache.empty(
             sorted(records), config.dim, config.pooling, config.sim_spec
         )
-        self.counter = SpanCounter()
+        self.processed_spans = 0
         self.refreshes = 0
         self._grads: tuple[EncoderGrads, EncoderGrads] | None = None
 
@@ -341,7 +338,7 @@ class Trainer:
             self.cache,
             self.label_params,
             self.label_tokens,
-            span_count=self.counter.processed_spans,
+            span_count=self.processed_spans,
         )
         self.refreshes += 1
 
@@ -376,7 +373,7 @@ class Trainer:
                 batch,
                 self.records,
                 config,
-                self.counter,
+                self.processed_spans,
                 self.rng,
                 lambda chunk: predict_document(chunk, self.mention_params, self.cache),
             )
@@ -476,9 +473,9 @@ class Trainer:
                 write_back(self.cache, label_id, label_embs[label_row[label_id]])
                 write_log.append(label_id)
 
-        before = self.counter.processed_spans
-        self.counter.processed_spans += batch_mentions
-        fires = self._interval_refreshes(before, self.counter.processed_spans)
+        before = self.processed_spans
+        self.processed_spans += batch_mentions
+        fires = self._interval_refreshes(before, self.processed_spans)
 
         return StepStats(
             loss=total_loss / n_terms if n_terms else 0.0,
@@ -570,16 +567,10 @@ class Trainer:
             self.config.sim_spec,
         )
 
-    def evaluate(self, docs: list[Document], iterative: bool = False) -> float:
+    def evaluate(self, docs: list[Document]) -> float:
+        """One-shot accuracy on ``docs`` with a freshly encoded cache."""
         limits = (self.config.max_mentions_per_chunk, self.config.max_chars_per_chunk)
-        preds = predict_corpus(
-            docs,
-            self.mention_params,
-            self.eval_cache(),
-            self.records,
-            limits,
-            iterative=iterative,
-        )
+        preds = predict_corpus(docs, self.mention_params, self.eval_cache(), limits=limits)
         mapping = {key: p.predicted_id for key, p in preds.final.items()}
         return eval_score(mapping, docs).accuracy
 
@@ -608,7 +599,7 @@ class Trainer:
                     "loss": epoch_loss / epoch_terms if epoch_terms else 0.0,
                     "dev_acc": dev_acc,
                     "refreshes": self.refreshes,
-                    "spans": self.counter.processed_spans,
+                    "spans": self.processed_spans,
                 }
             )
         return metrics

@@ -27,13 +27,7 @@ PARAGRAPH = "paragraph"
 
 PUNCTUATION = ",;.:!?"
 
-# human-readable relation labels, in render order
-_RELATION_LABELS = {
-    "instance_of": "instance of",
-    "subclass_of": "subclass of",
-    "country": "country",
-    "occupation": "occupation",
-}
+_SOFT_LIMIT = 50  # soft-truncation limit of every non-paragraph component
 
 FORMAT_NAMES = (
     "title",
@@ -47,11 +41,10 @@ FORMAT_NAMES = (
 
 @dataclass(frozen=True)
 class FormatSpec:
-    """Which components to render, in which order, and the length limits."""
+    """Which components to render, in which order, and the paragraph limit."""
 
     components: tuple[str, ...] = (TITLE,)
     paragraph_limit: int = 100
-    soft_limit: int = 50
 
     def __post_init__(self):
         if not self.components or self.components[0] != TITLE:
@@ -66,8 +59,6 @@ class FormatSpec:
             raise ValidationError("description and paragraph are mutually exclusive")
         if PARAGRAPH in self.components and self.paragraph_limit not in (100, 500):
             raise ValidationError("paragraph_limit must be 100 or 500")
-        if self.soft_limit < 1:
-            raise ValidationError("soft_limit must be >= 1")
 
     @classmethod
     def from_name(cls, name: str) -> "FormatSpec":
@@ -92,7 +83,6 @@ class FormatSpec:
 class Verbalization:
     text: str
     title_char_span: tuple[int, int]
-    entity_id: str
 
 
 def truncate_soft(text: str, limit: int) -> str:
@@ -117,7 +107,7 @@ def _render_categories(record: EntityRecord) -> str:
     for key in RELATION_KEYS:
         values = record.categories.get(key) or []
         if values:
-            parts.append(f"{_RELATION_LABELS[key]}: {', '.join(values)}")
+            parts.append(f"{key.replace('_', ' ')}: {', '.join(values)}")
     return "; ".join(parts)
 
 
@@ -127,16 +117,16 @@ def verbalize(record: EntityRecord, spec: FormatSpec) -> Verbalization:
     Output is ``title`` alone, or ``title; tail`` where the tail
     comma-joins the remaining components in spec order, each
     soft-truncated on its own (the paragraph component uses
-    paragraph_limit, others soft_limit). Empty components are skipped.
+    paragraph_limit, others a limit of 50). Empty components are skipped.
     """
     tail_parts: list[str] = []
     for comp in spec.components:
         if comp == TITLE:
             continue
         if comp == DESCRIPTION:
-            rendered, limit = record.description or "", spec.soft_limit
+            rendered, limit = record.description or "", _SOFT_LIMIT
         elif comp == CATEGORIES:
-            rendered, limit = _render_categories(record), spec.soft_limit
+            rendered, limit = _render_categories(record), _SOFT_LIMIT
         else:  # PARAGRAPH
             rendered, limit = record.paragraph or "", spec.paragraph_limit
         if rendered:
@@ -145,9 +135,7 @@ def verbalize(record: EntityRecord, spec: FormatSpec) -> Verbalization:
     text = record.title
     if tail_parts:
         text = f"{record.title}; {', '.join(tail_parts)}"
-    return Verbalization(
-        text=text, title_char_span=(0, len(record.title)), entity_id=record.id
-    )
+    return Verbalization(text=text, title_char_span=(0, len(record.title)))
 
 
 def verbalize_all(

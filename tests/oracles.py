@@ -2,9 +2,10 @@
 
 These are the straightforward forms the library no longer runs: the
 per-sequence encoder forward and backward, the token-range scan, the
-training step that encodes one label at a time, and the forward-only
-losses. Library results must match them bit for bit (encoder, token
-range, training step) or to the stated tolerance (loss values).
+training step that encodes one label at a time, the scalar similarity
+and the forward-only losses. Library results must match them bit for
+bit (encoder, token range, training step) or to the stated tolerance
+(similarities, loss values).
 """
 
 import math
@@ -15,7 +16,14 @@ from dualed import trainer as tm
 from dualed.encoder import EncoderGrads, pool_span, pool_span_backward, tokenize
 from dualed.errors import ValidationError
 from dualed.label_index import mine_hard_negatives, sample_in_batch_negatives, write_back
-from dualed.losses import TRIPLET, _check_triplet_inputs, loss_gradients, similarity
+from dualed.losses import (
+    DOT,
+    EUCLIDEAN,
+    TRIPLET,
+    _EPSILON,
+    _check_triplet_inputs,
+    loss_gradients,
+)
 
 # ── the encoder, one sequence at a time ──────────────────────────────────────
 
@@ -108,7 +116,7 @@ def train_step_per_label(trainer, batch):
     batch_mentions = sum(len(c.mentions) for c in batch)
     if config.iterative and batch_mentions:
         prepared, excluded = tm.apply_iterative_insertions(
-            batch, trainer.records, config, trainer.counter, trainer.rng,
+            batch, trainer.records, config, trainer.processed_spans, trainer.rng,
             lambda chunk: tm.predict_document(chunk, trainer.mention_params, trainer.cache),
         )
     else:
@@ -191,9 +199,9 @@ def train_step_per_label(trainer, batch):
         for label_id in sorted(label_forward):
             write_back(trainer.cache, label_id, label_forward[label_id][2])
             write_log.append(label_id)
-    before = trainer.counter.processed_spans
-    trainer.counter.processed_spans += batch_mentions
-    fires = trainer._interval_refreshes(before, trainer.counter.processed_spans)
+    before = trainer.processed_spans
+    trainer.processed_spans += batch_mentions
+    fires = trainer._interval_refreshes(before, trainer.processed_spans)
     return tm.StepStats(
         loss=total_loss / n_terms if n_terms else 0.0, loss_terms=n_terms,
         spans=batch_mentions, refreshes=fires, skipped_unlinkable=skipped,
@@ -201,7 +209,19 @@ def train_step_per_label(trainer, batch):
     )
 
 
-# ── forward-only losses ──────────────────────────────────────────────────────
+# ── the scalar similarity and forward-only losses ────────────────────────────
+
+
+def similarity(a, b, spec):
+    """One pair's similarity under ``spec``, with the library's cosine floor."""
+    if a.shape != b.shape:
+        raise ValidationError(f"width mismatch: {a.shape} vs {b.shape}")
+    if spec.kind == DOT:
+        return float(a @ b)
+    if spec.kind == EUCLIDEAN:
+        return -float(np.linalg.norm(a - b))
+    denom = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), _EPSILON)
+    return float(a @ b) / denom
 
 
 def triplet_loss(anchor, positive, negatives, spec, margin):

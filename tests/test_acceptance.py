@@ -27,13 +27,12 @@ from dualed.losses import (
     LossSpec,
     SimilaritySpec,
     loss_gradients,
-    similarity,
 )
 from dualed.predictor import predict_document, predict_iterative, target_label_set
 from dualed.synthetic import make_task, write_corpus_file, write_label_file
 from dualed.trainer import TrainConfig, Trainer
 from dualed.verbalizer import FormatSpec, truncate_soft, verbalize, verbalize_all
-from oracles import loss_value
+from oracles import loss_value, similarity
 
 SEEDS = (0, 1, 2)
 

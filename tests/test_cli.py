@@ -130,6 +130,8 @@ class TestTrainPredictEvalPipeline:
                    "--json-out", report_file) == 0
         report = json.loads(report_file.read_text())
         changes = report["changes"]
+        assert list(changes) == ["correct", "incorrect_to_correct", "correct_to_incorrect",
+                                 "incorrect", "first_pass_accuracy", "last_pass_accuracy"]
         four = (changes["correct"] + changes["incorrect_to_correct"]
                 + changes["correct_to_incorrect"] + changes["incorrect"])
         assert four == report["mentions"]
@@ -156,7 +158,9 @@ class TestTrainPredictEvalPipeline:
         records = load_label_set(workspace / "labels.jsonl")
         config = TrainConfig(verbalization="title_desc", vocab_size=label.vocab_size,
                              dim=label.dim, window=label.window)
-        cache = Trainer(records, config, mention, label).eval_cache()
+        trainer = Trainer(records, config)
+        trainer.mention_params, trainer.label_params = mention, label
+        cache = trainer.eval_cache()
         limits = (config.max_mentions_per_chunk, config.max_chars_per_chunk)
         expected = predict_corpus(load_corpus(workspace / "dev.jsonl"), mention, cache,
                                   records, limits).final
@@ -224,8 +228,7 @@ class TestAblateCommand:
     def test_single_variant_single_seed_sd_zero(self, workspace):
         from dualed.cli import AblationPlan, run_ablation
 
-        plan = AblationPlan(axis="pooling",
-                            variants=[("mean", {"pooling": "mean"})], seeds=[0])
+        plan = AblationPlan(variants=[("mean", {"pooling": "mean"})], seeds=[0])
         base = {
             "epochs": "1", "lr": "0.5", "vocab_size": "4096", "dim": "8",
             "window": "4", "neg_count": "2",
@@ -294,6 +297,21 @@ class TestExitCodes:
             pytest.param(["--insert-fraction", "nan"], None, "insert_fraction",
                          id="insert-nan-flag"),
             pytest.param([], "corrupt_rate=NaN\n", "corrupt_rate", id="corrupt-nan-config"),
+            pytest.param(["--dim", "-1"], None, "dim", id="dim-negative-flag"),
+            pytest.param(["--dim", "0"], None, "dim", id="dim-zero-flag"),
+            pytest.param(["--vocab-size", "-4", "--epochs", "0"], None, "vocab_size",
+                         id="vocab-negative-flag"),
+            pytest.param(["--seed", "-1", "--epochs", "0"], None, "seed",
+                         id="seed-negative-flag"),
+            pytest.param(["--window", "-1"], None, "window", id="window-negative-flag"),
+            pytest.param(["--refresh-interval-spans", "-100"], None,
+                         "refresh_interval_spans", id="refresh-negative-flag"),
+            pytest.param(["--loss", "foo", "--epochs", "0"], None, "loss",
+                         id="loss-unknown-flag"),
+            pytest.param(["--max-chars-per-chunk", "0", "--epochs", "0"], None,
+                         "max_chars_per_chunk", id="chars-zero-flag"),
+            pytest.param([], "max_mentions_per_chunk=0\nepochs=0\n",
+                         "max_mentions_per_chunk", id="mentions-zero-config"),
         ],
     )
     def test_malformed_config_value_is_validation_error(

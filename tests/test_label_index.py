@@ -25,9 +25,9 @@ from dualed.label_index import (
     top_rows,
     write_back,
 )
-from dualed.losses import SIMILARITY_KINDS, SimilaritySpec, similarity, similarity_to_matrix
+from dualed.losses import SIMILARITY_KINDS, SimilaritySpec, similarity_to_matrix
 from dualed.verbalizer import FormatSpec, verbalize_all
-from oracles import encode_one
+from oracles import encode_one, similarity
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
 

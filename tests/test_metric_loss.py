@@ -14,10 +14,9 @@ from dualed.losses import (
     SimilaritySpec,
     default_margin,
     loss_gradients,
-    similarity,
     similarity_to_matrix,
 )
-from oracles import cross_entropy_loss, loss_value, triplet_loss
+from oracles import cross_entropy_loss, loss_value, similarity, triplet_loss
 
 COSINE = SimilaritySpec(kind="cosine")
 DOT = SimilaritySpec(kind="dot")

@@ -10,7 +10,6 @@ from dualed.corpus import Chunk, Document, Mention
 from dualed.errors import ValidationError
 from dualed.synthetic import make_task
 from dualed.trainer import (
-    SpanCounter,
     TrainConfig,
     Trainer,
     apply_iterative_insertions,
@@ -242,7 +241,7 @@ class TestIterativeInsertions:
             ],
         )
         prepared, excluded = apply_iterative_insertions(
-            [chunk], task.records, trainer.config, SpanCounter(0),
+            [chunk], task.records, trainer.config, 0,
             np.random.default_rng(0), predict_fn=None,
         )
         assert len(excluded) == 3  # ceil(9 / 3)
@@ -259,7 +258,7 @@ class TestIterativeInsertions:
             mentions=[Mention(4, 7, "E00", "aaa"), Mention(14, 17, "E01", "bbb")],
         )
         prepared, excluded = apply_iterative_insertions(
-            [chunk], task.records, config, SpanCounter(0),
+            [chunk], task.records, config, 0,
             np.random.default_rng(1), predict_fn=None,
         )
         assert len(excluded) == 2
@@ -272,7 +271,7 @@ class TestIterativeInsertions:
         mentions = [Mention(7 * i, 7 * i + 6, f"E{i:02d}", "babdab") for i in range(10)]
         chunk = Chunk(parent_doc="d", text=" ".join(["babdab"] * 10), mentions=mentions)
         prepared, excluded = apply_iterative_insertions(
-            [chunk], task.records, config, SpanCounter(0),
+            [chunk], task.records, config, 0,
             np.random.default_rng(2), predict_fn=None,
         )
         assert len(excluded) == 10
@@ -304,7 +303,7 @@ class TestIterativeInsertions:
             ]
 
         prepared, excluded = apply_iterative_insertions(
-            [chunk], task.records, trainer.config, SpanCounter(50),
+            [chunk], task.records, trainer.config, 50,
             np.random.default_rng(3), predict_fn=fake_predict,
         )
         assert calls, "prediction path must be used after the switch"
@@ -329,7 +328,7 @@ class TestIterativeInsertions:
         # recover the prepared (inserted) texts and remapped spans
         prep_trainer, _ = make_trainer(task=task, **overrides)
         prepared, excluded = apply_iterative_insertions(
-            batch, task.records, prep_trainer.config, SpanCounter(0),
+            batch, task.records, prep_trainer.config, 0,
             np.random.default_rng(prep_trainer.config.seed), predict_fn=None,
         )
         assert excluded == stats_a.excluded

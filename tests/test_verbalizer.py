@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dualed.corpus import EntityRecord
+from dualed.corpus import RELATION_KEYS, EntityRecord
 from dualed.errors import ValidationError
 from dualed.verbalizer import FormatSpec, truncate_soft, verbalize
 
@@ -48,6 +48,21 @@ class TestGoldenRenderings:
             "Wembley Stadium; instance of: multi-purpose sports venue; "
             "country: United Kingdom"
         )
+
+    def test_every_relation_key_in_relation_keys_order(self):
+        labels = {"instance_of": "instance of", "subclass_of": "subclass of",
+                  "country": "country", "occupation": "occupation"}
+        assert tuple(labels) == RELATION_KEYS
+        for key, label in labels.items():
+            rec = EntityRecord(id="q", title="Q", categories={key: ["v"]})
+            out = verbalize(rec, FormatSpec.from_name("title_cat"))
+            assert out.text == f"Q; {label}: v"
+        # inserted in reverse order; rendered in RELATION_KEYS order, then
+        # soft-truncated before the first punctuation at or past 50 chars
+        rec = EntityRecord(id="q", title="Q", categories={
+            key: [key[0]] for key in reversed(RELATION_KEYS)})
+        out = verbalize(rec, FormatSpec.from_name("title_cat"))
+        assert out.text == "Q; instance of: i; subclass of: s; country: c; occupation"
 
     def test_title_span_recovers_title(self):
         for rec in (EINSTEIN, WEMBLEY):
