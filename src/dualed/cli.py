@@ -20,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import flag_unlinkable, load_corpus, load_label_set
+from .corpus import (
+    _json_kind,
+    _jsonl_objects,
+    flag_unlinkable,
+    load_corpus,
+    load_label_set,
+)
 from .encoder import POOLING_METHODS, load_checkpoint, save_checkpoint
 from .errors import ValidationError
 from .evaluator import change_analysis, score
@@ -200,16 +206,27 @@ def cmd_predict(args) -> int:
 
 def _load_predictions(path) -> dict[tuple[str, int, int], str]:
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    try:
+        for line_no, obj in _jsonl_objects(path):
             try:
-                obj = json.loads(line)
-                out[(obj["doc"], int(obj["start"]), int(obj["end"]))] = obj["pred"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValidationError(f"{path}: line {line_no}: {exc}") from exc
+                doc, start, end, pred = (obj[k] for k in ("doc", "start", "end", "pred"))
+            except KeyError as exc:
+                raise ValidationError(f"line {line_no}: missing key {exc}") from exc
+            for name, value in (("doc", doc), ("pred", pred)):
+                if not isinstance(value, str):
+                    raise ValidationError(
+                        f"line {line_no}: {name} must be a string, got {_json_kind(value)}"
+                    )
+            try:
+                key = (doc, int(start), int(end))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(
+                    f"line {line_no}: start and end must be integers, "
+                    f"got {start!r} and {end!r}"
+                ) from exc
+            out[key] = pred
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     return out
 
 

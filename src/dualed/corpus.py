@@ -23,6 +23,7 @@ a mention span.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,10 +80,52 @@ class Chunk:
     parent_offset: int = 0
 
 
+def _jsonl_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL file; a
+    line that is not JSON, or not a JSON object, is a ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"line {line_no}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValidationError(
+                    f"line {line_no}: expected a JSON object, got {_json_kind(obj)}"
+                )
+            yield line_no, obj
+
+
+def _json_kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, str):
+        return "a string"
+    return "an array" if isinstance(value, list) else "an object"
+
+
+def _typed(obj: dict, key: str, kind: type, default, where: str):
+    """``obj[key]`` (``default`` when absent or null), which must be a ``kind``."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        expected = {list: "an array", dict: "an object", str: "a string"}[kind]
+        raise ValidationError(f"{where}: {key} must be {expected}, got {_json_kind(value)}")
+    return value
+
+
 def _parse_mention(obj: dict, text: str, doc_id: str, line_no: int) -> Mention:
     try:
         start, end, label = int(obj["start"]), int(obj["end"]), str(obj["label"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"line {line_no}: document {doc_id!r}: malformed mention {obj!r}: {exc}"
         ) from exc
@@ -108,39 +151,30 @@ def load_corpus(path: str | Path) -> list[Document]:
     """
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {line_no}: malformed JSON: {exc}") from exc
-            try:
-                doc_id, text = str(obj["id"]), str(obj["text"])
-            except KeyError as exc:
-                raise ValidationError(f"line {line_no}: missing key {exc}") from exc
-            if doc_id in seen_ids:
-                raise ValidationError(f"line {line_no}: duplicate document id {doc_id!r}")
-            seen_ids.add(doc_id)
+    for line_no, obj in _jsonl_objects(path):
+        try:
+            doc_id, text = str(obj["id"]), str(obj["text"])
+        except KeyError as exc:
+            raise ValidationError(f"line {line_no}: missing key {exc}") from exc
+        if doc_id in seen_ids:
+            raise ValidationError(f"line {line_no}: duplicate document id {doc_id!r}")
+        seen_ids.add(doc_id)
 
-            mentions = [
-                _parse_mention(m, text, doc_id, line_no)
-                for m in obj.get("mentions", [])
-            ]
-            mentions.sort(key=lambda m: m.start)
-            for prev, cur in zip(mentions, mentions[1:]):
-                if cur.start < prev.end:
-                    raise ValidationError(
-                        f"line {line_no}: document {doc_id!r}: overlapping mentions "
-                        f"({prev.start}, {prev.end}) and ({cur.start}, {cur.end})"
-                    )
-            if mentions and not text:
+        where = f"line {line_no}: document {doc_id!r}"
+        mentions = [
+            _parse_mention(m, text, doc_id, line_no)
+            for m in _typed(obj, "mentions", list, [], where)
+        ]
+        mentions.sort(key=lambda m: m.start)
+        for prev, cur in zip(mentions, mentions[1:]):
+            if cur.start < prev.end:
                 raise ValidationError(
-                    f"line {line_no}: document {doc_id!r}: empty text with mentions"
+                    f"{where}: overlapping mentions "
+                    f"({prev.start}, {prev.end}) and ({cur.start}, {cur.end})"
                 )
-            docs.append(Document(id=doc_id, text=text, mentions=mentions))
+        if mentions and not text:
+            raise ValidationError(f"{where}: empty text with mentions")
+        docs.append(Document(id=doc_id, text=text, mentions=mentions))
     return docs
 
 
@@ -151,42 +185,37 @@ def load_label_set(path: str | Path) -> dict[str, EntityRecord]:
     """
     records: dict[str, EntityRecord] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {line_no}: malformed JSON: {exc}") from exc
-            try:
-                rec_id, title = str(obj["id"]), str(obj["title"])
-            except KeyError as exc:
-                raise ValidationError(f"line {line_no}: missing key {exc}") from exc
-            if not title:
-                raise ValidationError(f"line {line_no}: entity {rec_id!r}: empty title")
-            if rec_id in records:
-                raise ValidationError(
-                    f"duplicate entity id {rec_id!r} on lines "
-                    f"{first_line[rec_id]} and {line_no}"
-                )
-            categories: dict[str, list[str]] = {}
-            for key, values in (obj.get("categories") or {}).items():
-                if key not in RELATION_KEYS:
-                    raise ValidationError(
-                        f"line {line_no}: entity {rec_id!r}: unknown relation key {key!r} "
-                        f"(expected one of {', '.join(RELATION_KEYS)})"
-                    )
-                categories[key] = [str(v) for v in values]
-            records[rec_id] = EntityRecord(
-                id=rec_id,
-                title=title,
-                description=obj.get("description") or None,
-                categories=categories,
-                paragraph=obj.get("paragraph") or None,
+    for line_no, obj in _jsonl_objects(path):
+        try:
+            rec_id, title = str(obj["id"]), str(obj["title"])
+        except KeyError as exc:
+            raise ValidationError(f"line {line_no}: missing key {exc}") from exc
+        where = f"line {line_no}: entity {rec_id!r}"
+        if not title:
+            raise ValidationError(f"{where}: empty title")
+        if rec_id in records:
+            raise ValidationError(
+                f"duplicate entity id {rec_id!r} on lines "
+                f"{first_line[rec_id]} and {line_no}"
             )
-            first_line[rec_id] = line_no
+        raw_categories = _typed(obj, "categories", dict, {}, where)
+        categories: dict[str, list[str]] = {}
+        for key in raw_categories:
+            if key not in RELATION_KEYS:
+                raise ValidationError(
+                    f"{where}: unknown relation key {key!r} "
+                    f"(expected one of {', '.join(RELATION_KEYS)})"
+                )
+            values = _typed(raw_categories, key, list, [], f"{where}: categories")
+            categories[key] = [str(v) for v in values]
+        records[rec_id] = EntityRecord(
+            id=rec_id,
+            title=title,
+            description=_typed(obj, "description", str, "", where) or None,
+            categories=categories,
+            paragraph=_typed(obj, "paragraph", str, "", where) or None,
+        )
+        first_line[rec_id] = line_no
     return records
 
 

@@ -154,25 +154,15 @@ class EncoderParams:
 class EncoderGrads:
     """Gradients for one parameter set.
 
-    ``table`` is row-sparse when ``rows`` is set: row i is the gradient
-    of embedding-table row ``rows[i]``, and every other row's gradient
-    is zero. Without ``rows`` it is the dense (V, d) gradient.
+    ``table`` is row-sparse: row i is the gradient of embedding-table row
+    ``rows[i]``, and every other row's gradient is zero.
     """
 
     table: np.ndarray
     w_self: np.ndarray
     w_ctx: np.ndarray
     bias: np.ndarray
-    rows: np.ndarray | None = None
-
-    @classmethod
-    def zeros_like(cls, p: EncoderParams) -> "EncoderGrads":
-        return cls(
-            table=np.zeros_like(p.table),
-            w_self=np.zeros_like(p.w_self),
-            w_ctx=np.zeros_like(p.w_ctx),
-            bias=np.zeros_like(p.bias),
-        )
+    rows: np.ndarray
 
 
 # ── forward / backward ───────────────────────────────────────────────────────
@@ -400,7 +390,7 @@ def save_checkpoint(path, mention: EncoderParams, label: EncoderParams) -> None:
         fh.write(struct.pack("<III", mention.vocab_size, mention.dim, mention.window))
         for p in (mention, label):
             for tensor in (p.table, p.w_self, p.w_ctx, p.bias):
-                fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+                fh.write(memoryview(np.ascontiguousarray(tensor, dtype="<f4")))
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams]:

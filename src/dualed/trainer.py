@@ -22,6 +22,7 @@ in the text.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -329,7 +330,6 @@ class Trainer:
         )
         self.processed_spans = 0
         self.refreshes = 0
-        self._grads: tuple[EncoderGrads, EncoderGrads] | None = None
 
     # -- cache scheduling --
 
@@ -498,38 +498,27 @@ class Trainer:
         """The step's backward passes and one clipped update of both encoders.
 
         The mention backward runs per chunk; the label backward runs once,
-        grouped (``_label_grads``). Results are added to one dense buffer
-        per encoder in chunk order and in label order.
+        grouped (``_label_grads``). Results are added to one compact
+        buffer per encoder (``_zero_grads``) in chunk order and in label
+        order.
         """
         config = self.config
-        mention_grads, label_grads = self._step_grads()
+        mention_grads = _zero_grads(
+            self.mention_params, [seq for seq, _ in mention_upstreams]
+        )
+        label_grads = _zero_grads(
+            self.label_params, [self.label_tokens.seqs[i] for i in label_ids]
+        )
         for seq, upstream in mention_upstreams:
             _accumulate(mention_grads, encoder_backward(seq, self.mention_params, upstream))
         self._label_grads(label_ids, label_upstream, label_grads)
         _scale(mention_grads, 1.0 / n_terms)
         _scale(label_grads, 1.0 / n_terms)
-        _clip_global_norm(mention_grads, label_grads, config.clip_norm)
+        _clip_global_norm(
+            mention_grads, label_grads, config.clip_norm, config.vocab_size
+        )
         _apply_update(self.mention_params, mention_grads, config.lr)
         _apply_update(self.label_params, label_grads, config.lr)
-
-    def _step_grads(self) -> tuple[EncoderGrads, EncoderGrads]:
-        """Zeroed dense gradient buffers of the mention and label encoders.
-
-        They are kept for the steps of an epoch, not allocated per step:
-        between steps the label block passes' mid-size arrays can split
-        freed (V, d) tables on the heap, and peak RSS then grew by a whole
-        table in some runs.
-        """
-        if self._grads is None:
-            self._grads = (
-                EncoderGrads.zeros_like(self.mention_params),
-                EncoderGrads.zeros_like(self.label_params),
-            )
-        else:
-            for grads in self._grads:
-                for t in (grads.table, grads.w_self, grads.w_ctx, grads.bias):
-                    t.fill(0.0)
-        return self._grads
 
     def _label_grads(
         self, label_ids: list[str], upstream: np.ndarray, into: EncoderGrads
@@ -540,7 +529,7 @@ class Trainer:
         Labels go through the block backward a window of _BLOCK at a
         time, so one window's token gradients and per-label results (views
         of stacked blocks) are alive at once; returning releases the last
-        of them before the dense update runs.
+        of them before the update runs.
         """
         tokens, config = self.label_tokens, self.config
         for start in range(0, len(label_ids), _BLOCK):
@@ -591,7 +580,6 @@ class Trainer:
                 stats = self.train_step(batch)
                 epoch_loss += stats.loss * stats.loss_terms
                 epoch_terms += stats.loss_terms
-            self._grads = None  # evaluation and the caller need no gradients
             dev_acc = self.evaluate(dev_corpus) if dev_corpus is not None else None
             metrics.append(
                 {
@@ -605,9 +593,31 @@ class Trainer:
         return metrics
 
 
+# ── the sparse step ──────────────────────────────────────────────────────────
+#
+# Only the token ids of a step's chunks and labels get a table gradient, so
+# the step keeps each encoder's table gradient as a compact (R, d) buffer
+# over those rows and adds every backward call's rows in call order. Scale
+# and update touch those rows alone: for any other row the update is
+# x - lr * 0.0, which is x. The clip norm still sums the squares of the
+# whole (V, d) table as np.sum does (``_table_square_sum``).
+
+
+def _zero_grads(params: EncoderParams, seqs: list) -> EncoderGrads:
+    """Zero gradients whose table rows are the sequences' token ids."""
+    rows = np.unique(np.concatenate([seq.token_ids for seq in seqs]))
+    return EncoderGrads(
+        table=np.zeros((len(rows), params.dim)),
+        w_self=np.zeros_like(params.w_self),
+        w_ctx=np.zeros_like(params.w_ctx),
+        bias=np.zeros_like(params.bias),
+        rows=rows,
+    )
+
+
 def _accumulate(into: EncoderGrads, grads: EncoderGrads) -> None:
-    """Add one backward call's row-sparse gradients into a dense step buffer."""
-    into.table[grads.rows] += grads.table
+    """Add one backward call's gradients; its rows are a subset of ``into.rows``."""
+    into.table[np.searchsorted(into.rows, grads.rows)] += grads.table
     into.w_self += grads.w_self
     into.w_ctx += grads.w_ctx
     into.bias += grads.bias
@@ -620,14 +630,13 @@ def _scale(grads: EncoderGrads, factor: float) -> None:
     grads.bias *= factor
 
 
-def _clip_global_norm(a: EncoderGrads, b: EncoderGrads, max_norm: float) -> None:
+def _clip_global_norm(
+    a: EncoderGrads, b: EncoderGrads, max_norm: float, vocab_size: int
+) -> None:
     """Scale both gradients to a global norm of at most ``max_norm``."""
     total = 0.0
-    # one scratch table holds each embedding table's squares in turn
-    squares = np.empty((max(len(a.table), len(b.table)), a.table.shape[1]))
     for g in (a, b):
-        table_squares = np.multiply(g.table, g.table, out=squares[: len(g.table)])
-        total += float(np.sum(table_squares))
+        total += _table_square_sum(g.rows, g.table * g.table, vocab_size)
         for t in (g.w_self, g.w_ctx, g.bias):
             total += float(np.sum(t * t))
     norm = math.sqrt(total)
@@ -639,7 +648,139 @@ def _clip_global_norm(a: EncoderGrads, b: EncoderGrads, max_norm: float) -> None
 def _apply_update(params: EncoderParams, grads: EncoderGrads, lr: float) -> None:
     """params -= lr * grads, with lr * grads formed in place in ``grads``."""
     _scale(grads, lr)
-    params.table -= grads.table
+    params.table[grads.rows] -= grads.table
     params.w_self -= grads.w_self
     params.w_ctx -= grads.w_ctx
     params.bias -= grads.bias
+
+
+# numpy sums a contiguous float64 array as 0.0 plus one pairwise sum over
+# all n elements (Higham 2002, §4.2). A run of more than 128 elements splits
+# at n // 2 rounded down to a multiple of 8. A leaf of m <= 128 elements runs
+# 8 interleaved accumulators over its first m - m % 8 elements, combines
+# them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then adds the
+# rest in order. The block size and the lane count are numpy internals, so
+# ``_emulation_exact`` checks them once per process against np.sum.
+_PAIRWISE_LEAF = 128
+_LANES = 8
+
+
+@dataclass(frozen=True)
+class _PairwiseTree:
+    """numpy's summation tree over n elements, one level per depth.
+
+    Nodes are numbered breadth first, so depth k is ``nodes[k]:nodes[k+1]``
+    and the two children of its i-th internal node are the nodes 2i and
+    2i + 1 of depth k + 1. Leaves are listed in element order.
+    """
+
+    nodes: np.ndarray        # first node number of each depth, then the node count
+    internal: list           # per depth, node numbers of its internal nodes
+    leaf_start: np.ndarray   # (L,) first element of each leaf, ascending
+    leaf_main: np.ndarray    # (L,) elements summed by the 8 accumulators
+    leaf_node: np.ndarray    # (L,) node number of each leaf
+
+
+@functools.lru_cache(maxsize=4)
+def _pairwise_tree(n: int) -> _PairwiseTree:
+    starts, lengths = np.zeros(1, np.int64), np.array([n], np.int64)
+    nodes, internal, leaves = [0], [], []
+    while True:
+        split = lengths > _PAIRWISE_LEAF
+        numbers = nodes[-1] + np.arange(len(lengths))
+        internal.append(numbers[split])
+        leaves.append((starts[~split], lengths[~split], numbers[~split]))
+        nodes.append(nodes[-1] + len(lengths))
+        if not split.any():
+            break
+        half = lengths[split] // 2
+        half -= half % _LANES
+        starts = np.stack([starts[split], starts[split] + half], axis=1).ravel()
+        lengths = np.stack([half, lengths[split] - half], axis=1).ravel()
+    start, length, node = (np.concatenate(parts) for parts in zip(*leaves))
+    order = np.argsort(start)
+    return _PairwiseTree(
+        nodes=np.array(nodes),
+        internal=internal,
+        leaf_start=start[order],
+        leaf_main=(length - length % _LANES)[order],
+        leaf_node=node[order],
+    )
+
+
+def _pairwise_sum(rows: np.ndarray, squares: np.ndarray, vocab_size: int) -> float:
+    """np.sum of a (vocab_size, d) table that is zero outside ``rows``
+    (ascending, unique), where it holds ``squares``, with np.sum's bits.
+
+    Only leaves that hold a touched row are summed; every other leaf, and
+    every subtree of them, sums to +0.0, and x + 0.0 is x for the
+    non-negative squares.
+    """
+    if not len(rows):
+        return 0.0
+    d = squares.shape[1]
+    tree = _pairwise_tree(vocab_size * d)
+    # the touched leaves: those from a row's first element to its last
+    n_leaves = len(tree.leaf_start)
+    first = np.searchsorted(tree.leaf_start, rows * d, side="right") - 1
+    last = np.searchsorted(tree.leaf_start, rows * d + (d - 1), side="right")
+    cover = np.bincount(first, minlength=n_leaves + 1) - np.bincount(
+        last, minlength=n_leaves + 1
+    )
+    leaves = np.flatnonzero(np.cumsum(cover[:-1]))
+    # each touched leaf holds a contiguous run of the ascending elements
+    element = (rows[:, None] * d + np.arange(d)).ravel()
+    start = tree.leaf_start[leaves]
+    counts = np.diff(np.searchsorted(element, start), append=len(element))
+    offset = element - np.repeat(start, counts)
+    main = np.repeat(tree.leaf_main[leaves], counts)
+    # one column per touched leaf: its accumulated elements in slots 0..127,
+    # the rest of it in slots 128..135, zeros elsewhere
+    block = np.zeros((_PAIRWISE_LEAF + _LANES, len(leaves)))
+    slot = np.where(offset < main, offset, _PAIRWISE_LEAF + offset - main)
+    column = np.repeat(np.arange(len(leaves)), counts)
+    block.ravel()[slot * len(leaves) + column] = squares.ravel()
+    r = block[:_LANES].copy()
+    for k in range(_LANES, _PAIRWISE_LEAF, _LANES):
+        r += block[k:k + _LANES]
+    sums = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for rest in block[_PAIRWISE_LEAF:]:
+        sums += rest
+
+    values = np.zeros(tree.nodes[-1])
+    values[tree.leaf_node[leaves]] = sums
+    for depth in range(len(tree.internal) - 2, -1, -1):
+        children = values[tree.nodes[depth + 1]:tree.nodes[depth + 2]]
+        values[tree.internal[depth]] = children[0::2] + children[1::2]
+    return float(0.0 + values[0])
+
+
+@functools.cache
+def _emulation_exact() -> bool:
+    """Whether ``_pairwise_sum`` matches this numpy's np.sum bit for bit,
+    on small sparse tables of several shapes: some with short or uneven
+    leaves, some longer than numpy's default 8192-element ufunc buffer."""
+    rng = np.random.default_rng(0)
+    for vocab, d in ((1, 1), (2, 3), (8, 5), (64, 3), (256, 5), (512, 63),
+                     (1024, 8), (1024, 64), (2048, 32)):
+        for touched in (1, max(vocab // 8, 1), vocab):
+            rows = np.sort(rng.choice(vocab, size=touched, replace=False))
+            scale = 10.0 ** rng.uniform(-8, 2, size=(touched, 1))
+            squares = (rng.normal(size=(touched, d)) * scale) ** 2
+            dense = np.zeros((vocab, d))
+            dense[rows] = squares
+            if _pairwise_sum(rows, squares, vocab) != float(np.sum(dense)):
+                return False
+    return True
+
+
+def _table_square_sum(rows: np.ndarray, squares: np.ndarray, vocab_size: int) -> float:
+    """np.sum of the (vocab_size, d) table holding ``squares`` at ``rows``
+    and zeros elsewhere: emulated where ``_emulation_exact`` holds, else a
+    dense scatter and np.sum, so a numpy with another summation order
+    changes the speed and never the bits."""
+    if _emulation_exact():
+        return _pairwise_sum(rows, squares, vocab_size)
+    dense = np.zeros((vocab_size, squares.shape[1]))
+    dense[rows] = squares
+    return float(np.sum(dense))

@@ -9,6 +9,7 @@ bit (encoder, token range, training step) or to the stated tolerance
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,6 +94,24 @@ def token_range_scan(seq, char_span):
 # ── the training step, one label at a time ───────────────────────────────────
 
 
+def zero_grads(params):
+    """Dense zero gradients: a whole (V, d) table."""
+    return SimpleNamespace(**{name: np.zeros_like(getattr(params, name))
+                              for name in ("table", "w_self", "w_ctx", "bias")})
+
+
+def accumulate(into, grads):
+    """Add one backward call's row-sparse gradients into dense ones."""
+    into.table[grads.rows] += grads.table
+    for name in ("w_self", "w_ctx", "bias"):
+        getattr(into, name)[...] += getattr(grads, name)
+
+
+def scale(grads, factor):
+    for name in ("table", "w_self", "w_ctx", "bias"):
+        getattr(grads, name)[...] *= factor
+
+
 def clip_global_norm(a, b, max_norm):
     total = 0.0
     for g in (a, b):
@@ -100,8 +119,8 @@ def clip_global_norm(a, b, max_norm):
             total += float(np.sum(t * t))
     norm = math.sqrt(total)
     if norm > max_norm > 0:
-        tm._scale(a, max_norm / norm)
-        tm._scale(b, max_norm / norm)
+        scale(a, max_norm / norm)
+        scale(b, max_norm / norm)
 
 
 def apply_update(params, grads, lr):
@@ -111,7 +130,9 @@ def apply_update(params, grads, lr):
 
 def train_step_per_label(trainer, batch):
     """``Trainer.train_step`` with every label encoded and back-propagated
-    on its own, at its first use, by the per-sequence oracles above."""
+    on its own, at its first use, by the per-sequence oracles above, and
+    the dense step: zero (V, d) tables, accumulate, scale, np.sum clip,
+    update."""
     config = trainer.config
     batch_mentions = sum(len(c.mentions) for c in batch)
     if config.iterative and batch_mentions:
@@ -129,8 +150,8 @@ def train_step_per_label(trainer, batch):
         k = int(config.neg_count)
     batch_golds = [m.gold_label for c in batch for m in c.mentions if not m.unlinkable]
 
-    mention_grads = EncoderGrads.zeros_like(trainer.mention_params)
-    label_grads = EncoderGrads.zeros_like(trainer.label_params)
+    mention_grads = zero_grads(trainer.mention_params)
+    label_grads = zero_grads(trainer.label_params)
     label_forward, label_upstream = {}, {}
     negatives_used = []
     total_loss, n_terms, skipped = 0.0, 0, 0
@@ -181,16 +202,16 @@ def train_step_per_label(trainer, batch):
             for nid, g in zip(neg_ids, grads.negatives):
                 label_upstream[nid] += g
         if touched:
-            tm._accumulate(mention_grads,
-                           encoder_backward_one(seq, trainer.mention_params, chunk_upstream))
+            accumulate(mention_grads,
+                       encoder_backward_one(seq, trainer.mention_params, chunk_upstream))
     for label_id, (seq, span, _) in label_forward.items():
         upstream = pool_span_backward(
             label_upstream[label_id], span, config.pooling, len(seq), config.dim)
-        tm._accumulate(label_grads, encoder_backward_one(seq, trainer.label_params, upstream))
+        accumulate(label_grads, encoder_backward_one(seq, trainer.label_params, upstream))
 
     if n_terms:
-        tm._scale(mention_grads, 1.0 / n_terms)
-        tm._scale(label_grads, 1.0 / n_terms)
+        scale(mention_grads, 1.0 / n_terms)
+        scale(label_grads, 1.0 / n_terms)
         clip_global_norm(mention_grads, label_grads, config.clip_norm)
         apply_update(trainer.mention_params, mention_grads, config.lr)
         apply_update(trainer.label_params, label_grads, config.lr)

@@ -326,6 +326,38 @@ class TestExitCodes:
         assert code == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, row, key",
+        [
+            pytest.param("verbalize", "[1, 2]", "JSON object", id="label-row-array"),
+            pytest.param("verbalize", '{"id": "a", "title": "A", "categories": ["x"]}',
+                         "categories", id="categories-array"),
+            pytest.param("verbalize",
+                         '{"id": "a", "title": "A", "categories": {"instance_of": 5}}',
+                         "instance_of", id="category-values-number"),
+            pytest.param("predict", "7", "JSON object", id="corpus-row-number"),
+            pytest.param("predict", '{"id": "d", "text": "a b", "mentions": 5}',
+                         "mentions", id="mentions-number"),
+            pytest.param("eval", "[1]", "JSON object", id="prediction-row-array"),
+        ],
+    )
+    def test_malformed_json_row_is_validation_error(
+        self, workspace, tmp_path, capsys, command, row, key
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(row + "\n")
+        argv = {
+            "verbalize": ["--labels", bad, "--format", "title_desc_cat",
+                          "--out", tmp_path / "out"],
+            "predict": ["--corpus", bad, "--labels", workspace / "labels.jsonl",
+                        "--checkpoint", workspace / "nope.bin", "--out", tmp_path / "out"],
+            "eval": ["--pred", bad, "--gold-corpus", workspace / "dev.jsonl"],
+        }[command]
+        code = run(command, *argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 1" in err and key in err
+
     def test_bad_subcommand_is_validation_error(self):
         assert run("frobnicate") == 1
 

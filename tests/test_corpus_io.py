@@ -16,6 +16,7 @@ from dualed.corpus import (
     load_label_set,
 )
 from dualed.errors import ValidationError
+from dualed.verbalizer import FORMAT_NAMES
 from strategies import documents
 
 
@@ -265,3 +266,105 @@ class TestChunkDocument:
         a = chunk_document(doc, 5, 37)
         b = chunk_document(doc, 5, 37)
         assert [c.text for c in a] == [c.text for c in b]
+
+
+# ── rows of any JSON shape ───────────────────────────────────────────────────
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def objects(**fields):
+    """JSON objects in which each key is absent, holds a value of its
+    field's shape, or holds any JSON value."""
+    return st.fixed_dictionaries(
+        {}, optional={key: shape | json_values for key, shape in fields.items()}
+    )
+
+
+def rows(row_shape):
+    """One to three JSONL rows, each of the row shape or any JSON value."""
+    return st.lists(row_shape | json_values, min_size=1, max_size=3)
+
+
+label_rows = objects(
+    id=st.sampled_from(["A", "B"]),
+    title=st.text("ab ", max_size=6),
+    description=st.text("ab ", max_size=8),
+    paragraph=st.text("ab ", max_size=8),
+    categories=st.dictionaries(
+        st.sampled_from(["instance_of", "country", "color"]),
+        st.lists(st.text("ab", max_size=3), max_size=2) | json_values,
+        max_size=2,
+    ),
+)
+corpus_rows = objects(
+    id=st.sampled_from(["d", "e"]),
+    text=st.text("ab !", max_size=12),
+    mentions=st.lists(
+        objects(start=st.integers(-1, 12), end=st.integers(-1, 12),
+                label=st.sampled_from(["A", "B", "Z"])),
+        max_size=3,
+    ),
+)
+prediction_rows = objects(
+    doc=st.just("d"), start=st.integers(0, 4), end=st.integers(0, 4),
+    pred=st.sampled_from(["A", "B"]),
+)
+
+
+@pytest.fixture(scope="module")
+def row_inputs(tmp_path_factory):
+    """A small label set, gold corpus and checkpoint for the row-shape runs."""
+    from dualed.encoder import EncoderParams, save_checkpoint
+
+    root = tmp_path_factory.mktemp("rows")
+    write_jsonl(root / "labels.jsonl", [{"id": "A", "title": "a"}, {"id": "B", "title": "b"}])
+    write_jsonl(root / "gold.jsonl", [{"id": "d", "text": "a b",
+                                       "mentions": [{"start": 0, "end": 1, "label": "A"}]}])
+    params = [EncoderParams.init(16, 2, 1, seed=s) for s in (0, 1)]
+    save_checkpoint(root / "model.bin", *params)
+    return root
+
+
+class TestRowShapes:
+    """Every reader, fed rows of any JSON shape, either accepts them or
+    exits 1 with a ValidationError; nothing exits 2."""
+
+    @staticmethod
+    def run_with(root, rows_, *argv):
+        from dualed.cli import main
+
+        with open(root / "rows.jsonl", "w", encoding="utf-8") as fh:
+            for row in rows_:
+                fh.write(json.dumps(row) + "\n")
+        return main([str(a) for a in argv])
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_=rows(label_rows), fmt=st.sampled_from(FORMAT_NAMES))
+    def test_label_set_rows(self, row_inputs, rows_, fmt):
+        code = self.run_with(row_inputs, rows_, "verbalize", "--labels",
+                             row_inputs / "rows.jsonl", "--format", fmt,
+                             "--out", row_inputs / "out.jsonl")
+        assert code in (0, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_=rows(corpus_rows))
+    def test_corpus_rows(self, row_inputs, rows_):
+        code = self.run_with(row_inputs, rows_, "predict", "--corpus",
+                             row_inputs / "rows.jsonl", "--labels",
+                             row_inputs / "labels.jsonl", "--checkpoint",
+                             row_inputs / "model.bin", "--format", "title",
+                             "--out", row_inputs / "out.jsonl")
+        assert code in (0, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_=rows(prediction_rows))
+    def test_prediction_rows(self, row_inputs, rows_):
+        code = self.run_with(row_inputs, rows_, "eval", "--pred", row_inputs / "rows.jsonl",
+                             "--gold-corpus", row_inputs / "gold.jsonl")
+        assert code in (0, 1)

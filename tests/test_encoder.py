@@ -15,7 +15,6 @@ from dualed.encoder import (
     _pool_block,
     FIRST_LAST,
     MEAN,
-    EncoderGrads,
     EncoderParams,
     TokenSequence,
     encode,
@@ -35,6 +34,7 @@ from oracles import (
     token_range_scan,
     window_counts,
     window_sums,
+    zero_grads,
 )
 
 V = 64  # power of two
@@ -252,7 +252,7 @@ def reference_encoder_backward(seq, params, upstream):
     counts = window_counts(len(seq), params.window)
     ctx = window_sums(emb, params.window) / counts[:, None]
 
-    grads = EncoderGrads.zeros_like(params)
+    grads = zero_grads(params)
     grads.bias += upstream.sum(axis=0)
     grads.w_self += upstream.T @ emb
     grads.w_ctx += upstream.T @ ctx

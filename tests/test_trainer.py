@@ -1,11 +1,16 @@
 """Batching, negative counts, step contracts, insertions, scheduling."""
 
 import inspect
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualed import trainer as tm
 from dualed.corpus import Chunk, Document, Mention
 from dualed.errors import ValidationError
 from dualed.synthetic import make_task
@@ -210,6 +215,75 @@ class TestAgainstPerLabelStep:
                    zip(params_snapshot(grouped), params_snapshot(reference)))
         assert grouped.cache.matrix.tobytes() == reference.cache.matrix.tobytes()
         assert grouped.rng.random() == reference.rng.random()
+
+
+class TestSparseStep:
+    @settings(max_examples=200, deadline=None)
+    @given(log_vocab=st.integers(0, 16), dim=st.sampled_from([1, 3, 5, 8, 32, 64]),
+           touched=st.integers(0, 300), special=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pairwise_emulation_matches_np_sum(self, log_vocab, dim, touched, special, seed):
+        """The clip's sparse square sum, emulated and by the dense fallback,
+        has np.sum's bits over the dense table, with odd and short leaves,
+        rows scaled from 1e-8 to 1e2, inf and nan."""
+        rng = np.random.default_rng(seed)
+        vocab = 1 << log_vocab
+        rows = np.sort(rng.choice(vocab, size=min(touched, vocab), replace=False))
+        values = rng.normal(size=(len(rows), dim)) * 10.0 ** rng.uniform(-8, 2, (len(rows), 1))
+        for _ in range(special if len(rows) else 0):
+            values[rng.integers(len(rows)), rng.integers(dim)] = rng.choice([np.inf, np.nan])
+        squares = values * values
+        dense = np.zeros((vocab, dim))
+        dense[rows] = squares
+        want = np.sum(dense).view(np.uint64)
+        assert np.float64(tm._pairwise_sum(rows, squares, vocab)).view(np.uint64) == want
+        with mock.patch.object(tm, "_emulation_exact", lambda: False):
+            fallback = tm._table_square_sum(rows, squares, vocab)
+        assert np.float64(fallback).view(np.uint64) == want
+
+    @pytest.mark.parametrize("emulated", [True, False])
+    def test_clipped_steps_equal_the_per_label_oracle(self, monkeypatch, emulated):
+        """With the clip firing in every step, the emulated square sum and
+        the dense fallback (taken where the emulation does not hold) both
+        keep the oracle's bits."""
+        if not emulated:
+            def fail(*args):
+                raise AssertionError("the emulation ran")
+
+            monkeypatch.setattr(tm, "_emulation_exact", lambda: False)
+            monkeypatch.setattr(tm, "_pairwise_sum", fail)
+        task = make_task(n_entities=90, n_surfaces=18, train_mentions=90,
+                         dev_mentions=20, seed=4)
+        limits = (100, 2800)
+        # gradient norms here run from 0.33 to 0.70, so a 0.3 clip fires
+        # in every step; the unclipped control shows that it changes them
+        clipped = small_config(refresh_interval_spans=40, lr=0.5, clip_norm=0.3)
+        trainer, reference, control = (
+            Trainer(task.records, config)
+            for config in (clipped, clipped, small_config(refresh_interval_spans=40, lr=0.5))
+        )
+        for t in (trainer, reference, control):
+            t.refresh_cache()
+        for batch in make_batches(task.train_docs, clipped.batch_docs, limits, seed=[0, 0]):
+            assert trainer.train_step(batch) == train_step_per_label(reference, batch)
+            control.train_step(batch)
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(params_snapshot(trainer), params_snapshot(reference)))
+        assert not params_equal(params_snapshot(trainer), params_snapshot(control))
+
+    def test_step_allocates_less_than_one_table(self):
+        """A step at V=65536, d=32 never holds a (V, d) float64 table."""
+        task = tiny_task()
+        trainer, _ = make_trainer(task=task, vocab_size=1 << 16, dim=32)
+        batch = make_batches(task.train_docs, 4, (100, 2800), seed=2)[0]
+        tracemalloc.start()
+        try:
+            stats = trainer.train_step(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.loss_terms
+        assert peak < (1 << 16) * 32 * 8
 
 
 class TestLossDecrease:
