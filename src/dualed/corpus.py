@@ -122,13 +122,32 @@ def _typed(obj: dict, key: str, kind: type, default, where: str):
     return value
 
 
+def _string(obj: dict, key: str, where: str, numbers: bool = False) -> str:
+    """``obj[key]``, which must be present and a string (or, with
+    ``numbers``, a number, taken in its string form)."""
+    if key not in obj:
+        raise ValidationError(f"{where}: missing key {key!r}")
+    return _as_string(obj[key], key, where, numbers)
+
+
+def _as_string(value, key: str, where: str, numbers: bool) -> str:
+    if isinstance(value, str):
+        return value
+    if numbers and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    expected = "a string or a number" if numbers else "a string"
+    raise ValidationError(f"{where}: {key} must be {expected}, got {_json_kind(value)}")
+
+
 def _parse_mention(obj: dict, text: str, doc_id: str, line_no: int) -> Mention:
     try:
-        start, end, label = int(obj["start"]), int(obj["end"]), str(obj["label"])
+        start, end, label = int(obj["start"]), int(obj["end"]), obj["label"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(
             f"line {line_no}: document {doc_id!r}: malformed mention {obj!r}: {exc}"
         ) from exc
+    label = _as_string(label, "label", f"line {line_no}: document {doc_id!r}: mention",
+                       numbers=True)
     if start >= end:
         raise ValidationError(
             f"line {line_no}: document {doc_id!r}: mention start >= end ({start} >= {end})"
@@ -152,10 +171,8 @@ def load_corpus(path: str | Path) -> list[Document]:
     docs: list[Document] = []
     seen_ids: set[str] = set()
     for line_no, obj in _jsonl_objects(path):
-        try:
-            doc_id, text = str(obj["id"]), str(obj["text"])
-        except KeyError as exc:
-            raise ValidationError(f"line {line_no}: missing key {exc}") from exc
+        doc_id = _string(obj, "id", f"line {line_no}", numbers=True)
+        text = _string(obj, "text", f"line {line_no}: document {doc_id!r}")
         if doc_id in seen_ids:
             raise ValidationError(f"line {line_no}: duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)
@@ -186,11 +203,9 @@ def load_label_set(path: str | Path) -> dict[str, EntityRecord]:
     records: dict[str, EntityRecord] = {}
     first_line: dict[str, int] = {}
     for line_no, obj in _jsonl_objects(path):
-        try:
-            rec_id, title = str(obj["id"]), str(obj["title"])
-        except KeyError as exc:
-            raise ValidationError(f"line {line_no}: missing key {exc}") from exc
+        rec_id = _string(obj, "id", f"line {line_no}", numbers=True)
         where = f"line {line_no}: entity {rec_id!r}"
+        title = _string(obj, "title", where)
         if not title:
             raise ValidationError(f"{where}: empty title")
         if rec_id in records:
@@ -207,7 +222,10 @@ def load_label_set(path: str | Path) -> dict[str, EntityRecord]:
                     f"(expected one of {', '.join(RELATION_KEYS)})"
                 )
             values = _typed(raw_categories, key, list, [], f"{where}: categories")
-            categories[key] = [str(v) for v in values]
+            categories[key] = [
+                _as_string(v, f"{key} value", f"{where}: categories", numbers=True)
+                for v in values
+            ]
         records[rec_id] = EntityRecord(
             id=rec_id,
             title=title,

@@ -333,18 +333,24 @@ def pool_span(
     raise ValidationError(f"unknown pooling method {method!r}")
 
 
-def _pool_block(vectors: np.ndarray, spans: np.ndarray, method: str) -> np.ndarray:
-    """``pool_span`` of each stacked sequence: (L, T, d) vectors, (L, 2) spans.
+def _pool_block(
+    vectors: np.ndarray, spans: np.ndarray, method: str, owners: np.ndarray | None = None
+) -> np.ndarray:
+    """``pool_span`` of stacked sequences: (L, T, d) vectors, (M, 2) spans.
 
-    ``first_last`` gathers by fancy indexing; every other method goes
-    through ``pool_span`` row by row, which keeps the bits of ``mean``.
+    Span i pools sequence ``owners[i]`` (sequence i when ``owners`` is
+    None). ``first_last`` gathers by fancy indexing; every other method
+    goes through ``pool_span`` span by span, which keeps the bits of ``mean``.
     """
+    if owners is None:
+        owners = np.arange(len(vectors))
     if method != FIRST_LAST:
-        return np.stack([pool_span(v, span, method) for v, span in zip(vectors, spans)])
+        return np.stack([pool_span(vectors[o], span, method)
+                         for o, span in zip(owners.tolist(), spans)])
     for lo, hi in spans.tolist():
         _check_span(lo, hi, vectors.shape[1])
-    at, lo, hi = np.arange(len(vectors)), spans[:, 0], spans[:, 1]
-    return np.concatenate([vectors[at, lo], vectors[at, hi - 1]], axis=1)
+    lo, hi = spans[:, 0], spans[:, 1]
+    return np.concatenate([vectors[owners, lo], vectors[owners, hi - 1]], axis=1)
 
 
 def pool_span_backward(

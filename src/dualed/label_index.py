@@ -18,9 +18,11 @@ E = 2 gamma_{p+2} (||a||^2 + max ||r||^2) of the exact squared distance
 (gamma_n = n u / (1 - n u), u the float64 unit roundoff, p the width).
 The shortlist threshold adds E on both sides of the best computed q and
 widens it by the per-row formula's own relative error, so it holds every
-row the scan could rank first, ties included. Only shortlisted rows are
-rescored with ``similarity_to_matrix``. An anchor whose inputs are not
-finite, or whose norms overflow, is scanned in full.
+row the scan could rank first, ties included. All (anchor, row) pairs of
+a block's shortlists are rescored at once with the scan's own per-row
+formula, and one lexsort by (anchor, -score, row) picks each anchor's
+best rows. An anchor whose inputs are not finite, or whose norms
+overflow, is scanned in full.
 """
 
 from __future__ import annotations
@@ -40,7 +42,13 @@ from .encoder import (
     tokenize,
 )
 from .errors import ValidationError
-from .losses import COSINE, EUCLIDEAN, SimilaritySpec, similarity_to_matrix
+from .losses import (
+    COSINE,
+    EUCLIDEAN,
+    SimilaritySpec,
+    _negated_norms,
+    similarity_to_matrix,
+)
 from .verbalizer import Verbalization
 
 
@@ -277,21 +285,24 @@ def top_rows(
     out_scores = np.zeros((len(anchors), take))
     if take < 1:
         return out_rows, out_scores
+    scan = np.arange(len(anchors))
     if spec.kind == EUCLIDEAN:
-        shortlists = _euclidean_shortlists(matrix, anchors, allowed, gold, take)
-    else:
-        shortlists = [None] * len(anchors)
+        owners, rows, scan = _euclidean_shortlist(matrix, anchors, allowed, gold, take)
+        sims = _negated_norms(matrix[rows] - anchors[owners])
+        # per anchor, descending similarity, ties to the lowest row
+        order = np.lexsort((rows, -sims, owners))
+        live = np.setdiff1d(np.arange(len(anchors)), scan, assume_unique=True)
+        firsts = np.searchsorted(owners, live)[:, None] + np.arange(take)
+        out_rows[live] = rows[order[firsts]]
+        out_scores[live] = sims[order[firsts]]
     row_norms = np.linalg.norm(matrix, axis=1) if spec.kind == COSINE else None
-    for i, (anchor, rows) in enumerate(zip(anchors, shortlists)):
-        if rows is None:  # the full scan
-            sims = similarity_to_matrix(anchor, matrix, spec, row_norms)
-            rows = allowed
-            if rows is not None:
-                sims = sims[rows]
-            elif gold is not None:
-                sims[gold[i]] = -np.inf
-        else:
-            sims = similarity_to_matrix(anchor, matrix[rows], spec)
+    for i in scan.tolist():
+        sims = similarity_to_matrix(anchors[i], matrix, spec, row_norms)
+        rows = allowed
+        if rows is not None:
+            sims = sims[rows]
+        elif gold is not None:
+            sims[gold[i]] = -np.inf
         if gold is None:
             best = np.argmax(sims, keepdims=True)
         else:
@@ -301,33 +312,37 @@ def top_rows(
     return out_rows, out_scores
 
 
-def _euclidean_shortlists(
+def _euclidean_shortlist(
     matrix: np.ndarray,
     anchors: np.ndarray,
     allowed: np.ndarray | None,
     gold: np.ndarray | None,
     take: int,
-) -> list[np.ndarray | None]:
-    """Per anchor, the ascending rows a full scan could rank in its first ``take``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (anchor, row) pairs a full scan could rank in an anchor's first ``take``.
 
-    With m the take-th smallest computed q (gold excluded) and E the
-    GEMM bound, the take-th smallest exact squared distance is at most
-    m + E. The per-row formula
-    computes the squared distance with relative error gamma_{p+2}, and
-    the square root merges values up to a factor 1 + 4u apart, so each
-    row that the scan can rank in place ``take`` or better has an exact
-    squared distance of at most (m + E)(1 + 4 gamma_{p+4}) and a computed
-    q at most E above that. The threshold adds 2E, not E, and the factor
-    4 leaves room over the 2.5 the bound needs, so the rounding of the
-    threshold itself cannot cut such a row. None marks an anchor to scan
-    in full: a non-finite threshold means a non-finite input or an
-    overflowing norm.
+    Returns ``(owners, rows, scan)``: the pairs, ascending by anchor and
+    then by row, and the anchors to scan in full instead. With m the
+    take-th smallest computed q (gold excluded) and E the GEMM bound,
+    the take-th smallest exact squared distance is at most m + E. The
+    per-row formula computes the squared distance with relative error
+    gamma_{p+2}, and the square root merges values up to a factor 1 + 4u
+    apart, so each row that the scan can rank in place ``take`` or better
+    has an exact squared distance of at most (m + E)(1 + 4 gamma_{p+4})
+    and a computed q at most E above that. The threshold adds 2E, not E,
+    and the factor 4 leaves room over the 2.5 the bound needs, so the
+    rounding of the threshold itself cannot cut such a row. A non-finite
+    threshold means a non-finite input or an overflowing norm: that
+    anchor gets no pairs and is scanned.
     """
     p = matrix.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # such anchors are scanned
         row_sq = np.einsum("ij,ij->i", matrix, matrix)
         anchor_sq = np.einsum("ij,ij->i", anchors, anchors)
-        quad = anchor_sq[:, None] + row_sq - 2.0 * (anchors @ matrix.T)
+        gram = anchors @ matrix.T
+        gram *= 2.0
+        quad = anchor_sq[:, None] + row_sq
+        quad -= gram
         if allowed is not None:
             quad = quad[:, allowed]
         if gold is not None:
@@ -338,11 +353,7 @@ def _euclidean_shortlists(
             best = np.partition(quad, take - 1, axis=1)[:, take - 1]
         err = 2.0 * _gamma(p + 2) * (anchor_sq + row_sq.max())
         limit = (best + err) * (1.0 + 4.0 * _gamma(p + 4)) + 2.0 * err
-    out: list[np.ndarray | None] = []
-    for q, lim in zip(quad, limit):
-        if not np.isfinite(lim):
-            out.append(None)
-            continue
-        hits = np.flatnonzero(q <= lim)
-        out.append(hits if allowed is None else allowed[hits])
-    return out
+        scan = np.flatnonzero(~np.isfinite(limit))
+        limit[scan] = np.nan  # no q compares true
+        owners, cols = np.nonzero(quad <= limit[:, None])
+    return owners, cols if allowed is None else allowed[cols], scan

@@ -80,14 +80,22 @@ def similarity_to_matrix(
     if spec.kind == DOT:
         return matrix @ anchor
     if spec.kind == EUCLIDEAN:
-        # row-wise differences, not the expanded quadratic form: an anchor
-        # equal to a row must score exactly 0
-        diff = matrix - anchor
-        return -np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return _negated_norms(matrix - anchor)
     if row_norms is None:
         row_norms = np.linalg.norm(matrix, axis=1)
     norms = row_norms * np.linalg.norm(anchor)
     return (matrix @ anchor) / np.maximum(norms, _EPSILON)
+
+
+def _negated_norms(diff: np.ndarray) -> np.ndarray:
+    """The euclidean similarity of row-wise differences (n, p): -||diff_i||.
+
+    Row-wise differences, not the expanded quadratic form: an anchor equal
+    to a row must score exactly 0. Each row's result depends on that row
+    alone, so any selection of (anchor, row) differences gets the bits of
+    the full scan.
+    """
+    return -np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _similarity_grads(

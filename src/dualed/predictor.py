@@ -8,17 +8,25 @@ re-encoded, and everything is re-predicted — stored predictions are
 only overwritten by a strictly higher score. Each round commits
 ceil(total_mentions / 3) of the still-unresolved mentions, so the loop
 always terminates.
+
+``predict_corpus`` works on windows of chunks: it encodes a window's
+texts in length-grouped blocks, scores all their mentions in blocks of
+anchors, and runs the iterative rounds of all the window's chunks in
+lockstep. ``predict_document`` and ``predict_iterative`` are the
+one-chunk calls of the same functions. Every result has the bits of
+predicting each chunk, and each of its mentions, alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Chunk, Document, EntityRecord, Mention, chunk_document
-from .encoder import EncoderParams, encode, pool_span, token_range, tokenize
+from .encoder import EncoderParams, _encode_blocks, _pool_block, token_range, tokenize
 from .errors import ValidationError
 from .evaluator import MentionKey
 from .label_index import LabelCache, allowed_rows, top_rows
@@ -107,21 +115,122 @@ class DocumentPrediction:
     state: PredictionState | None = None  # final working text, iterative mode
 
 
-def _nearest_labels(
-    text: str,
-    spans: list[tuple[int, int]],
+# Mentions per window of chunks that prediction encodes and scores at once,
+# and anchors per scoring block. They bound the memory a window holds;
+# results do not depend on them.
+_WINDOW = 256
+_SCORE_BLOCK = 64
+
+
+def _score_spans(
+    texts: list[str],
+    spans: list[list[tuple[int, int]]],
     mention_params: EncoderParams,
     cache: LabelCache,
     rows: np.ndarray | None,
 ) -> list[tuple[str, float]]:
-    """Encode a text once and score all of its mention spans in one block."""
-    seq = tokenize(text, mention_params.vocab_size)
-    vectors = encode(seq, mention_params)
-    anchors = np.array(
-        [pool_span(vectors, token_range(seq, span), cache.pooling) for span in spans]
-    )
-    best, scores = top_rows(cache, anchors, rows)
-    return [(cache.ids[r], float(s)) for r, s in zip(best[:, 0], scores[:, 0])]
+    """Nearest cached label of every span, text by text in span order.
+
+    The texts are tokenized and encoded in length-grouped blocks
+    (``encoder._encode_blocks``), each block's anchors are pooled as
+    soon as it is done, and the anchors are scored ``_SCORE_BLOCK`` at a
+    time. Every anchor, and so every pick, has the bits of encoding its
+    text alone and scanning the cache for it alone.
+    """
+    seqs = [tokenize(text, mention_params.vocab_size) for text in texts]
+    offsets = np.cumsum([0] + [len(s) for s in spans])
+    anchors = np.empty((offsets[-1], cache.matrix.shape[1]))
+    for positions, vectors in _encode_blocks(seqs, mention_params):
+        owners = [j for j, i in enumerate(positions) for _ in spans[i]]
+        ranges = [token_range(seqs[i], span) for i in positions for span in spans[i]]
+        at = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in positions])
+        anchors[at] = _pool_block(vectors, np.array(ranges), cache.pooling, np.array(owners))
+    out: list[tuple[str, float]] = []
+    for start in range(0, len(anchors), _SCORE_BLOCK):
+        best, scores = top_rows(cache, anchors[start:start + _SCORE_BLOCK], rows)
+        out.extend((cache.ids[r], s) for r, s in zip(best[:, 0].tolist(),
+                                                     scores[:, 0].tolist()))
+    return out
+
+
+def _predict_chunks(
+    chunks: list[Document | Chunk],
+    mention_params: EncoderParams,
+    cache: LabelCache,
+    rows: np.ndarray | None,
+) -> list[list[MentionPrediction]]:
+    """One-shot predictions of every chunk, each in mention order."""
+    picks = iter(_score_spans(
+        [c.text for c in chunks], [[(m.start, m.end) for m in c.mentions] for c in chunks],
+        mention_params, cache, rows,
+    ))
+    return [[MentionPrediction(m, *next(picks)) for m in c.mentions] for c in chunks]
+
+
+def _iterate_chunks(
+    chunks: list[Document | Chunk],
+    mention_params: EncoderParams,
+    cache: LabelCache,
+    records: dict[str, EntityRecord],
+    rows: np.ndarray | None,
+) -> list[DocumentPrediction]:
+    """Insert-and-repredict every chunk, the rounds of all chunks in lockstep.
+
+    Each round re-encodes and re-scores every chunk still active in one
+    ``_score_spans`` pass; then each chunk updates its slots and makes its
+    insertions as it would alone, so its predictions and round count do
+    not depend on the other chunks.
+    """
+    states = [PredictionState.for_document(c) for c in chunks]
+    first_pass: list[list[MentionPrediction]] = [[] for _ in chunks]
+    iterations = [0] * len(chunks)
+    active = [i for i, state in enumerate(states) if state.slots]
+    while active:
+        picks = iter(_score_spans(
+            [states[i].working_text for i in active],
+            [[slot.span for slot in states[i].slots] for i in active],
+            mention_params, cache, rows,
+        ))
+        still_active = []
+        for i in active:
+            state = states[i]
+            iterations[i] += 1
+            for slot in state.slots:
+                label_id, score = next(picks)
+                if score > slot.score:
+                    slot.predicted_id, slot.score = label_id, score
+            if iterations[i] == 1:
+                first_pass[i] = [
+                    MentionPrediction(s.mention, s.predicted_id, s.score)
+                    for s in state.slots
+                ]
+            if _insert_round(state, records):
+                still_active.append(i)
+        active = still_active
+    return [
+        DocumentPrediction(
+            [MentionPrediction(s.mention, s.predicted_id, s.score) for s in state.slots],
+            first, rounds, state,
+        )
+        for state, first, rounds in zip(states, first_pass, iterations)
+    ]
+
+
+def _insert_round(state: PredictionState, records: dict[str, EntityRecord]) -> bool:
+    """Insert verbalizations for the top-scoring ceil(n/3) unresolved mentions.
+
+    Order is descending score, ties to the earlier mention; insertions
+    are made left to right. Returns whether an unresolved mention is left.
+    """
+    unresolved = [i for i, s in enumerate(state.slots) if not s.resolved]
+    if not unresolved:
+        return False
+    per_round = math.ceil(len(state.slots) / 3)
+    unresolved.sort(key=lambda i: (-state.slots[i].score, i))
+    for i in sorted(unresolved[:per_round]):
+        slot = state.slots[i]
+        insert_verbalization(state, i, insertion_text(records[slot.predicted_id]))
+    return not all(s.resolved for s in state.slots)
 
 
 def predict_document(
@@ -137,13 +246,8 @@ def predict_document(
     """
     if not doc.mentions:
         return []
-    rows = allowed_rows(cache, allowed_ids)
-    spans = [(m.start, m.end) for m in doc.mentions]
-    predictions = _nearest_labels(doc.text, spans, mention_params, cache, rows)
-    return [
-        MentionPrediction(mention=m, predicted_id=label_id, score=score)
-        for m, (label_id, score) in zip(doc.mentions, predictions)
-    ]
+    [preds] = _predict_chunks([doc], mention_params, cache, allowed_rows(cache, allowed_ids))
+    return preds
 
 
 def predict_iterative(
@@ -161,42 +265,9 @@ def predict_iterative(
     top-scoring third of the mentions among those still unresolved.
     ``allowed_ids`` is as for ``predict_document``.
     """
-    state = PredictionState.for_document(doc)
-    total = len(state.slots)
-    if total == 0:
-        return DocumentPrediction([], [], 0, state)
-    rows = allowed_rows(cache, allowed_ids)
-    per_round = math.ceil(total / 3)
-
-    first_pass: list[MentionPrediction] = []
-    iterations = 0
-    while True:
-        iterations += 1
-        spans = [slot.span for slot in state.slots]
-        predictions = _nearest_labels(state.working_text, spans, mention_params, cache, rows)
-        for slot, (label_id, score) in zip(state.slots, predictions):
-            if score > slot.score:
-                slot.predicted_id, slot.score = label_id, score
-        if iterations == 1:
-            first_pass = [
-                MentionPrediction(s.mention, s.predicted_id, s.score)
-                for s in state.slots
-            ]
-
-        unresolved = [i for i, s in enumerate(state.slots) if not s.resolved]
-        if not unresolved:
-            break
-        unresolved.sort(key=lambda i: (-state.slots[i].score, i))
-        for i in sorted(unresolved[:per_round]):
-            slot = state.slots[i]
-            insert_verbalization(state, i, insertion_text(records[slot.predicted_id]))
-        if all(s.resolved for s in state.slots):
-            break
-
-    final = [
-        MentionPrediction(s.mention, s.predicted_id, s.score) for s in state.slots
-    ]
-    return DocumentPrediction(final, first_pass, iterations, state)
+    rows = allowed_rows(cache, allowed_ids) if doc.mentions else None
+    [result] = _iterate_chunks([doc], mention_params, cache, records, rows)
+    return result
 
 
 @dataclass
@@ -205,6 +276,26 @@ class CorpusPredictions:
 
     final: dict[MentionKey, MentionPrediction]
     iterations: dict[MentionKey, int]
+
+
+def _windows(
+    docs: list[Document], limits: tuple[int, int]
+) -> Iterator[list[tuple[str, Chunk]]]:
+    """(document id, chunk) of every chunk with mentions, in corpus order,
+    grouped in windows of at least _WINDOW mentions (the last may hold fewer)."""
+    window: list[tuple[str, Chunk]] = []
+    mentions = 0
+    for doc in docs:
+        for chunk in chunk_document(doc, *limits):
+            if not chunk.mentions:
+                continue
+            window.append((doc.id, chunk))
+            mentions += len(chunk.mentions)
+            if mentions >= _WINDOW:
+                yield window
+                window, mentions = [], 0
+    if window:
+        yield window
 
 
 def predict_corpus(
@@ -218,31 +309,29 @@ def predict_corpus(
 ) -> CorpusPredictions:
     """Chunk every document and predict all mentions, one-shot or iterative.
 
-    Keys carry the original document offsets (chunk-local offsets are
-    translated back via the chunk's parent offset).
+    Chunks are predicted a window at a time (``_predict_chunks``,
+    ``_iterate_chunks``); each chunk's results are those of predicting
+    it alone. Keys carry the original document offsets (chunk-local
+    offsets are translated back via the chunk's parent offset).
     """
     if iterative and records is None:
         raise ValidationError("iterative prediction needs the entity records")
     rows = allowed_rows(cache, allowed_ids)
     final: dict[MentionKey, MentionPrediction] = {}
     iterations: dict[MentionKey, int] = {}
-    for doc in docs:
-        for chunk in chunk_document(doc, *limits):
-            if not chunk.mentions:
-                continue
-            if iterative:
-                result = predict_iterative(chunk, mention_params, cache, records, rows)
-                preds, rounds = result.predictions, result.iterations
-            else:
-                preds = predict_document(chunk, mention_params, cache, rows)
-                rounds = 1
+    for window in _windows(docs, limits):
+        chunks = [chunk for _, chunk in window]
+        if iterative:
+            results = [
+                (r.predictions, r.iterations)
+                for r in _iterate_chunks(chunks, mention_params, cache, records, rows)
+            ]
+        else:
+            results = [(p, 1) for p in _predict_chunks(chunks, mention_params, cache, rows)]
+        for (doc_id, chunk), (preds, rounds) in zip(window, results):
             for pred in preds:
                 m = pred.mention
-                key = (
-                    doc.id,
-                    m.start + chunk.parent_offset,
-                    m.end + chunk.parent_offset,
-                )
+                key = (doc_id, m.start + chunk.parent_offset, m.end + chunk.parent_offset)
                 final[key] = pred
                 iterations[key] = rounds
     return CorpusPredictions(final=final, iterations=iterations)

@@ -2,9 +2,10 @@
 
 These are the straightforward forms the library no longer runs: the
 per-sequence encoder forward and backward, the token-range scan, the
-training step that encodes one label at a time, the scalar similarity
-and the forward-only losses. Library results must match them bit for
-bit (encoder, token range, training step) or to the stated tolerance
+training step that encodes one label at a time, prediction one chunk
+and one mention at a time, the scalar similarity and the forward-only
+losses. Library results must match them bit for bit (encoder, token
+range, training step, prediction) or to the stated tolerance
 (similarities, loss values).
 """
 
@@ -14,9 +15,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from dualed import trainer as tm
+from dualed.corpus import chunk_document
 from dualed.encoder import EncoderGrads, pool_span, pool_span_backward, tokenize
 from dualed.errors import ValidationError
-from dualed.label_index import mine_hard_negatives, sample_in_batch_negatives, write_back
+from dualed.label_index import (
+    allowed_rows,
+    mine_hard_negatives,
+    sample_in_batch_negatives,
+    write_back,
+)
 from dualed.losses import (
     DOT,
     EUCLIDEAN,
@@ -24,6 +31,15 @@ from dualed.losses import (
     _EPSILON,
     _check_triplet_inputs,
     loss_gradients,
+    similarity_to_matrix,
+)
+from dualed.predictor import (
+    CorpusPredictions,
+    DocumentPrediction,
+    MentionPrediction,
+    PredictionState,
+    insert_verbalization,
+    insertion_text,
 )
 
 # ── the encoder, one sequence at a time ──────────────────────────────────────
@@ -228,6 +244,90 @@ def train_step_per_label(trainer, batch):
         spans=batch_mentions, refreshes=fires, skipped_unlinkable=skipped,
         write_log=write_log, negatives_used=negatives_used, excluded=excluded,
     )
+
+
+# ── prediction, one chunk and one mention at a time ─────────────────────────
+
+
+def nearest_labels_one(text, spans, mention_params, cache, rows):
+    """Encode one text alone, then scan the whole cache for each span alone."""
+    seq = tokenize(text, mention_params.vocab_size)
+    vectors = encode_one(seq, mention_params)
+    candidates = np.arange(len(cache.ids)) if rows is None else rows
+    out = []
+    for span in spans:
+        anchor = pool_span(vectors, token_range_scan(seq, span), cache.pooling)
+        sims = similarity_to_matrix(anchor, cache.matrix, cache.sim_spec)
+        best = candidates[np.argmax(sims[candidates])]
+        out.append((cache.ids[best], float(sims[best])))
+    return out
+
+
+def predict_document_one(doc, mention_params, cache, allowed_ids=None):
+    """One-shot prediction of one chunk by the per-mention scan."""
+    if not doc.mentions:
+        return []
+    rows = allowed_rows(cache, allowed_ids)
+    spans = [(m.start, m.end) for m in doc.mentions]
+    predictions = nearest_labels_one(doc.text, spans, mention_params, cache, rows)
+    return [MentionPrediction(m, label_id, score)
+            for m, (label_id, score) in zip(doc.mentions, predictions)]
+
+
+def predict_iterative_one(doc, mention_params, cache, records, allowed_ids=None):
+    """Insert-and-repredict of one chunk on its own, round by round."""
+    state = PredictionState.for_document(doc)
+    total = len(state.slots)
+    if total == 0:
+        return DocumentPrediction([], [], 0, state)
+    rows = allowed_rows(cache, allowed_ids)
+    per_round = math.ceil(total / 3)
+    first_pass = []
+    iterations = 0
+    while True:
+        iterations += 1
+        spans = [slot.span for slot in state.slots]
+        predictions = nearest_labels_one(state.working_text, spans, mention_params,
+                                         cache, rows)
+        for slot, (label_id, score) in zip(state.slots, predictions):
+            if score > slot.score:
+                slot.predicted_id, slot.score = label_id, score
+        if iterations == 1:
+            first_pass = [MentionPrediction(s.mention, s.predicted_id, s.score)
+                          for s in state.slots]
+        unresolved = [i for i, s in enumerate(state.slots) if not s.resolved]
+        if not unresolved:
+            break
+        unresolved.sort(key=lambda i: (-state.slots[i].score, i))
+        for i in sorted(unresolved[:per_round]):
+            slot = state.slots[i]
+            insert_verbalization(state, i, insertion_text(records[slot.predicted_id]))
+        if all(s.resolved for s in state.slots):
+            break
+    final = [MentionPrediction(s.mention, s.predicted_id, s.score) for s in state.slots]
+    return DocumentPrediction(final, first_pass, iterations, state)
+
+
+def predict_corpus_one(docs, mention_params, cache, records=None, limits=(100, 2800),
+                       iterative=False, allowed_ids=None):
+    """``predict_corpus`` as a loop over chunks, each predicted alone."""
+    rows = allowed_rows(cache, allowed_ids)
+    final, iterations = {}, {}
+    for doc in docs:
+        for chunk in chunk_document(doc, *limits):
+            if not chunk.mentions:
+                continue
+            if iterative:
+                result = predict_iterative_one(chunk, mention_params, cache, records, rows)
+                preds, rounds = result.predictions, result.iterations
+            else:
+                preds, rounds = predict_document_one(chunk, mention_params, cache, rows), 1
+            for pred in preds:
+                m = pred.mention
+                key = (doc.id, m.start + chunk.parent_offset, m.end + chunk.parent_offset)
+                final[key] = pred
+                iterations[key] = rounds
+    return CorpusPredictions(final=final, iterations=iterations)
 
 
 # ── the scalar similarity and forward-only losses ────────────────────────────

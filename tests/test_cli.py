@@ -339,6 +339,38 @@ class TestExitCodes:
             pytest.param("predict", '{"id": "d", "text": "a b", "mentions": 5}',
                          "mentions", id="mentions-number"),
             pytest.param("eval", "[1]", "JSON object", id="prediction-row-array"),
+            pytest.param("verbalize", '{"id": "a", "title": ["x"], "description": "d"}',
+                         "title", id="title-array"),
+            pytest.param("verbalize", '{"id": "a", "title": 5}', "title", id="title-number"),
+            pytest.param("verbalize", '{"id": "a", "title": null}', "title", id="title-null"),
+            pytest.param("verbalize", '{"id": ["a"], "title": "A"}', "id", id="label-id-array"),
+            pytest.param("verbalize", '{"id": {"a": 1}, "title": "A"}', "id",
+                         id="label-id-object"),
+            pytest.param("verbalize", '{"id": true, "title": "A"}', "id", id="label-id-bool"),
+            pytest.param("verbalize", '{"id": null, "title": "A"}', "id", id="label-id-null"),
+            pytest.param("verbalize",
+                         '{"id": "a", "title": "A", "categories": {"country": [["x"]]}}',
+                         "country", id="category-value-array"),
+            pytest.param("verbalize",
+                         '{"id": "a", "title": "A", "categories": {"country": [null]}}',
+                         "country", id="category-value-null"),
+            pytest.param("predict", '{"id": "d", "text": ["a b"]}', "text", id="text-array"),
+            pytest.param("predict", '{"id": "d", "text": 7}', "text", id="text-number"),
+            pytest.param("predict", '{"id": {"d": 1}, "text": "a b"}', "id",
+                         id="doc-id-object"),
+            pytest.param("predict", '{"id": false, "text": "a b"}', "id", id="doc-id-bool"),
+            pytest.param("predict", '{"id": "d", "text": "a b", "mentions": '
+                         '[{"start": 0, "end": 1, "label": [1]}]}', "label",
+                         id="mention-label-array"),
+            pytest.param("predict", '{"id": "d", "text": "a b", "mentions": '
+                         '[{"start": 0, "end": 1, "label": {"x": 1}}]}', "label",
+                         id="mention-label-object"),
+            pytest.param("predict", '{"id": "d", "text": "a b", "mentions": '
+                         '[{"start": 0, "end": 1, "label": null}]}', "label",
+                         id="mention-label-null"),
+            pytest.param("predict", '{"id": "d", "text": "a b", "mentions": '
+                         '[{"start": 0, "end": 1, "label": true}]}', "label",
+                         id="mention-label-bool"),
         ],
     )
     def test_malformed_json_row_is_validation_error(

@@ -148,6 +148,26 @@ class TestLoadLabelSet:
             load_label_set(path)
 
 
+class TestStringFields:
+    def test_number_ids_and_labels_keep_their_string_form(self, tmp_path):
+        write_jsonl(tmp_path / "labels.jsonl", [
+            {"id": 7, "title": "Seven", "categories": {"country": [1.5, "x"]}},
+        ])
+        write_jsonl(tmp_path / "corpus.jsonl", [
+            {"id": 3, "text": "a b", "mentions": [{"start": 0, "end": 1, "label": 7}]},
+        ])
+        records = load_label_set(tmp_path / "labels.jsonl")
+        assert list(records) == ["7"]
+        assert records["7"].categories == {"country": ["1.5", "x"]}
+        [doc] = load_corpus(tmp_path / "corpus.jsonl")
+        assert (doc.id, doc.mentions[0].gold_label) == ("3", "7")
+
+    def test_missing_key_named(self, tmp_path):
+        write_jsonl(tmp_path / "labels.jsonl", [{"title": "A"}])
+        with pytest.raises(ValidationError, match="line 1: missing key 'id'"):
+            load_label_set(tmp_path / "labels.jsonl")
+
+
 class TestFlagUnlinkable:
     def test_flags_missing_golds(self):
         doc = make_doc("d", "a b c", [(0, 1, "known"), (2, 3, "ghost")])
@@ -291,6 +311,35 @@ def rows(row_shape):
     return st.lists(row_shape | json_values, min_size=1, max_size=3)
 
 
+def not_a_name(value):
+    """An id, label or category value that is neither a string nor a number."""
+    return isinstance(value, (bool, list, dict)) or value is None
+
+
+def wrong_label_row(row):
+    """A label row that holds a value of the wrong shape where a string goes."""
+    if not isinstance(row, dict):
+        return False
+    categories = row.get("categories")
+    values = [v for vs in categories.values() if isinstance(vs, list) for v in vs] \
+        if isinstance(categories, dict) else []
+    return (("id" in row and not_a_name(row["id"]))
+            or ("title" in row and not isinstance(row["title"], str))
+            or any(not_a_name(v) for v in values))
+
+
+def wrong_corpus_row(row):
+    """A corpus row that holds a value of the wrong shape where a string goes."""
+    if not isinstance(row, dict):
+        return False
+    mentions = row.get("mentions")
+    labels = [m["label"] for m in mentions if isinstance(m, dict) and "label" in m] \
+        if isinstance(mentions, list) else []
+    return (("id" in row and not_a_name(row["id"]))
+            or ("text" in row and not isinstance(row["text"], str))
+            or any(not_a_name(label) for label in labels))
+
+
 label_rows = objects(
     id=st.sampled_from(["A", "B"]),
     title=st.text("ab ", max_size=6),
@@ -351,6 +400,8 @@ class TestRowShapes:
                              row_inputs / "rows.jsonl", "--format", fmt,
                              "--out", row_inputs / "out.jsonl")
         assert code in (0, 1)
+        if any(wrong_label_row(row) for row in rows_):
+            assert code == 1
 
     @settings(max_examples=150, deadline=None)
     @given(rows_=rows(corpus_rows))
@@ -361,6 +412,8 @@ class TestRowShapes:
                              row_inputs / "model.bin", "--format", "title",
                              "--out", row_inputs / "out.jsonl")
         assert code in (0, 1)
+        if any(wrong_corpus_row(row) for row in rows_):
+            assert code == 1
 
     @settings(max_examples=150, deadline=None)
     @given(rows_=rows(prediction_rows))

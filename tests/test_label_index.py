@@ -13,7 +13,7 @@ from dualed.encoder import _BLOCK, EncoderParams, pool_span, token_range, tokeni
 from dualed.errors import ValidationError
 from dualed.label_index import (
     LabelCache,
-    _euclidean_shortlists,
+    _euclidean_shortlist,
     allowed_rows,
     build_cache,
     encode_labels,
@@ -371,7 +371,28 @@ def near_tie_blocks(draw):
     return matrix, anchors
 
 
-BLOCKS = st.one_of(spread_blocks(), near_tie_blocks())
+@st.composite
+def wide_blocks(draw):
+    """(matrix, anchors) at real widths and block sizes: p in {32, 33, 64, 65},
+    up to 150 anchors, with coarse values for exact ties, duplicated rows
+    and anchors that copy a row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 80))
+    p = draw(st.sampled_from([32, 33, 64, 65]))
+    m = draw(st.integers(1, 150))
+    if draw(st.booleans()):
+        matrix = rng.integers(-1, 2, (n, p)).astype(float)
+        anchors = rng.integers(-1, 2, (m, p)).astype(float)
+    else:
+        matrix, anchors = rng.normal(size=(n, p)), rng.normal(size=(m, p))
+    matrix[rng.integers(n, size=n // 4)] = matrix[rng.integers(n, size=n // 4)]
+    copies = rng.integers(m, size=m // 2)
+    anchors[copies] = matrix[rng.integers(n, size=len(copies))]
+    scale = draw(SCALES)
+    return matrix * scale, anchors * scale
+
+
+BLOCKS = st.one_of(spread_blocks(), near_tie_blocks(), wide_blocks())
 
 
 class TestBlockScorerMatchesScan:
@@ -399,6 +420,21 @@ class TestBlockScorerMatchesScan:
             want = scan_negatives(cache, anchor, gold, k)
             assert hexed(mine_hard_negatives(cache, anchor, gold, k)) == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(block=BLOCKS, kind=st.sampled_from(SIMILARITY_KINDS), data=st.data())
+    def test_mining_block(self, block, kind, data):
+        matrix, anchors = block
+        cache = cache_from_matrix(matrix, sim=SimilaritySpec(kind=kind))
+        n = len(cache.ids)
+        gold = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=len(anchors),
+                                           max_size=len(anchors))), dtype=np.int64)
+        k = data.draw(st.integers(1, min(n + 1, 6)))
+        rows, scores = top_rows(cache, anchors, gold=gold, k=k)
+        assert rows.shape == scores.shape == (len(anchors), min(k, n - 1))
+        for anchor, g, row, score in zip(anchors, gold, rows, scores):
+            want = scan_negatives(cache, anchor, cache.ids[g], k)
+            assert hexed(zip([cache.ids[r] for r in row], score)) == want
+
     def test_anchor_equal_to_a_row_scores_zero(self):
         cache = cache_from_matrix([[3.0, -1.0], [0.5, 0.5], [3.0, -1.0]])
         rows, scores = top_rows(cache, np.array([[3.0, -1.0], [0.5, 0.5]]))
@@ -425,8 +461,9 @@ class TestBlockScorerMatchesScan:
         rng = np.random.default_rng(6)
         matrix = rng.normal(size=(2000, 64))
         anchors = rng.normal(size=(20, 64))
-        for shortlist in _euclidean_shortlists(matrix, anchors, None, None, 1):
-            assert len(shortlist) == 1
+        owners, rows, scan = _euclidean_shortlist(matrix, anchors, None, None, 1)
+        assert len(scan) == 0
+        assert np.bincount(owners, minlength=len(anchors)).tolist() == [1] * len(anchors)
 
     def test_allowed_and_gold_rows_are_exclusive(self):
         cache = cache_from_matrix(np.eye(3))

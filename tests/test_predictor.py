@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracemalloc
+
 from dualed.corpus import Document, EntityRecord, Mention
 from dualed.encoder import EncoderParams, encode, pool_span, token_range, tokenize
 from dualed.errors import ValidationError
-from dualed.label_index import LabelCache
-from dualed.losses import SimilaritySpec
+from dualed.label_index import LabelCache, build_cache, tokenize_labels
+from dualed.losses import SIMILARITY_KINDS, SimilaritySpec
 from dualed.predictor import (
+    _WINDOW,
     PredictionState,
     insert_verbalization,
     insertion_text,
@@ -20,6 +23,8 @@ from dualed.predictor import (
     target_label_set,
 )
 from dualed.synthetic import make_task
+from dualed.verbalizer import FormatSpec, verbalize_all
+from oracles import predict_corpus_one, predict_document_one, predict_iterative_one
 from strategies import documents
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
@@ -225,6 +230,140 @@ class TestPredictCorpus:
                            pooling="mean", sim_spec=EUCLIDEAN)
         preds = predict_corpus([doc], params, cache, limits=(1, 10**6))
         assert set(preds.final) == {("d", 0, 4), ("d", start, start + 5)}
+
+
+# ── windowed prediction against the per-chunk oracle ────────────────────────
+
+WORDS = [f"w{i}" for i in range(40)]
+
+
+def seeded_records(n, rng):
+    """Labels whose descriptions (the inserted text) vary in length."""
+    return {
+        f"L{i}": EntityRecord(
+            id=f"L{i}", title=f"Label {WORDS[i % len(WORDS)]}",
+            description=" ".join(rng.choice(WORDS, size=int(rng.integers(0, 6)))) or None,
+        )
+        for i in range(n)
+    }
+
+
+def seeded_document(doc_id, mentions, filler, rng, golds, vocab=WORDS):
+    """``mentions`` one-word mentions, each after ``filler`` words: the token
+    count depends on the two counts alone. A small ``vocab`` repeats
+    contexts, so that mentions tie on score."""
+    words, spans, pos = [], [], 0
+    for _ in range(mentions):
+        for word in [*rng.choice(vocab, size=filler), rng.choice(vocab)]:
+            words.append(word)
+            pos += len(word) + 1
+        spans.append((pos - len(words[-1]) - 1, pos - 1, str(rng.choice(golds))))
+    words.append("end")
+    doc = doc_with(" ".join(words), spans)
+    doc.id = doc_id
+    return doc
+
+
+def seeded_model(records, dim, pooling, kind, seed):
+    params = EncoderParams.init(256, dim, 2, seed=seed)
+    label_params = EncoderParams.init(256, dim, 2, seed=seed + 1)
+    tokens = tokenize_labels(verbalize_all(records, FormatSpec.from_name("title_desc")), 256)
+    cache = build_cache(sorted(records), label_params, tokens, pooling,
+                        SimilaritySpec(kind=kind))
+    return params, cache
+
+
+@st.composite
+def windowed_corpora(draw):
+    """Documents of 0-120 mentions that span at least three windows.
+
+    Every shape (mention count, filler) is drawn one to three times, so
+    chunks share token counts and encode blocks hold several chunks; the
+    first shape always repeats. Documents over 100 mentions split into
+    chunks; chunks of up to 100 mentions split across scoring blocks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = [(draw(st.integers(1, 100)), draw(st.integers(0, 2)), draw(st.integers(2, 3)))]
+    shapes += draw(st.lists(st.tuples(st.integers(0, 120), st.integers(0, 2),
+                                      st.integers(1, 3)), max_size=6))
+    while sum(n * copies for n, _, copies in shapes) <= 2 * _WINDOW:
+        shapes.append((draw(st.integers(1, 100)), draw(st.integers(0, 2)), 1))
+    records = seeded_records(25, rng)
+    golds = sorted(records)[:10]
+    vocab = WORDS[:draw(st.sampled_from([2, len(WORDS)]))]
+    docs = [
+        seeded_document(f"d{len(shapes)}-{i}-{c}", n, filler, rng, golds, vocab)
+        for i, (n, filler, copies) in enumerate(shapes) for c in range(copies)
+    ]
+    order = draw(st.permutations(range(len(docs))))
+    return [docs[i] for i in order], records
+
+
+def hexed(preds):
+    return {key: (p.predicted_id, p.score.hex(), preds.iterations[key])
+            for key, p in preds.final.items()}
+
+
+class TestWindowedPredictionMatchesPerChunkOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(corpus=windowed_corpora(), pooling=st.sampled_from(["mean", "first_last"]),
+           kind=st.sampled_from(SIMILARITY_KINDS), dim=st.sampled_from([3, 8]),
+           seed=st.integers(0, 100))
+    def test_all_modes(self, corpus, pooling, kind, dim, seed):
+        docs, records = corpus
+        params, cache = seeded_model(records, dim, pooling, kind, seed)
+        targets = target_label_set(docs, cache)
+        for iterative, allowed in ((False, None), (True, None), (False, targets)):
+            got = predict_corpus(docs, params, cache, records, iterative=iterative,
+                                 allowed_ids=allowed)
+            want = predict_corpus_one(docs, params, cache, records, iterative=iterative,
+                                      allowed_ids=allowed)
+            assert list(got.final) == list(want.final)
+            assert hexed(got) == hexed(want)
+
+    def test_one_chunk_calls_match_the_oracle(self):
+        rng = np.random.default_rng(0)
+        records = seeded_records(12, rng)
+        params, cache = seeded_model(records, 4, "first_last", "euclidean", 3)
+        for n in (0, 1, 7, 70):
+            doc = seeded_document("d", n, 1, rng, sorted(records))
+            got, want = (predict_document(doc, params, cache),
+                         predict_document_one(doc, params, cache))
+            assert [(p.predicted_id, p.score.hex()) for p in got] == [
+                (p.predicted_id, p.score.hex()) for p in want]
+            got, want = (predict_iterative(doc, params, cache, records),
+                         predict_iterative_one(doc, params, cache, records))
+            assert got.iterations == want.iterations
+            assert got.state.working_text == want.state.working_text
+            for a, b in ((got.predictions, want.predictions),
+                         (got.first_pass, want.first_pass)):
+                assert [(p.predicted_id, p.score.hex()) for p in a] == [
+                    (p.predicted_id, p.score.hex()) for p in b]
+
+
+class TestWindowedPredictionMemory:
+    """Prediction holds one window of chunks at a time, so its peak memory
+    grows with the corpus by little more than the predictions it returns."""
+
+    @staticmethod
+    def peak_bytes(docs, params, cache, records, iterative):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            predict_corpus(docs, params, cache, records, iterative=iterative)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("iterative", [False, True])
+    def test_peak_is_bounded_by_the_window(self, iterative):
+        rng = np.random.default_rng(11)
+        records = seeded_records(200, rng)
+        params, cache = seeded_model(records, 16, "mean", "euclidean", 5)
+        docs = [seeded_document(f"d{i}", 2, 60, rng, sorted(records)) for i in range(2000)]
+        small = self.peak_bytes(docs[:250], params, cache, records, iterative)
+        large = self.peak_bytes(docs, params, cache, records, iterative)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestTargetLabelSet:
