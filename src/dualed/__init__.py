@@ -22,7 +22,9 @@ from .corpus import (
 from .encoder import (
     EncoderParams,
     TokenSequence,
+    backward_spans,
     encode,
+    encode_spans,
     encoder_backward,
     load_checkpoint,
     pool_span,
@@ -50,6 +52,7 @@ from .predictor import (
     MentionPrediction,
     PredictionState,
     insert_verbalization,
+    predict_chunks,
     predict_corpus,
     predict_document,
     predict_iterative,

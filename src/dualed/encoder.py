@@ -17,20 +17,22 @@ range (width d) and ``first_last`` concatenates the first and last
 token vectors (width 2d). Label spans cover title tokens only; the rest
 of the verbalization acts as context.
 
-The forward and backward passes have one implementation each, for many
-sequences at once: ``_encode_blocks`` and ``_backward_blocks`` stack
-sequences of equal token count into (L, T, d) blocks, and ``encode``
-and ``encoder_backward`` are their one-sequence calls. The stacked
-matmuls and cumsums give every sequence the bits it gets alone.
+The span-level forward and backward, ``encode_spans`` and
+``backward_spans``, are the one seam the label cache, the trainer and
+the predictor use. Both stack sequences of equal token count into
+(L, T, d) blocks, whose matmuls and cumsums give every sequence the bits
+it gets alone; ``encode``, ``encoder_backward`` and ``pool_span`` are
+their one-item calls.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import re
 import struct
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -194,13 +196,11 @@ def _window_sums(rows: np.ndarray, w: int) -> np.ndarray:
     return np.take(csum, hi + 1, axis=1) - np.take(csum, lo, axis=1)
 
 
-def _length_blocks(seqs: Sequence[TokenSequence], positions: range) -> list[list[int]]:
-    """The positions grouped by token count, at most _BLOCK per block."""
+def _length_blocks(seqs: Sequence[TokenSequence]) -> list[list[int]]:
+    """Positions in ``seqs`` grouped by token count, at most _BLOCK per block."""
     groups: dict[int, list[int]] = {}
-    for i in positions:
-        groups.setdefault(len(seqs[i]), []).append(i)
-    if 0 in groups:
-        raise ValidationError("cannot encode an empty token sequence")
+    for i, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(i)
     return [
         group[start:start + _BLOCK]
         for group in groups.values()
@@ -212,34 +212,23 @@ def _block_inputs(
     ids: np.ndarray, params: EncoderParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Embeddings, window sizes (T, 1) and window means of stacked token ids (L, T)."""
+    if ids.shape[1] == 0:
+        raise ValidationError("cannot encode an empty token sequence")
     emb = params.table[ids]
     counts = _window_counts(ids.shape[1], params.window)[:, None]
     return emb, counts, _window_sums(emb, params.window) / counts
 
 
-def _forward_block(
-    seqs: Sequence[TokenSequence], positions: list[int], params: EncoderParams
-) -> np.ndarray:
-    ids = np.stack([seqs[i].token_ids for i in positions])
-    emb, _, ctx = _block_inputs(ids, params)
-    return emb @ params.w_self.T + ctx @ params.w_ctx.T + params.bias
+def _forward_block(seqs: Sequence[TokenSequence], params: EncoderParams) -> np.ndarray:
+    """Contextual token vectors (L, T, d) of sequences that share one token count T.
 
-
-def _encode_blocks(
-    seqs: Sequence[TokenSequence], params: EncoderParams
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Contextual token vectors of many sequences, one block at a time.
-
-    Yields ``(positions, vectors)``: the positions in ``seqs`` of up to
-    _BLOCK sequences that share one token count T, and their stacked
-    (L, T, d) vectors. A block runs one 3-D matmul per weight, which
-    numpy computes as one GEMM of M = T rows per stacked sequence, and
-    one cumsum along the token axis, so every sequence's vectors have
-    the bits of encoding it alone. A flat GEMM over all rows, or padding
-    to a common length, would not keep them.
+    One 3-D matmul per weight, which numpy computes as one GEMM of M = T
+    rows per stacked sequence, and one cumsum along the token axis, so
+    every sequence's vectors have the bits of encoding it alone. A flat
+    GEMM over all rows, or padding to a common length, would not keep them.
     """
-    blocks = _length_blocks(seqs, range(len(seqs)))
-    return ((positions, _forward_block(seqs, positions, params)) for positions in blocks)
+    emb, _, ctx = _block_inputs(np.stack([seq.token_ids for seq in seqs]), params)
+    return emb @ params.w_self.T + ctx @ params.w_ctx.T + params.bias
 
 
 def _backward_blocks(
@@ -250,15 +239,12 @@ def _backward_blocks(
     """Exact gradients of encode() for many sequences, in input order.
 
     ``upstreams[i]`` holds dLoss/d(out_t) rows of ``seqs[i]``. Sequences
-    of equal token count are stacked in blocks, as ``_encode_blocks``
-    stacks them. Each table gradient is row-sparse: one row per unique
-    token id of its sequence, ascending, each summing its tokens'
-    gradients in sequence order. The results are views of the stacked
-    blocks, so a caller holds all of them until it drops the last one;
-    to bound that, pass a window of sequences at a time.
+    of equal token count are stacked in blocks, as the forward stacks
+    them. Each table gradient is row-sparse: one row per unique token id
+    of its sequence, ascending, each summing its tokens' gradients in
+    sequence order. The results are views of the stacked blocks, so a
+    caller holds all of them until it drops the last one.
     """
-    if len(upstreams) != len(seqs):
-        raise ValidationError(f"{len(upstreams)} upstreams for {len(seqs)} sequences")
     for seq, upstream in zip(seqs, upstreams):
         if upstream.shape != (len(seq), params.dim):
             raise ValidationError(
@@ -266,7 +252,7 @@ def _backward_blocks(
             )
     d, vocab = params.dim, params.vocab_size
     out: list[EncoderGrads | None] = [None] * len(seqs)
-    for positions in _length_blocks(seqs, range(len(seqs))):
+    for positions in _length_blocks(seqs):
         ids = np.stack([seqs[i].token_ids for i in positions])
         up = np.stack([upstreams[i] for i in positions])
         emb, counts, ctx = _block_inputs(ids, params)
@@ -296,10 +282,86 @@ def _backward_blocks(
     return out
 
 
+def _range_offsets(seqs: Sequence[TokenSequence], ranges: Sequence) -> np.ndarray:
+    """Sequence i owns rows ``offsets[i]:offsets[i + 1]`` of the pooled embeddings."""
+    if len(ranges) != len(seqs):
+        raise ValidationError(f"{len(ranges)} range lists for {len(seqs)} sequences")
+    return np.cumsum([0, *map(len, ranges)])
+
+
+def encode_spans(
+    seqs: Sequence[TokenSequence],
+    ranges: Sequence[Sequence[tuple[int, int]]],
+    params: EncoderParams,
+    pooling: str,
+) -> np.ndarray:
+    """Pooled embeddings of token ranges, one row per range, shape (n, p).
+
+    ``ranges[i]`` are token ranges [lo, hi) of ``seqs[i]``, and row j is
+    the j-th range in (sequence, range) order, with the bits of
+    ``pool_span(encode(seq), range, pooling)``. Sequences of equal token
+    count are encoded _BLOCK at a time, and each block is pooled as soon
+    as it is built. Every sequence is encoded, one without ranges too.
+    """
+    offsets = _range_offsets(seqs, ranges)
+    out = np.empty((offsets[-1], pooled_width(params.dim, pooling)))
+    for positions in _length_blocks(seqs):
+        vectors = _forward_block([seqs[i] for i in positions], params)
+        owners = [j for j, i in enumerate(positions) for _ in ranges[i]]
+        if owners:
+            spans = np.array([span for i in positions for span in ranges[i]])
+            at = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in positions])
+            out[at] = _pool_block(vectors, spans, pooling, np.array(owners))
+    return out
+
+
+def backward_spans(
+    seqs: Sequence[TokenSequence],
+    ranges: Sequence[Sequence[tuple[int, int]]],
+    span_grads: np.ndarray,
+    params: EncoderParams,
+    pooling: str,
+) -> EncoderGrads:
+    """Exact gradients of ``encode_spans`` w.r.t. every parameter tensor.
+
+    Row j of ``span_grads`` is dLoss/d(row j of ``encode_spans``). Each
+    sequence's token gradients start from zeros and add its ranges'
+    ``pool_span_backward`` in range order. Sequences go through the block
+    backward _BLOCK at a time, which bounds the memory held at once, and
+    are added in input order into one buffer whose table is row-sparse
+    over the union of their token ids, ascending.
+    """
+    offsets = _range_offsets(seqs, ranges)
+    shape = (int(offsets[-1]), pooled_width(params.dim, pooling))
+    if span_grads.shape != shape:
+        raise ValidationError(f"span gradients of shape {span_grads.shape}, not {shape}")
+    rows = np.unique(np.concatenate([np.empty(0, np.int64), *(s.token_ids for s in seqs)]))
+    out = EncoderGrads(
+        table=np.zeros((len(rows), params.dim)),
+        w_self=np.zeros_like(params.w_self),
+        w_ctx=np.zeros_like(params.w_ctx),
+        bias=np.zeros_like(params.bias),
+        rows=rows,
+    )
+    for start in range(0, len(seqs), _BLOCK):
+        window = seqs[start:start + _BLOCK]
+        upstreams = []
+        for i, seq in enumerate(window, start):
+            upstream = np.zeros((len(seq), params.dim))
+            for span, grad in zip(ranges[i], span_grads[offsets[i]:offsets[i + 1]]):
+                upstream += pool_span_backward(grad, span, pooling, len(seq), params.dim)
+            upstreams.append(upstream)
+        for grads in _backward_blocks(window, params, upstreams):
+            out.table[np.searchsorted(rows, grads.rows)] += grads.table
+            out.w_self += grads.w_self
+            out.w_ctx += grads.w_ctx
+            out.bias += grads.bias
+    return out
+
+
 def encode(seq: TokenSequence, params: EncoderParams) -> np.ndarray:
     """Contextual vectors for every token, shape (T, d)."""
-    [(_, vectors)] = _encode_blocks([seq], params)
-    return vectors[0]
+    return _forward_block([seq], params)[0]
 
 
 def encoder_backward(
@@ -334,16 +396,14 @@ def pool_span(
 
 
 def _pool_block(
-    vectors: np.ndarray, spans: np.ndarray, method: str, owners: np.ndarray | None = None
+    vectors: np.ndarray, spans: np.ndarray, method: str, owners: np.ndarray
 ) -> np.ndarray:
     """``pool_span`` of stacked sequences: (L, T, d) vectors, (M, 2) spans.
 
-    Span i pools sequence ``owners[i]`` (sequence i when ``owners`` is
-    None). ``first_last`` gathers by fancy indexing; every other method
-    goes through ``pool_span`` span by span, which keeps the bits of ``mean``.
+    Span i pools sequence ``owners[i]``. ``first_last`` gathers by fancy
+    indexing; every other method goes through ``pool_span`` span by span,
+    which keeps the bits of ``mean``.
     """
-    if owners is None:
-        owners = np.arange(len(vectors))
     if method != FIRST_LAST:
         return np.stack([pool_span(vectors[o], span, method)
                          for o, span in zip(owners.tolist(), spans)])
@@ -358,6 +418,7 @@ def pool_span_backward(
 ) -> np.ndarray:
     """Scatter a span-embedding gradient back onto token vectors."""
     lo, hi = span
+    _check_span(lo, hi, n_tokens)
     out = np.zeros((n_tokens, dim))
     if method == MEAN:
         out[lo:hi] = upstream / (hi - lo)
@@ -405,6 +466,14 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams]:
         if magic != CHECKPOINT_MAGIC:
             raise ValidationError(f"not a model checkpoint (bad magic {magic!r})")
         v, d, w = struct.unpack("<III", read_exact(fh, 12, "checkpoint header"))
+        # the header's sizes decide how much is read, so check them first
+        implied = len(CHECKPOINT_MAGIC) + 12 + 8 * (v * d + 2 * d * d + d)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != implied:
+            raise ValidationError(
+                f"checkpoint file is {actual} bytes, but its header (V={v}, d={d}) "
+                f"implies {implied}"
+            )
         out = []
         for _ in range(2):
             tensors = []

@@ -4,9 +4,9 @@ The cache holds one embedding row per label in the full label set.
 During training it goes stale as the label encoder moves, so it is
 fully re-encoded at intervals and patched on-the-fly for labels a
 training step just embedded. ``encode_labels`` computes label
-embeddings for a refresh and for a training step alike: it encodes the
-labels in blocks of equal token count (``encoder._encode_blocks``), and
-every row has the bits of encoding and pooling its label alone.
+embeddings for a refresh and for a training step alike, in one
+``encoder.encode_spans`` call over the labels' title ranges, so every
+row has the bits of encoding and pooling its label alone.
 
 Search is exact: every result (row and score bits) is the one a full
 per-row ``similarity_to_matrix`` scan of the cache would give, with ties
@@ -35,8 +35,7 @@ from .encoder import (
     POOLING_METHODS,
     EncoderParams,
     TokenSequence,
-    _encode_blocks,
-    _pool_block,
+    encode_spans,
     pooled_width,
     token_range,
     tokenize,
@@ -118,26 +117,23 @@ def encode_labels(
     label_tokens: LabelTokens,
     label_ids: list[str],
     pooling: str,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pooled title embeddings of the labels, row i for ``label_ids[i]``.
 
-    Labels are encoded in length-grouped blocks; each row has the bits of
-    ``pool_span(encode(seq), title_span)`` for its label. Writes into
-    ``out`` (shape (n, p)) when given.
+    One ``encode_spans`` call: each row has the bits of
+    ``pool_span(encode(seq), title_span)`` for its label.
     """
     if label_tokens.vocab_size != label_params.vocab_size:
         raise ValidationError(
             f"label tokens were built for vocab size {label_tokens.vocab_size}, "
             f"the label encoder has {label_params.vocab_size}"
         )
-    seqs = [label_tokens.seqs[i] for i in label_ids]
-    spans = np.array([label_tokens.title_spans[i] for i in label_ids], dtype=np.int64)
-    if out is None:
-        out = np.empty((len(label_ids), pooled_width(label_params.dim, pooling)))
-    for positions, vectors in _encode_blocks(seqs, label_params):
-        out[positions] = _pool_block(vectors, spans[positions], pooling)
-    return out
+    return encode_spans(
+        [label_tokens.seqs[i] for i in label_ids],
+        [[label_tokens.title_spans[i]] for i in label_ids],
+        label_params,
+        pooling,
+    )
 
 
 def full_refresh(
@@ -155,7 +151,7 @@ def full_refresh(
     if missing:
         raise ValidationError(f"missing verbalizations for {len(missing)} labels, "
                               f"first: {missing[0]!r}")
-    encode_labels(label_params, label_tokens, cache.ids, cache.pooling, out=cache.matrix)
+    cache.matrix[...] = encode_labels(label_params, label_tokens, cache.ids, cache.pooling)
     cache.dirty_writes = 0
     if span_count is not None:
         cache.last_full_refresh = span_count

@@ -10,11 +10,12 @@ ceil(total_mentions / 3) of the still-unresolved mentions, so the loop
 always terminates.
 
 ``predict_corpus`` works on windows of chunks: it encodes a window's
-texts in length-grouped blocks, scores all their mentions in blocks of
+mentions in one ``encoder.encode_spans`` call, scores them in blocks of
 anchors, and runs the iterative rounds of all the window's chunks in
-lockstep. ``predict_document`` and ``predict_iterative`` are the
-one-chunk calls of the same functions. Every result has the bits of
-predicting each chunk, and each of its mentions, alone.
+lockstep. ``predict_chunks`` is the one-shot call on a list of chunks,
+and ``predict_document`` and ``predict_iterative`` are the one-chunk
+calls. Every result has the bits of predicting each chunk, and each of
+its mentions, alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Chunk, Document, EntityRecord, Mention, chunk_document
-from .encoder import EncoderParams, _encode_blocks, _pool_block, token_range, tokenize
+from .encoder import EncoderParams, encode_spans, token_range, tokenize
 from .errors import ValidationError
 from .evaluator import MentionKey
 from .label_index import LabelCache, allowed_rows, top_rows
@@ -131,20 +132,15 @@ def _score_spans(
 ) -> list[tuple[str, float]]:
     """Nearest cached label of every span, text by text in span order.
 
-    The texts are tokenized and encoded in length-grouped blocks
-    (``encoder._encode_blocks``), each block's anchors are pooled as
-    soon as it is done, and the anchors are scored ``_SCORE_BLOCK`` at a
-    time. Every anchor, and so every pick, has the bits of encoding its
-    text alone and scanning the cache for it alone.
+    The texts' spans are encoded in one ``encode_spans`` call, and the
+    anchors are scored ``_SCORE_BLOCK`` at a time. Every anchor, and so
+    every pick, has the bits of encoding its text alone and scanning the
+    cache for it alone.
     """
     seqs = [tokenize(text, mention_params.vocab_size) for text in texts]
-    offsets = np.cumsum([0] + [len(s) for s in spans])
-    anchors = np.empty((offsets[-1], cache.matrix.shape[1]))
-    for positions, vectors in _encode_blocks(seqs, mention_params):
-        owners = [j for j, i in enumerate(positions) for _ in spans[i]]
-        ranges = [token_range(seqs[i], span) for i in positions for span in spans[i]]
-        at = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in positions])
-        anchors[at] = _pool_block(vectors, np.array(ranges), cache.pooling, np.array(owners))
+    ranges = [[token_range(seq, span) for span in text_spans]
+              for seq, text_spans in zip(seqs, spans)]
+    anchors = encode_spans(seqs, ranges, mention_params, cache.pooling)
     out: list[tuple[str, float]] = []
     for start in range(0, len(anchors), _SCORE_BLOCK):
         best, scores = top_rows(cache, anchors[start:start + _SCORE_BLOCK], rows)
@@ -153,16 +149,21 @@ def _score_spans(
     return out
 
 
-def _predict_chunks(
+def predict_chunks(
     chunks: list[Document | Chunk],
     mention_params: EncoderParams,
     cache: LabelCache,
-    rows: np.ndarray | None,
+    allowed_ids: set[str] | np.ndarray | None = None,
 ) -> list[list[MentionPrediction]]:
-    """One-shot predictions of every chunk, each in mention order."""
+    """One-shot predictions of every chunk, each in mention order.
+
+    A chunk without mentions gets ``[]`` and is not encoded.
+    ``allowed_ids`` is as for ``predict_document``.
+    """
+    live = [c for c in chunks if c.mentions]
     picks = iter(_score_spans(
-        [c.text for c in chunks], [[(m.start, m.end) for m in c.mentions] for c in chunks],
-        mention_params, cache, rows,
+        [c.text for c in live], [[(m.start, m.end) for m in c.mentions] for c in live],
+        mention_params, cache, allowed_rows(cache, allowed_ids) if live else None,
     ))
     return [[MentionPrediction(m, *next(picks)) for m in c.mentions] for c in chunks]
 
@@ -244,9 +245,7 @@ def predict_document(
     ``allowed_ids`` restricts the search to a label set, given as ids or
     as the rows ``label_index.allowed_rows`` resolved them to.
     """
-    if not doc.mentions:
-        return []
-    [preds] = _predict_chunks([doc], mention_params, cache, allowed_rows(cache, allowed_ids))
+    [preds] = predict_chunks([doc], mention_params, cache, allowed_ids)
     return preds
 
 
@@ -309,7 +308,7 @@ def predict_corpus(
 ) -> CorpusPredictions:
     """Chunk every document and predict all mentions, one-shot or iterative.
 
-    Chunks are predicted a window at a time (``_predict_chunks``,
+    Chunks are predicted a window at a time (``predict_chunks``,
     ``_iterate_chunks``); each chunk's results are those of predicting
     it alone. Keys carry the original document offsets (chunk-local
     offsets are translated back via the chunk's parent offset).
@@ -327,7 +326,7 @@ def predict_corpus(
                 for r in _iterate_chunks(chunks, mention_params, cache, records, rows)
             ]
         else:
-            results = [(p, 1) for p in _predict_chunks(chunks, mention_params, cache, rows)]
+            results = [(p, 1) for p in predict_chunks(chunks, mention_params, cache, rows)]
         for (doc_id, chunk), (preds, rounds) in zip(window, results):
             for pred in preds:
                 m = pred.mention

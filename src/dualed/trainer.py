@@ -30,14 +30,10 @@ import numpy as np
 
 from .corpus import Chunk, Document, EntityRecord, chunk_document
 from .encoder import (
-    _BLOCK,
     EncoderGrads,
     EncoderParams,
-    _backward_blocks,
-    encode,
-    encoder_backward,
-    pool_span,
-    pool_span_backward,
+    backward_spans,
+    encode_spans,
     token_range,
     tokenize,
 )
@@ -58,8 +54,8 @@ from .predictor import (
     PredictionState,
     insert_verbalization,
     insertion_text,
+    predict_chunks,
     predict_corpus,
-    predict_document,
 )
 from .verbalizer import FormatSpec, verbalize_all
 
@@ -240,8 +236,10 @@ def apply_iterative_insertions(
     insertion independently corrupted to a random wrong label with
     probability corrupt_rate); after it, the model's own prediction is
     inserted instead, and only where its score beats the batch median.
-    Returns the prepared texts plus the set of (chunk index, mention
-    index) pairs whose loss terms must be dropped.
+    ``predict_fn`` maps the batch to one prediction list per chunk, in
+    mention order (``predictor.predict_chunks``); it is called once, and
+    only after the switch. Returns the prepared texts plus the set of
+    (chunk index, mention index) pairs whose loss terms must be dropped.
     """
     use_predictions = processed_spans >= config.switch_after_spans
     sorted_ids = sorted(records)
@@ -249,7 +247,7 @@ def apply_iterative_insertions(
     batch_preds: list[list] = []
     median = 0.0
     if use_predictions:
-        batch_preds = [predict_fn(chunk) for chunk in batch]
+        batch_preds = predict_fn(batch)
         scores = [p.score for preds in batch_preds for p in preds]
         median = float(np.median(scores)) if scores else math.inf
 
@@ -354,16 +352,17 @@ class Trainer:
     # -- one batch --
 
     def train_step(self, batch: list[Chunk]) -> StepStats:
-        """One update from one batch, in four phases.
+        """One update from one batch, in five phases.
 
-        1. Per chunk: tokenize and encode the text, pool each mention's
-           anchor and pick its negatives, in mention order.
-        2. One grouped forward of the step's labels, in first-use order
+        1. Tokenize the chunks that have mentions and locate the anchored
+           mentions (linkable and not excluded); one ``encode_spans``
+           call gives their anchors.
+        2. Each anchor's negatives, in mention order.
+        3. One grouped forward of the step's labels, in first-use order
            (per mention: the gold, then its negatives).
-        3. The losses in mention order.
-        4. The mention backward per chunk, then the grouped label
-           backward, a window of labels at a time, added in first-use
-           label order, and the update.
+        4. The losses in mention order.
+        5. One ``backward_spans`` call per encoder, with a zero gradient
+           for an anchor without a loss term, and the update.
         """
         config = self.config
         batch_mentions = sum(len(c.mentions) for c in batch)
@@ -375,7 +374,7 @@ class Trainer:
                 config,
                 self.processed_spans,
                 self.rng,
-                lambda chunk: predict_document(chunk, self.mention_params, self.cache),
+                lambda chunks: predict_chunks(chunks, self.mention_params, self.cache),
             )
         else:
             prepared = [
@@ -392,80 +391,86 @@ class Trainer:
             m.gold_label for c in batch for m in c.mentions if not m.unlinkable
         ]
 
-        # 1. anchors and negatives
-        chunk_terms: list[tuple] = []       # (seq, [(span, anchor, gold, neg_ids)])
-        label_row: dict[str, int] = {}      # step labels in first-use order
+        # 1. anchors
+        seqs, ranges, golds = [], [], []
         skipped = 0
         for ci, (chunk, prep) in enumerate(zip(batch, prepared)):
             if not chunk.mentions:
                 continue
             seq = tokenize(prep.text, self.mention_params.vocab_size)
-            vectors = encode(seq, self.mention_params)
-            terms = []
+            spans = []
             for mi, mention in enumerate(chunk.mentions):
                 if mention.unlinkable:
                     skipped += 1
-                    continue
-                if (ci, mi) in excluded:
-                    continue
-                span = token_range(seq, prep.spans[mi])
-                anchor = pool_span(vectors, span, config.pooling)
+                elif (ci, mi) not in excluded:
+                    spans.append(token_range(seq, prep.spans[mi]))
+                    golds.append(mention.gold_label)
+            seqs.append(seq)
+            ranges.append(spans)
+        anchors = encode_spans(seqs, ranges, self.mention_params, config.pooling)
 
-                if config.neg_mode == HARD:
-                    neg_ids = [
-                        nid
-                        for nid, _ in mine_hard_negatives(
-                            self.cache, anchor, mention.gold_label, k
-                        )
-                    ]
-                else:
-                    neg_ids = sample_in_batch_negatives(
-                        batch_golds, mention.gold_label, k, self.rng
-                    )
-                if not neg_ids:
-                    continue
-                for label_id in (mention.gold_label, *neg_ids):
-                    label_row.setdefault(label_id, len(label_row))
-                terms.append((span, anchor, mention.gold_label, neg_ids))
-            if terms:
-                chunk_terms.append((seq, terms))
+        # 2. negatives
+        terms: list[tuple] = []             # (anchor row, gold, neg_ids)
+        label_row: dict[str, int] = {}      # step labels in first-use order
+        for j, gold in enumerate(golds):
+            if config.neg_mode == HARD:
+                neg_ids = [
+                    nid for nid, _ in mine_hard_negatives(self.cache, anchors[j], gold, k)
+                ]
+            else:
+                neg_ids = sample_in_batch_negatives(batch_golds, gold, k, self.rng)
+            if not neg_ids:
+                continue
+            for label_id in (gold, *neg_ids):
+                label_row.setdefault(label_id, len(label_row))
+            terms.append((j, gold, neg_ids))
 
-        # 2. fresh label embeddings, so gradients reach the label encoder
+        # 3. fresh label embeddings, so gradients reach the label encoder
         label_ids = list(label_row)
         label_embs = encode_labels(
             self.label_params, self.label_tokens, label_ids, config.pooling
         )
 
-        # 3. losses in mention order
-        mention_upstreams: list[tuple] = []     # (seq, upstream) per chunk
-        label_upstream = np.zeros_like(label_embs)
+        # 4. losses in mention order
+        anchor_grads = np.zeros_like(anchors)
+        label_emb_grads = np.zeros_like(label_embs)
         negatives_used: list[str] = []
         total_loss, n_terms = 0.0, 0
-        for seq, terms in chunk_terms:
-            chunk_upstream = np.zeros((len(seq), config.dim))
-            for span, anchor, gold, neg_ids in terms:
-                neg_rows = [label_row[nid] for nid in neg_ids]
-                loss, grads = loss_gradients(
-                    anchor,
-                    label_embs[label_row[gold]],
-                    [label_embs[r] for r in neg_rows],
-                    config.loss_spec,
-                    config.sim_spec,
-                )
-                total_loss += loss
-                n_terms += 1
-                negatives_used.extend(neg_ids)
-                chunk_upstream += pool_span_backward(
-                    grads.anchor, span, config.pooling, len(seq), config.dim
-                )
-                label_upstream[label_row[gold]] += grads.positive
-                for r, g in zip(neg_rows, grads.negatives):
-                    label_upstream[r] += g
-            mention_upstreams.append((seq, chunk_upstream))
+        for j, gold, neg_ids in terms:
+            neg_rows = [label_row[nid] for nid in neg_ids]
+            loss, grads = loss_gradients(
+                anchors[j],
+                label_embs[label_row[gold]],
+                [label_embs[r] for r in neg_rows],
+                config.loss_spec,
+                config.sim_spec,
+            )
+            total_loss += loss
+            n_terms += 1
+            negatives_used.extend(neg_ids)
+            anchor_grads[j] = grads.anchor
+            label_emb_grads[label_row[gold]] += grads.positive
+            for r, g in zip(neg_rows, grads.negatives):
+                label_emb_grads[r] += g
 
-        # 4. backward passes and the update
+        # 5. backward passes and one clipped update of both encoders
         if n_terms:
-            self._update(mention_upstreams, label_ids, label_upstream, n_terms)
+            tokens = self.label_tokens
+            mention_grads = backward_spans(
+                seqs, ranges, anchor_grads, self.mention_params, config.pooling
+            )
+            label_grads = backward_spans(
+                [tokens.seqs[i] for i in label_ids],
+                [[tokens.title_spans[i]] for i in label_ids],
+                label_emb_grads,
+                self.label_params,
+                config.pooling,
+            )
+            _scale(mention_grads, 1.0 / n_terms)
+            _scale(label_grads, 1.0 / n_terms)
+            _clip_global_norm(mention_grads, label_grads, config.clip_norm, config.vocab_size)
+            _apply_update(self.mention_params, mention_grads, config.lr)
+            _apply_update(self.label_params, label_grads, config.lr)
 
         write_log: list[str] = []
         if config.on_the_fly:
@@ -487,62 +492,6 @@ class Trainer:
             negatives_used=negatives_used,
             excluded=excluded,
         )
-
-    def _update(
-        self,
-        mention_upstreams: list[tuple],
-        label_ids: list[str],
-        label_upstream: np.ndarray,
-        n_terms: int,
-    ) -> None:
-        """The step's backward passes and one clipped update of both encoders.
-
-        The mention backward runs per chunk; the label backward runs once,
-        grouped (``_label_grads``). Results are added to one compact
-        buffer per encoder (``_zero_grads``) in chunk order and in label
-        order.
-        """
-        config = self.config
-        mention_grads = _zero_grads(
-            self.mention_params, [seq for seq, _ in mention_upstreams]
-        )
-        label_grads = _zero_grads(
-            self.label_params, [self.label_tokens.seqs[i] for i in label_ids]
-        )
-        for seq, upstream in mention_upstreams:
-            _accumulate(mention_grads, encoder_backward(seq, self.mention_params, upstream))
-        self._label_grads(label_ids, label_upstream, label_grads)
-        _scale(mention_grads, 1.0 / n_terms)
-        _scale(label_grads, 1.0 / n_terms)
-        _clip_global_norm(
-            mention_grads, label_grads, config.clip_norm, config.vocab_size
-        )
-        _apply_update(self.mention_params, mention_grads, config.lr)
-        _apply_update(self.label_params, label_grads, config.lr)
-
-    def _label_grads(
-        self, label_ids: list[str], upstream: np.ndarray, into: EncoderGrads
-    ) -> None:
-        """Add the label-encoder gradients of pooled-embedding gradients
-        ``upstream`` (row i for ``label_ids[i]``) into ``into``, in label order.
-
-        Labels go through the block backward a window of _BLOCK at a
-        time, so one window's token gradients and per-label results (views
-        of stacked blocks) are alive at once; returning releases the last
-        of them before the update runs.
-        """
-        tokens, config = self.label_tokens, self.config
-        for start in range(0, len(label_ids), _BLOCK):
-            window = label_ids[start:start + _BLOCK]
-            seqs = [tokens.seqs[i] for i in window]
-            upstreams = [
-                pool_span_backward(
-                    up, tokens.title_spans[i], config.pooling, len(seq), config.dim
-                )
-                for i, seq, up in zip(window, seqs, upstream[start:start + _BLOCK])
-            ]
-            for label in _backward_blocks(seqs, self.label_params, upstreams):
-                _accumulate(into, label)
 
     # -- full runs --
 
@@ -596,31 +545,11 @@ class Trainer:
 # ── the sparse step ──────────────────────────────────────────────────────────
 #
 # Only the token ids of a step's chunks and labels get a table gradient, so
-# the step keeps each encoder's table gradient as a compact (R, d) buffer
-# over those rows and adds every backward call's rows in call order. Scale
-# and update touch those rows alone: for any other row the update is
-# x - lr * 0.0, which is x. The clip norm still sums the squares of the
-# whole (V, d) table as np.sum does (``_table_square_sum``).
-
-
-def _zero_grads(params: EncoderParams, seqs: list) -> EncoderGrads:
-    """Zero gradients whose table rows are the sequences' token ids."""
-    rows = np.unique(np.concatenate([seq.token_ids for seq in seqs]))
-    return EncoderGrads(
-        table=np.zeros((len(rows), params.dim)),
-        w_self=np.zeros_like(params.w_self),
-        w_ctx=np.zeros_like(params.w_ctx),
-        bias=np.zeros_like(params.bias),
-        rows=rows,
-    )
-
-
-def _accumulate(into: EncoderGrads, grads: EncoderGrads) -> None:
-    """Add one backward call's gradients; its rows are a subset of ``into.rows``."""
-    into.table[np.searchsorted(into.rows, grads.rows)] += grads.table
-    into.w_self += grads.w_self
-    into.w_ctx += grads.w_ctx
-    into.bias += grads.bias
+# ``encoder.backward_spans`` keeps each encoder's table gradient as a compact
+# (R, d) buffer over those rows. Scale and update touch those rows alone:
+# for any other row the update is x - lr * 0.0, which is x. The clip norm
+# still sums the squares of the whole (V, d) table as np.sum does
+# (``_table_square_sum``).
 
 
 def _scale(grads: EncoderGrads, factor: float) -> None:

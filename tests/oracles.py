@@ -154,7 +154,8 @@ def train_step_per_label(trainer, batch):
     if config.iterative and batch_mentions:
         prepared, excluded = tm.apply_iterative_insertions(
             batch, trainer.records, config, trainer.processed_spans, trainer.rng,
-            lambda chunk: tm.predict_document(chunk, trainer.mention_params, trainer.cache),
+            lambda chunks: [predict_document_one(c, trainer.mention_params, trainer.cache)
+                            for c in chunks],
         )
     else:
         prepared = [tm.PreparedChunk(c.text, [(m.start, m.end) for m in c.mentions])

@@ -1,13 +1,15 @@
 """End-to-end checks of every subcommand on a small synthetic task."""
 
 import json
+import struct
 
 import pytest
 
 from dualed import cli
 from dualed.cli import main
 from dualed.corpus import load_corpus, load_label_set
-from dualed.encoder import load_checkpoint
+from dualed.encoder import EncoderParams, load_checkpoint, save_checkpoint
+from dualed.errors import ValidationError
 from dualed.predictor import predict_corpus
 from dualed.synthetic import make_task, write_corpus_file, write_label_file
 from dualed.trainer import TrainConfig, Trainer
@@ -279,6 +281,36 @@ class TestExitCodes:
                    "--labels", workspace / "labels.jsonl",
                    "--checkpoint", model, "--out", workspace / "x.jsonl")
         assert code == 1
+
+    def test_checkpoint_header_claiming_more_than_the_file_is_validation_error(
+        self, workspace, capsys
+    ):
+        # V = 2**24, d = 64 would read 4 GiB per table from a 118-byte file
+        model = workspace / "huge_header.bin"
+        model.write_bytes(b"VRBED1" + struct.pack("<III", 1 << 24, 64, 5) + bytes(100))
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", model, "--out", workspace / "x.jsonl")
+        assert code == 1
+        implied = 18 + 8 * ((1 << 24) * 64 + 2 * 64 * 64 + 64)
+        assert "is 118 bytes" in capsys.readouterr().err
+        with pytest.raises(ValidationError, match=f"118 bytes.*implies {implied}"):
+            load_checkpoint(model)
+
+    def test_checkpoint_with_trailing_bytes_is_validation_error(self, workspace, capsys):
+        model = workspace / "trailing.bin"
+        save_checkpoint(model, EncoderParams.init(64, 4, 2, seed=0),
+                        EncoderParams.init(64, 4, 2, seed=1))
+        size = model.stat().st_size
+        assert run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", model, "--out", workspace / "x.jsonl") == 0
+        model.write_bytes(model.read_bytes() + b"\x00")
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", model, "--out", workspace / "x.jsonl")
+        assert code == 1
+        assert f"is {size + 1} bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, config_text, key",

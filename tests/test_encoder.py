@@ -1,5 +1,6 @@
 """Tokenizer, encoder forward/backward, pooling, and checkpoint format."""
 
+import re
 import sys
 
 import numpy as np
@@ -10,25 +11,26 @@ from hypothesis import strategies as st
 from dualed.encoder import (
     _BLOCK,
     _TOKEN_RUN,
-    _backward_blocks,
-    _encode_blocks,
-    _pool_block,
     FIRST_LAST,
     MEAN,
     EncoderParams,
     TokenSequence,
+    backward_spans,
     encode,
+    encode_spans,
     encoder_backward,
     fnv1a_64,
     load_checkpoint,
     pool_span,
     pool_span_backward,
+    pooled_width,
     save_checkpoint,
     token_range,
     tokenize,
 )
 from dualed.errors import ValidationError
 from oracles import (
+    accumulate,
     encode_one,
     encoder_backward_one,
     token_range_scan,
@@ -214,8 +216,8 @@ class TestPooling:
             pool_span(self.vectors, (1, 1), MEAN)
 
 
-def numerical_param_grads(seq, params, upstream, h=1e-5):
-    """Central finite differences over every parameter tensor."""
+def numerical_param_grads(objective, params, h=1e-5):
+    """Central finite differences of ``objective()`` over every parameter tensor."""
     grads = {}
     for name in ("table", "w_self", "w_ctx", "bias"):
         tensor = getattr(params, name)
@@ -225,13 +227,17 @@ def numerical_param_grads(seq, params, upstream, h=1e-5):
             idx = it.multi_index
             orig = tensor[idx]
             tensor[idx] = orig + h
-            up = float((encode(seq, params) * upstream).sum())
+            up = objective()
             tensor[idx] = orig - h
-            down = float((encode(seq, params) * upstream).sum())
+            down = objective()
             tensor[idx] = orig
             grad[idx] = (up - down) / (2 * h)
         grads[name] = grad
     return grads
+
+
+def encode_objective(seq, params, upstream):
+    return lambda: float((encode(seq, params) * upstream).sum())
 
 
 def relative_error(a, b):
@@ -290,7 +296,7 @@ class TestEncoderBackward:
             seq = random_seq(rng, int(rng.integers(1, 17)), vocab=8)
             upstream = rng.normal(size=(len(seq), dim))
             analytic = encoder_backward(seq, p, upstream)
-            numeric = numerical_param_grads(seq, p, upstream)
+            numeric = numerical_param_grads(encode_objective(seq, p, upstream), p)
             analytic.table = dense_table(analytic, 8)
             for name in ("table", "w_self", "w_ctx", "bias"):
                 err = relative_error(getattr(analytic, name), numeric[name])
@@ -303,7 +309,7 @@ class TestEncoderBackward:
         assert seq.token_ids[0] == seq.token_ids[1]
         upstream = rng.normal(size=(2, 3))
         grads = encoder_backward(seq, p, upstream)
-        numeric = numerical_param_grads(seq, p, upstream)
+        numeric = numerical_param_grads(encode_objective(seq, p, upstream), p)
         assert relative_error(dense_table(grads, V), numeric["table"]) <= 1e-4
 
     def test_shape_mismatch_rejected(self):
@@ -342,48 +348,60 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def grouped_vectors(seqs, params):
-    """_encode_blocks' vectors, back in input order."""
-    out = [None] * len(seqs)
-    for positions, vectors in _encode_blocks(seqs, params):
-        assert vectors.shape[0] == len(positions) <= _BLOCK
-        for j, i in enumerate(positions):
-            out[i] = vectors[j]
-    return out
+def random_ranges(rng, n, max_ranges):
+    """Up to ``max_ranges`` random token ranges of an n-token sequence."""
+    return [tuple(sorted(rng.choice(n + 1, size=2, replace=False).tolist()))
+            for _ in range(int(rng.integers(0, max_ranges + 1)))]
 
 
-def check_grouped_against_oracle(rng, lengths, vocab, dim, window):
-    """Grouped forward, backward and pooling equal the per-sequence oracle in bits."""
+def dense_oracle_backward(seqs, ranges, span_grads, params, method):
+    """``backward_spans`` by the per-sequence oracle: each sequence's token
+    gradients from its ranges' ``pool_span_backward`` in range order, then
+    ``encoder_backward_one``, added into dense (V, d) gradients."""
+    dense = zero_grads(params)
+    rows = iter(span_grads)
+    for seq, spans in zip(seqs, ranges):
+        upstream = np.zeros((len(seq), params.dim))
+        for span in spans:
+            upstream += pool_span_backward(next(rows), span, method, len(seq), params.dim)
+        accumulate(dense, encoder_backward_one(seq, params, upstream))
+    return dense
+
+
+def check_spans_against_oracle(rng, lengths, vocab, dim, window, max_ranges=3):
+    """encode_spans and backward_spans, and their one-item calls, equal the
+    per-sequence oracle in bits, for both poolings."""
     p = random_params(rng, vocab=vocab, dim=dim, window=window)
     seqs = [
         TokenSequence(rng.integers(0, vocab, size=n), [(i, i + 1) for i in range(n)], "")
         for n in lengths
     ]
-    upstreams = [rng.normal(size=(n, dim)) for n in lengths]
-    spans = np.array([sorted(rng.choice(n + 1, size=2, replace=False)) for n in lengths])
-
-    vectors = grouped_vectors(seqs, p)
-    grads = list(_backward_blocks(seqs, p, upstreams))
-    assert len(grads) == len(seqs)
-    for i, seq in enumerate(seqs):
-        expected = encode_one(seq, p)
-        assert np.array_equal(bits(vectors[i]), bits(expected)), i
-        assert np.array_equal(bits(encode(seq, p)), bits(expected)), i
-        ref = encoder_backward_one(seq, p, upstreams[i])
-        single = encoder_backward(seq, p, upstreams[i])
+    ranges = [random_ranges(rng, n, max_ranges) for n in lengths]
+    for seq in seqs:
+        upstream = rng.normal(size=(len(seq), dim))
+        assert np.array_equal(bits(encode(seq, p)), bits(encode_one(seq, p)))
+        single, ref = encoder_backward(seq, p, upstream), encoder_backward_one(seq, p, upstream)
         for name in ("table", "w_self", "w_ctx", "bias", "rows"):
-            assert np.array_equal(bits(getattr(grads[i], name)), bits(getattr(ref, name)))
             assert np.array_equal(bits(getattr(single, name)), bits(getattr(ref, name)))
     for method in (MEAN, FIRST_LAST):
-        for positions, block in _encode_blocks(seqs, p):
-            pooled = _pool_block(block, spans[positions], method)
-            for j, i in enumerate(positions):
-                lo, hi = spans[i]
-                expected = pool_span(encode_one(seqs[i], p), (lo, hi), method)
-                assert np.array_equal(bits(pooled[j]), bits(expected)), (method, i)
+        pooled = encode_spans(seqs, ranges, p, method)
+        want = [pool_span(encode_one(seq, p), span, method)
+                for seq, spans in zip(seqs, ranges) for span in spans]
+        assert pooled.shape == (len(want), pooled_width(dim, method))
+        for j, row in enumerate(want):
+            assert np.array_equal(bits(pooled[j]), bits(row)), (method, j)
+
+        span_grads = rng.normal(size=pooled.shape)
+        got = backward_spans(seqs, ranges, span_grads, p, method)
+        dense = dense_oracle_backward(seqs, ranges, span_grads, p, method)
+        all_ids = np.concatenate([seq.token_ids for seq in seqs])
+        np.testing.assert_array_equal(got.rows, np.unique(all_ids))
+        assert np.array_equal(bits(dense_table(got, vocab)), bits(dense.table)), method
+        for name in ("w_self", "w_ctx", "bias"):
+            assert np.array_equal(bits(getattr(got, name)), bits(getattr(dense, name)))
 
 
-class TestGroupedEncoder:
+class TestSpanEncoder:
     @settings(max_examples=150, deadline=None)
     @given(
         lengths=st.lists(st.integers(1, 40), min_size=1, max_size=40),
@@ -393,42 +411,90 @@ class TestGroupedEncoder:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_per_sequence_oracle(self, lengths, vocab, dim, window, seed):
-        check_grouped_against_oracle(
+        check_spans_against_oracle(
             np.random.default_rng(seed), lengths, vocab, dim, window
         )
 
     def test_single_sequence_and_split_blocks(self):
         rng = np.random.default_rng(12)
-        check_grouped_against_oracle(rng, [1], 8, 32, 5)
-        check_grouped_against_oracle(rng, [7], 8, 32, 300)
+        check_spans_against_oracle(rng, [1], 8, 32, 5)
+        check_spans_against_oracle(rng, [7], 8, 32, 300)
         # more sequences of one length than one block holds
         lengths = [3] * (2 * _BLOCK + 5) + [1] * (_BLOCK + 1) + list(range(1, 30))
-        check_grouped_against_oracle(rng, lengths, 64, 32, 2)
+        check_spans_against_oracle(rng, lengths, 64, 32, 2)
+
+    def test_zero_and_many_ranges(self):
+        rng = np.random.default_rng(13)
+        # every sequence without ranges: no rows, zero gradients over all ids
+        check_spans_against_oracle(rng, [4, 4, 9], 8, 3, 1, max_ranges=0)
+        # many overlapping ranges per sequence, single-token ones included
+        check_spans_against_oracle(rng, [2, 5, 5, 30], 8, 3, 1, max_ranges=12)
+        p = random_params(rng)
+        seqs = [random_seq(rng, 4), random_seq(rng, 2)]
+        ranges = [[], [(0, 2), (1, 2), (0, 1)]]
+        pooled = encode_spans(seqs, ranges, p, FIRST_LAST)
+        assert pooled.shape == (3, 6)
+        grads = backward_spans(seqs, ranges, np.zeros((3, 6)), p, FIRST_LAST)
+        np.testing.assert_array_equal(
+            grads.rows, np.unique(np.concatenate([s.token_ids for s in seqs])))
+        for t in (grads.table, grads.w_self, grads.w_ctx, grads.bias):
+            assert not t.any()
+
+    @pytest.mark.parametrize("method", [MEAN, FIRST_LAST])
+    def test_matches_finite_differences(self, method):
+        rng = np.random.default_rng(16)
+        for trial in range(5):
+            p = random_params(rng, vocab=8, dim=2, window=int(rng.integers(0, 3)))
+            seqs = [random_seq(rng, int(n), vocab=8) for n in rng.integers(1, 7, size=3)]
+            ranges = [random_ranges(rng, len(seq), 2) for seq in seqs]
+            span_grads = rng.normal(size=encode_spans(seqs, ranges, p, method).shape)
+            analytic = backward_spans(seqs, ranges, span_grads, p, method)
+            numeric = numerical_param_grads(
+                lambda: float((encode_spans(seqs, ranges, p, method) * span_grads).sum()), p)
+            analytic.table = dense_table(analytic, 8)
+            for name in ("table", "w_self", "w_ctx", "bias"):
+                err = relative_error(getattr(analytic, name), numeric[name])
+                assert err <= 1e-4, f"trial {trial}, {name}: rel err {err}"
 
     def test_empty_sequence_rejected(self):
         p = random_params(np.random.default_rng(14))
+        seqs = [tokenize("a", V), tokenize("", V)]
         with pytest.raises(ValidationError, match="empty"):
-            list(_encode_blocks([tokenize("a", V), tokenize("", V)], p))
-
-    def test_upstream_mismatch_rejected(self):
-        p = random_params(np.random.default_rng(15))
-        seqs = [tokenize("a b", V), tokenize("c", V)]
-        with pytest.raises(ValidationError, match="upstreams"):
-            _backward_blocks(seqs, p, [np.zeros((2, 3))])
-        with pytest.raises(ValidationError, match="upstream shape"):
-            _backward_blocks(seqs, p, [np.zeros((2, 3)), np.zeros((2, 3))])
+            encode_spans(seqs, [[(0, 1)], []], p, MEAN)
+        with pytest.raises(ValidationError, match="empty"):
+            backward_spans(seqs, [[(0, 1)], []], np.zeros((1, 3)), p, MEAN)
 
     @pytest.mark.parametrize("method", [MEAN, FIRST_LAST])
-    def test_pool_block_rejects_bad_span(self, method):
-        vectors = np.zeros((2, 3, 4))
-        with pytest.raises(ValidationError, match=r"\(2, 2\)"):
-            _pool_block(vectors, np.array([[0, 3], [2, 2]]), method)
-        with pytest.raises(ValidationError, match=r"\(1, 4\)"):
-            _pool_block(vectors, np.array([[0, 3], [1, 4]]), method)
+    def test_bad_range_rejected(self, method):
+        p = random_params(np.random.default_rng(17))
+        seqs = [tokenize("a b c", V), tokenize("d e f", V)]
+        width = pooled_width(3, method)
+        for bad in ((2, 2), (1, 4), (-1, 2)):
+            ranges = [[(0, 3)], [bad]]
+            with pytest.raises(ValidationError, match=re.escape(str(bad))):
+                encode_spans(seqs, ranges, p, method)
+            with pytest.raises(ValidationError, match=re.escape(str(bad))):
+                backward_spans(seqs, ranges, np.zeros((2, width)), p, method)
 
-    def test_pool_block_rejects_unknown_method(self):
+    def test_span_grads_shape_rejected(self):
+        p = random_params(np.random.default_rng(15))
+        seqs = [tokenize("a b", V), tokenize("c", V)]
+        ranges = [[(0, 2), (1, 2)], [(0, 1)]]
+        for shape in ((2, 6), (4, 6), (3, 3)):
+            with pytest.raises(ValidationError, match="span gradients"):
+                backward_spans(seqs, ranges, np.zeros(shape), p, FIRST_LAST)
+        with pytest.raises(ValidationError, match="range lists"):
+            encode_spans(seqs, ranges[:1], p, FIRST_LAST)
+        with pytest.raises(ValidationError, match="range lists"):
+            backward_spans(seqs, ranges[:1], np.zeros((2, 6)), p, FIRST_LAST)
+
+    def test_unknown_pooling_rejected(self):
+        p = random_params(np.random.default_rng(18))
+        seqs, ranges = [tokenize("a b", V)], [[(0, 2)]]
         with pytest.raises(ValidationError, match="unknown pooling"):
-            _pool_block(np.zeros((1, 3, 4)), np.array([[0, 3]]), "max")
+            encode_spans(seqs, ranges, p, "max")
+        with pytest.raises(ValidationError, match="unknown pooling"):
+            backward_spans(seqs, ranges, np.zeros((1, 3)), p, "max")
 
 
 class TestPoolBackward:

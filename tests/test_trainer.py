@@ -1,5 +1,6 @@
 """Batching, negative counts, step contracts, insertions, scheduling."""
 
+import dataclasses
 import inspect
 import tracemalloc
 from collections import Counter
@@ -186,6 +187,26 @@ class TestTrainStep:
                 assert golds.isdisjoint(stats.negatives_used)
 
 
+def with_gradient_free_mentions(batches):
+    """The batches with mentions that reach no loss term.
+
+    Every batch gains a chunk of words found nowhere else whose mentions
+    are all unlinkable: the step encodes it, and its token ids join the
+    mention gradient buffer as zero rows, which the oracle never
+    back-propagates. A last batch holds a single mention, whose gold is
+    then the batch's only gold: in_batch mode finds it no negatives, and
+    that step has no loss term.
+    """
+    text = "qoxv zejk wyfu"
+    unlinkable = [Mention(s, s + 4, "E000", text[s:s + 4], unlinkable=True)
+                  for s in (0, 5, 10)]
+    out = [[*batch, Chunk(parent_doc="dead", text=text, mentions=unlinkable)]
+           for batch in batches]
+    lone = batches[0][0]
+    out.append([dataclasses.replace(lone, mentions=lone.mentions[:1])])
+    return out
+
+
 class TestAgainstPerLabelStep:
     @pytest.mark.parametrize("overrides", [
         dict(),
@@ -193,9 +214,13 @@ class TestAgainstPerLabelStep:
         dict(loss="triplet", sim="cosine", on_the_fly=False),
         dict(neg_count="dyn", sim="dot", lr=0.05),  # over 64 labels per step
         dict(iterative=True, switch_after_spans=30),
+        dict(pooling="mean", neg_mode="in_batch", edit=with_gradient_free_mentions),
     ])
     def test_steps_equal_the_per_label_oracle(self, overrides):
-        """Grouped label passes and the phase order change no bit of a step."""
+        """Grouped passes, zero rows for mentions without a loss term and the
+        phase order change no bit of a step."""
+        overrides = dict(overrides)
+        edit = overrides.pop("edit", list)
         task = make_task(n_entities=90, n_surfaces=18, train_mentions=90,
                          dev_mentions=20, seed=4)
         config = small_config(**{"refresh_interval_spans": 40, "lr": 0.5, **overrides})
@@ -205,8 +230,8 @@ class TestAgainstPerLabelStep:
                 trainer.refresh_cache()
             limits = (config.max_mentions_per_chunk, config.max_chars_per_chunk)
             for seed_batches in zip(
-                make_batches(task.train_docs, config.batch_docs, limits, seed=[0, epoch]),
-                make_batches(task.train_docs, config.batch_docs, limits, seed=[0, epoch]),
+                edit(make_batches(task.train_docs, config.batch_docs, limits, seed=[0, epoch])),
+                edit(make_batches(task.train_docs, config.batch_docs, limits, seed=[0, epoch])),
             ):
                 got = grouped.train_step(seed_batches[0])
                 want = train_step_per_label(reference, seed_batches[1])
@@ -367,20 +392,21 @@ class TestIterativeInsertions:
         )
         calls = []
 
-        def fake_predict(ch):
+        def fake_predict(chunks):
             from dualed.predictor import MentionPrediction
 
-            calls.append(ch)
+            calls.append(chunks)
             return [
-                MentionPrediction(m, f"E{(i + 5):02d}", float(i))
-                for i, m in enumerate(ch.mentions)
+                [MentionPrediction(m, f"E{(i + 5):02d}", float(i))
+                 for i, m in enumerate(ch.mentions)]
+                for ch in chunks
             ]
 
         prepared, excluded = apply_iterative_insertions(
             [chunk], task.records, trainer.config, 50,
             np.random.default_rng(3), predict_fn=fake_predict,
         )
-        assert calls, "prediction path must be used after the switch"
+        assert calls == [[chunk]], "one batch prediction after the switch"
         # insertions only for sampled mentions scoring above the median
         for ci, mi in excluded:
             pred_desc = task.records[f"E{(mi + 5):02d}"].description
