@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Encode mentions and labels into one space and search it exactly.
 
-Builds both encoders, fills a label cache, and compares the package's
-vectorized nearest-label search against a hand-rolled scan.
+Builds both encoders, fills a label cache, embeds a mention with the
+batch span encoder (one row per token range), and compares the package's
+block search (``top_rows``, one row of results per anchor) against a
+hand-rolled scan.
 """
 
 import numpy as np
@@ -13,14 +15,14 @@ from dualed import (
     FormatSpec,
     LabelCache,
     SimilaritySpec,
-    encode,
+    allowed_rows,
+    encode_spans,
     full_refresh,
     mine_hard_negatives,
-    nearest_label,
-    pool_span,
     token_range,
     tokenize,
     tokenize_labels,
+    top_rows,
 )
 from dualed.verbalizer import verbalize_all
 
@@ -50,10 +52,12 @@ print(f"cache: {len(cache.ids)} labels x {cache.matrix.shape[1]} dims\n")
 
 text = "Italy beat England at rugby in Rome"
 seq = tokenize(text, vocab)
-vectors = encode(seq, mention_encoder)
-anchor = pool_span(vectors, token_range(seq, (0, 5)), "first_last")
+# one sequence with one token range: a (1, 2 * dim) block of anchors
+anchors = encode_spans([seq], [[token_range(seq, (0, 5))]], mention_encoder, "first_last")
+anchor = anchors[0]
 
-label_id, score = nearest_label(cache, anchor)
+rows, scores = top_rows(cache, anchors)
+label_id, score = cache.ids[rows[0, 0]], scores[0, 0]
 print(f"mention 'Italy' in {text!r}")
 print(f"  nearest label: {label_id}  (similarity {score:.4f})")
 
@@ -71,5 +75,6 @@ print(f"  hand-rolled argmax: {cache.ids[by_hand[0]]}  (similarity {by_hand[1]:.
 assert cache.ids[by_hand[0]] == label_id
 
 print("\nrestricting the allowed set changes the answer deterministically:")
-restricted, r_score = nearest_label(cache, anchor, allowed_ids={"Wembley"})
+rows, scores = top_rows(cache, anchors, allowed_rows(cache, {"Wembley"}))
+restricted, r_score = cache.ids[rows[0, 0]], scores[0, 0]
 print(f"  allowed={{Wembley}} -> {restricted}  (similarity {r_score:.4f})")

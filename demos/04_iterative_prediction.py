@@ -3,7 +3,9 @@
 
 Constructs a two-mention document where the second mention is ambiguous
 on its own. Once the first mention's description is inserted into the
-text, the extra context flips the second prediction.
+text, the extra context flips the second prediction. The one-shot and
+iterative calls (``predict_chunks``, ``iterate_chunks``) take a batch of
+documents; here the batch holds one.
 """
 
 import numpy as np
@@ -13,10 +15,9 @@ from dualed import (
     EntityRecord,
     LabelCache,
     SimilaritySpec,
-    encode,
-    pool_span,
-    predict_document,
-    predict_iterative,
+    encode_spans,
+    iterate_chunks,
+    predict_chunks,
     token_range,
     tokenize,
 )
@@ -49,12 +50,13 @@ params = EncoderParams(table=table, w_self=np.eye(2), w_ctx=np.eye(2),
 
 # cache rows engineered from the two context states of mention "bbb"
 seq = tokenize(text, vocab)
-vectors = encode(seq, params)
-anchor_a = pool_span(vectors, token_range(seq, (0, 3)), "mean")
-anchor_b_plain = pool_span(vectors, token_range(seq, (10, 13)), "mean")
 seq2 = tokenize("aaa (shift) likes bbb", vocab)
-anchor_b_enriched = pool_span(encode(seq2, params),
-                              token_range(seq2, (18, 21)), "mean")
+anchor_a, anchor_b_plain, anchor_b_enriched = encode_spans(
+    [seq, seq2],
+    [[token_range(seq, (0, 3)), token_range(seq, (10, 13))],
+     [token_range(seq2, (18, 21))]],
+    params, "mean",
+)
 cache = LabelCache(
     ids=["Label_A", "Label_One", "Label_Two"],
     matrix=np.vstack([anchor_a, anchor_b_plain + [0.05, 0.0], anchor_b_enriched]),
@@ -64,11 +66,13 @@ cache = LabelCache(
 
 print(f"document: {text!r}\n")
 print("one-shot predictions:")
-for pred in predict_document(doc, params, cache):
+# both prediction calls take a batch of documents and return one result each
+[one_shot] = predict_chunks([doc], params, cache)
+for pred in one_shot:
     print(f"  {pred.mention.surface!r} -> {pred.predicted_id}  "
           f"(score {pred.score:.3f})")
 
-result = predict_iterative(doc, params, cache, records)
+[result] = iterate_chunks([doc], params, cache, records)
 print(f"\niterative run, {result.iterations} rounds:")
 print(f"  enriched text: {result.state.working_text!r}")
 for first, final in zip(result.first_pass, result.predictions):

@@ -23,9 +23,7 @@ from .encoder import (
     EncoderParams,
     TokenSequence,
     backward_spans,
-    encode,
     encode_spans,
-    encoder_backward,
     load_checkpoint,
     pool_span,
     save_checkpoint,
@@ -40,7 +38,6 @@ from .label_index import (
     allowed_rows,
     full_refresh,
     mine_hard_negatives,
-    nearest_label,
     sample_in_batch_negatives,
     tokenize_labels,
     top_rows,
@@ -52,10 +49,9 @@ from .predictor import (
     MentionPrediction,
     PredictionState,
     insert_verbalization,
+    iterate_chunks,
     predict_chunks,
     predict_corpus,
-    predict_document,
-    predict_iterative,
     target_label_set,
 )
 from .trainer import (

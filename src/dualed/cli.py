@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    _as_integer,
     _json_kind,
     _jsonl_objects,
     flag_unlinkable,
@@ -217,14 +218,9 @@ def _load_predictions(path) -> dict[tuple[str, int, int], str]:
                     raise ValidationError(
                         f"line {line_no}: {name} must be a string, got {_json_kind(value)}"
                     )
-            try:
-                key = (doc, int(start), int(end))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(
-                    f"line {line_no}: start and end must be integers, "
-                    f"got {start!r} and {end!r}"
-                ) from exc
-            out[key] = pred
+            where = f"line {line_no}"
+            start, end = _as_integer(start, "start", where), _as_integer(end, "end", where)
+            out[(doc, start, end)] = pred
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     return out

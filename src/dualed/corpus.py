@@ -139,15 +139,23 @@ def _as_string(value, key: str, where: str, numbers: bool) -> str:
     raise ValidationError(f"{where}: {key} must be {expected}, got {_json_kind(value)}")
 
 
+def _as_integer(value, key: str, where: str) -> int:
+    """``value``, which must be a JSON integer: not a boolean, a float or a string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{where}: {key} must be an integer, got {value!r:.40}")
+
+
 def _parse_mention(obj: dict, text: str, doc_id: str, line_no: int) -> Mention:
     try:
-        start, end, label = int(obj["start"]), int(obj["end"]), obj["label"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        start, end, label = obj["start"], obj["end"], obj["label"]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(
             f"line {line_no}: document {doc_id!r}: malformed mention {obj!r}: {exc}"
         ) from exc
-    label = _as_string(label, "label", f"line {line_no}: document {doc_id!r}: mention",
-                       numbers=True)
+    where = f"line {line_no}: document {doc_id!r}: mention"
+    start, end = _as_integer(start, "start", where), _as_integer(end, "end", where)
+    label = _as_string(label, "label", where, numbers=True)
     if start >= end:
         raise ValidationError(
             f"line {line_no}: document {doc_id!r}: mention start >= end ({start} >= {end})"

@@ -19,10 +19,12 @@ of the verbalization acts as context.
 
 The span-level forward and backward, ``encode_spans`` and
 ``backward_spans``, are the one seam the label cache, the trainer and
-the predictor use. Both stack sequences of equal token count into
-(L, T, d) blocks, whose matmuls and cumsums give every sequence the bits
-it gets alone; ``encode``, ``encoder_backward`` and ``pool_span`` are
-their one-item calls.
+the predictor use, and the encoder's only public forward and backward.
+Both stack sequences of equal token count into (L, T, d) blocks, whose
+matmuls and cumsums give every sequence the bits it gets alone; one
+sequence with one ``mean`` range (t, t + 1) per token gives its token
+vectors and their gradients. ``pool_span`` and ``pool_span_backward``
+pool and scatter one range.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ class EncoderParams:
         v = self.vocab_size
         if v & (v - 1) != 0 or v == 0:
             raise ValidationError(f"vocab size must be a power of two, got {v}")
+        if self.dim < 1:
+            raise ValidationError(f"embedding dim must be at least 1, got {self.dim}")
 
     @classmethod
     def init(cls, vocab_size: int, dim: int, window: int, seed: int) -> "EncoderParams":
@@ -236,7 +240,7 @@ def _backward_blocks(
     params: EncoderParams,
     upstreams: Sequence[np.ndarray],
 ) -> list[EncoderGrads]:
-    """Exact gradients of encode() for many sequences, in input order.
+    """Exact gradients of ``_forward_block`` for many sequences, in input order.
 
     ``upstreams[i]`` holds dLoss/d(out_t) rows of ``seqs[i]``. Sequences
     of equal token count are stacked in blocks, as the forward stacks
@@ -298,10 +302,11 @@ def encode_spans(
     """Pooled embeddings of token ranges, one row per range, shape (n, p).
 
     ``ranges[i]`` are token ranges [lo, hi) of ``seqs[i]``, and row j is
-    the j-th range in (sequence, range) order, with the bits of
-    ``pool_span(encode(seq), range, pooling)``. Sequences of equal token
-    count are encoded _BLOCK at a time, and each block is pooled as soon
-    as it is built. Every sequence is encoded, one without ranges too.
+    the j-th range in (sequence, range) order, with the bits of encoding
+    its sequence alone and pooling the range with ``pool_span``.
+    Sequences of equal token count are encoded _BLOCK at a time, and each
+    block is pooled as soon as it is built. Every sequence is encoded, one
+    without ranges too.
     """
     offsets = _range_offsets(seqs, ranges)
     out = np.empty((offsets[-1], pooled_width(params.dim, pooling)))
@@ -357,24 +362,6 @@ def backward_spans(
             out.w_ctx += grads.w_ctx
             out.bias += grads.bias
     return out
-
-
-def encode(seq: TokenSequence, params: EncoderParams) -> np.ndarray:
-    """Contextual vectors for every token, shape (T, d)."""
-    return _forward_block([seq], params)[0]
-
-
-def encoder_backward(
-    seq: TokenSequence, params: EncoderParams, upstream: np.ndarray
-) -> EncoderGrads:
-    """Exact gradients of encode() w.r.t. every parameter tensor.
-
-    ``upstream`` holds dLoss/d(out_t) rows. The table gradient is
-    row-sparse: one row per unique token id, ascending, each summing its
-    tokens' gradients in sequence order.
-    """
-    [grads] = _backward_blocks([seq], params, [upstream])
-    return grads
 
 
 def _check_span(lo: int, hi: int, n_tokens: int) -> None:

@@ -10,12 +10,15 @@ row has the bits of encoding and pooling its label alone.
 
 Search is exact: every result (row and score bits) is the one a full
 per-row ``similarity_to_matrix`` scan of the cache would give, with ties
-broken toward the lowest row index. ``top_rows`` scores a block of
-anchors at once. Dot and cosine keep one matrix-vector product per
-anchor. Euclidean search shortlists rows from one GEMM of the quadratic
-form q = ||a||^2 + ||r||^2 - 2 a.r, whose computed value lies within
-E = 2 gamma_{p+2} (||a||^2 + max ||r||^2) of the exact squared distance
-(gamma_n = n u / (1 - n u), u the float64 unit roundoff, p the width).
+broken toward the lowest row index. ``top_rows`` is the one search: it
+scores a block of anchors at once, over every row or over the rows
+``allowed_rows`` resolves, and ``mine_hard_negatives`` is its one-anchor
+call for the training step. Dot and cosine keep one matrix-vector
+product per anchor. Euclidean search shortlists rows from one GEMM of
+the quadratic form q = ||a||^2 + ||r||^2 - 2 a.r, whose computed value
+lies within E = 2 gamma_{p+2} (||a||^2 + max ||r||^2) of the exact
+squared distance (gamma_n = n u / (1 - n u), u the float64 unit
+roundoff, p the width).
 The shortlist threshold adds E on both sides of the best computed q and
 widens it by the per-row formula's own relative error, so it holds every
 row the scan could rank first, ties included. All (anchor, row) pairs of
@@ -62,6 +65,8 @@ class LabelCache:
     row_of: dict[str, int] = field(init=False)
 
     def __post_init__(self):
+        if not self.ids:
+            raise ValidationError("empty label set: a label cache needs at least one label")
         self.row_of = {label_id: i for i, label_id in enumerate(self.ids)}
         if len(self.row_of) != len(self.ids):
             raise ValidationError("duplicate label ids in cache")
@@ -80,9 +85,6 @@ class LabelCache:
             pooling=pooling,
             sim_spec=sim_spec,
         )
-
-    def embedding(self, label_id: str) -> np.ndarray:
-        return self.matrix[self.row_of[label_id]]
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,8 @@ def encode_labels(
 ) -> np.ndarray:
     """Pooled title embeddings of the labels, row i for ``label_ids[i]``.
 
-    One ``encode_spans`` call: each row has the bits of
-    ``pool_span(encode(seq), title_span)`` for its label.
+    One ``encode_spans`` call: each row has the bits of encoding its
+    label alone and pooling its title span.
     """
     if label_tokens.vocab_size != label_params.vocab_size:
         raise ValidationError(
@@ -218,30 +220,17 @@ def sample_in_batch_negatives(
     return [eligible[i] for i in picked]
 
 
-def allowed_rows(
-    cache: LabelCache, allowed_ids: set[str] | np.ndarray | None
-) -> np.ndarray | None:
-    """Ascending cache rows of an allowed-id set.
-
-    None (every row) and rows this function already resolved pass through,
-    so a caller can resolve a set once and reuse it for every anchor.
-    """
-    if allowed_ids is None or isinstance(allowed_ids, np.ndarray):
-        return allowed_ids
+def allowed_rows(cache: LabelCache, allowed_ids: set[str] | None) -> np.ndarray | None:
+    """Ascending cache rows of an allowed-id set, for ``top_rows``; None
+    (every row) stays None."""
+    if allowed_ids is None:
+        return None
     if not allowed_ids:
         raise ValidationError("allowed_ids must be non-empty")
     unknown = [i for i in allowed_ids if i not in cache.row_of]
     if unknown:
         raise ValidationError(f"allowed id {unknown[0]!r} not in cache")
     return np.array(sorted(cache.row_of[i] for i in allowed_ids))
-
-
-def nearest_label(
-    cache: LabelCache, anchor: np.ndarray, allowed_ids: set[str] | None = None
-) -> tuple[str, float]:
-    """Most similar label over the allowed set (full set when absent)."""
-    rows, scores = top_rows(cache, anchor[None, :], allowed_rows(cache, allowed_ids))
-    return cache.ids[rows[0, 0]], float(scores[0, 0])
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2

@@ -9,13 +9,13 @@ only overwritten by a strictly higher score. Each round commits
 ceil(total_mentions / 3) of the still-unresolved mentions, so the loop
 always terminates.
 
-``predict_corpus`` works on windows of chunks: it encodes a window's
-mentions in one ``encoder.encode_spans`` call, scores them in blocks of
-anchors, and runs the iterative rounds of all the window's chunks in
-lockstep. ``predict_chunks`` is the one-shot call on a list of chunks,
-and ``predict_document`` and ``predict_iterative`` are the one-chunk
-calls. Every result has the bits of predicting each chunk, and each of
-its mentions, alone.
+Both modes take a batch of chunks: ``predict_chunks`` (one-shot) and
+``iterate_chunks`` (iterative, the rounds of all chunks in lockstep)
+encode the chunks' mentions in one ``encoder.encode_spans`` call per
+round and score them in blocks of anchors. A restricted search passes
+the ascending cache rows ``label_index.allowed_rows`` resolved.
+``predict_corpus`` feeds them windows of chunks. Every result has the
+bits of predicting each chunk, and each of its mentions, alone.
 """
 
 from __future__ import annotations
@@ -153,34 +153,40 @@ def predict_chunks(
     chunks: list[Document | Chunk],
     mention_params: EncoderParams,
     cache: LabelCache,
-    allowed_ids: set[str] | np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> list[list[MentionPrediction]]:
-    """One-shot predictions of every chunk, each in mention order.
+    """Nearest cached label of every mention, a list per chunk in mention order.
 
-    A chunk without mentions gets ``[]`` and is not encoded.
-    ``allowed_ids`` is as for ``predict_document``.
+    ``rows`` restricts the search to those ascending cache rows (every
+    row when None). A chunk without mentions gets ``[]`` and is not
+    encoded.
     """
     live = [c for c in chunks if c.mentions]
     picks = iter(_score_spans(
         [c.text for c in live], [[(m.start, m.end) for m in c.mentions] for c in live],
-        mention_params, cache, allowed_rows(cache, allowed_ids) if live else None,
+        mention_params, cache, rows,
     ))
     return [[MentionPrediction(m, *next(picks)) for m in c.mentions] for c in chunks]
 
 
-def _iterate_chunks(
+def iterate_chunks(
     chunks: list[Document | Chunk],
     mention_params: EncoderParams,
     cache: LabelCache,
     records: dict[str, EntityRecord],
-    rows: np.ndarray | None,
+    rows: np.ndarray | None = None,
 ) -> list[DocumentPrediction]:
-    """Insert-and-repredict every chunk, the rounds of all chunks in lockstep.
+    """Insert-and-repredict every chunk until each mention carries an insertion.
 
-    Each round re-encodes and re-scores every chunk still active in one
-    ``_score_spans`` pass; then each chunk updates its slots and makes its
-    insertions as it would alone, so its predictions and round count do
-    not depend on the other chunks.
+    Per round: re-encode the working text, re-predict every mention
+    (resolved ones too, since their context has changed) keeping the
+    higher-scoring prediction, then insert verbalizations for the
+    top-scoring third of the mentions among those still unresolved.
+    ``rows`` is as for ``predict_chunks``. The rounds of all chunks run in
+    lockstep: each round re-encodes and re-scores every chunk still
+    active in one ``_score_spans`` pass, then each chunk updates its slots
+    and makes its insertions as it would alone, so its predictions and
+    round count do not depend on the other chunks.
     """
     states = [PredictionState.for_document(c) for c in chunks]
     first_pass: list[list[MentionPrediction]] = [[] for _ in chunks]
@@ -234,41 +240,6 @@ def _insert_round(state: PredictionState, records: dict[str, EntityRecord]) -> b
     return not all(s.resolved for s in state.slots)
 
 
-def predict_document(
-    doc: Document | Chunk,
-    mention_params: EncoderParams,
-    cache: LabelCache,
-    allowed_ids: set[str] | np.ndarray | None = None,
-) -> list[MentionPrediction]:
-    """Nearest cached label for every mention, in mention order.
-
-    ``allowed_ids`` restricts the search to a label set, given as ids or
-    as the rows ``label_index.allowed_rows`` resolved them to.
-    """
-    [preds] = predict_chunks([doc], mention_params, cache, allowed_ids)
-    return preds
-
-
-def predict_iterative(
-    doc: Document | Chunk,
-    mention_params: EncoderParams,
-    cache: LabelCache,
-    records: dict[str, EntityRecord],
-    allowed_ids: set[str] | np.ndarray | None = None,
-) -> DocumentPrediction:
-    """Insert-and-repredict until every mention carries an insertion.
-
-    Per round: re-encode the working text, re-predict every mention
-    (resolved ones too, since their context has changed) keeping the
-    higher-scoring prediction, then insert verbalizations for the
-    top-scoring third of the mentions among those still unresolved.
-    ``allowed_ids`` is as for ``predict_document``.
-    """
-    rows = allowed_rows(cache, allowed_ids) if doc.mentions else None
-    [result] = _iterate_chunks([doc], mention_params, cache, records, rows)
-    return result
-
-
 @dataclass
 class CorpusPredictions:
     """Predictions for a whole corpus, keyed by global mention offsets."""
@@ -309,7 +280,7 @@ def predict_corpus(
     """Chunk every document and predict all mentions, one-shot or iterative.
 
     Chunks are predicted a window at a time (``predict_chunks``,
-    ``_iterate_chunks``); each chunk's results are those of predicting
+    ``iterate_chunks``); each chunk's results are those of predicting
     it alone. Keys carry the original document offsets (chunk-local
     offsets are translated back via the chunk's parent offset).
     """
@@ -323,7 +294,7 @@ def predict_corpus(
         if iterative:
             results = [
                 (r.predictions, r.iterations)
-                for r in _iterate_chunks(chunks, mention_params, cache, records, rows)
+                for r in iterate_chunks(chunks, mention_params, cache, records, rows)
             ]
         else:
             results = [(p, 1) for p in predict_chunks(chunks, mention_params, cache, rows)]

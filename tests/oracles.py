@@ -264,24 +264,24 @@ def nearest_labels_one(text, spans, mention_params, cache, rows):
     return out
 
 
-def predict_document_one(doc, mention_params, cache, allowed_ids=None):
-    """One-shot prediction of one chunk by the per-mention scan."""
+def predict_document_one(doc, mention_params, cache, rows=None):
+    """One-shot prediction of one chunk by the per-mention scan, over the
+    ascending cache ``rows`` (every row when None)."""
     if not doc.mentions:
         return []
-    rows = allowed_rows(cache, allowed_ids)
     spans = [(m.start, m.end) for m in doc.mentions]
     predictions = nearest_labels_one(doc.text, spans, mention_params, cache, rows)
     return [MentionPrediction(m, label_id, score)
             for m, (label_id, score) in zip(doc.mentions, predictions)]
 
 
-def predict_iterative_one(doc, mention_params, cache, records, allowed_ids=None):
-    """Insert-and-repredict of one chunk on its own, round by round."""
+def predict_iterative_one(doc, mention_params, cache, records, rows=None):
+    """Insert-and-repredict of one chunk on its own, round by round, over
+    the ascending cache ``rows`` (every row when None)."""
     state = PredictionState.for_document(doc)
     total = len(state.slots)
     if total == 0:
         return DocumentPrediction([], [], 0, state)
-    rows = allowed_rows(cache, allowed_ids)
     per_round = math.ceil(total / 3)
     first_pass = []
     iterations = 0

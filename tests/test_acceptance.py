@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from dualed.cli import main as cli_main
-from dualed.encoder import EncoderParams, encode, encoder_backward, tokenize
+from dualed.encoder import EncoderParams, tokenize
 from dualed.evaluator import change_analysis
 from dualed.label_index import (
     LabelCache,
+    allowed_rows,
     full_refresh,
     mine_hard_negatives,
-    nearest_label,
     tokenize_labels,
+    top_rows,
 )
 from dualed.losses import (
     LOSS_KINDS,
@@ -28,11 +29,12 @@ from dualed.losses import (
     SimilaritySpec,
     loss_gradients,
 )
-from dualed.predictor import predict_document, predict_iterative, target_label_set
+from dualed.predictor import iterate_chunks, predict_chunks, target_label_set
 from dualed.synthetic import make_task, write_corpus_file, write_label_file
 from dualed.trainer import TrainConfig, Trainer
 from dualed.verbalizer import FormatSpec, truncate_soft, verbalize, verbalize_all
 from oracles import loss_value, similarity
+from test_encoder import token_backward, token_vectors
 
 SEEDS = (0, 1, 2)
 
@@ -117,9 +119,9 @@ def fd_encoder_grads(seq, params, upstream, h=1e-5):
             idx = it.multi_index
             orig = tensor[idx]
             tensor[idx] = orig + h
-            up = float((encode(seq, params) * upstream).sum())
+            up = float((token_vectors(seq, params) * upstream).sum())
             tensor[idx] = orig - h
-            down = float((encode(seq, params) * upstream).sum())
+            down = float((token_vectors(seq, params) * upstream).sum())
             tensor[idx] = orig
             grad[idx] = (up - down) / (2 * h)
         grads[name] = grad
@@ -178,7 +180,7 @@ def test_criterion_1_gradient_suite():
         length = int(rng.integers(1, 17))
         seq = tokenize(" ".join(f"t{int(rng.integers(8))}" for _ in range(length)), 8)
         upstream = rng.normal(size=(len(seq), dim))
-        analytic = encoder_backward(seq, params, upstream)
+        analytic = token_backward(seq, params, upstream)
         dense = np.zeros((8, dim))
         dense[analytic.rows] = analytic.table
         analytic.table = dense
@@ -214,7 +216,7 @@ def test_criterion_2_mining_oracle():
                 mined = [i for i, _ in
                          mine_hard_negatives(cache, anchor, ids[gold_row], k=20)]
                 assert mined == expected
-                assert nearest_label(cache, anchor)[0] == ids[ranking[0]]
+                assert top_rows(cache, anchor[None, :])[0][0, 0] == ranking[0]
     elapsed = time.monotonic() - start
     report(2, "mining oracle", elapsed < 60.0, f"{elapsed:.1f}s")
 
@@ -312,14 +314,14 @@ def test_criterion_6_iterative_invariants():
     full_refresh(cache, label_params, tokenize_labels(verbs, 1 << 13))
 
     first_map, final_map = {}, {}
-    for doc in docs:
-        result = predict_iterative(doc, params, cache, gen.records)
+    results = iterate_chunks(docs, params, cache, gen.records)
+    one_shots = predict_chunks(docs, params, cache)
+    for doc, result, one_shot in zip(docs, results, one_shots):
         assert 1 <= result.iterations <= len(doc.mentions)
         for first, last in zip(result.first_pass, result.predictions):
             assert last.score >= first.score  # monotone stored scores
         assert result.state.strip_insertions() == doc.text  # text integrity
         if len(doc.mentions) == 1:
-            one_shot = predict_document(doc, params, cache)
             assert result.predictions[0].predicted_id == one_shot[0].predicted_id
             assert result.predictions[0].score == one_shot[0].score
         for first, last, m in zip(result.first_pass, result.predictions, doc.mentions):
@@ -396,9 +398,10 @@ def test_criterion_8_restricted_inference(task, hard_runs):
     assert len(allowed) < len(cache.ids)
 
     def accuracy(params, label_cache, allowed_ids):
+        rows = allowed_rows(label_cache, allowed_ids)
         correct = total = 0
-        for doc in dev:
-            for pred in predict_document(doc, params, label_cache, allowed_ids):
+        for preds in predict_chunks(dev, params, label_cache, rows):
+            for pred in preds:
                 correct += pred.predicted_id == pred.mention.gold_label
                 total += 1
         return correct / total

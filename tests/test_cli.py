@@ -3,7 +3,10 @@
 import json
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualed import cli
 from dualed.cli import main
@@ -173,6 +176,63 @@ class TestTrainPredictEvalPipeline:
             assert (row["pred"], row["score"]) == (want.predicted_id, want.score)
 
 
+# header words: edge values, small values and any uint32
+HEADER_WORDS = st.sampled_from([0, 1, 2, 16, 2**31, 2**32 - 1]) | st.integers(0, 40) \
+    | st.integers(0, 2**32 - 1)
+
+
+class TestCheckpointFuzz:
+    """Checkpoints made from a valid V = 16, d = 2 file: ``predict`` exits 1
+    when the header is invalid or the file size is not the one it implies,
+    exits 0 on a valid file of finite tensors, and never exits 2."""
+
+    @staticmethod
+    def predict(workspace, data):
+        model = workspace / "fuzz.bin"
+        model.write_bytes(data)
+        return run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", model, "--out", workspace / "fuzz.jsonl")
+
+    @pytest.fixture(scope="class")
+    def valid(self, workspace):
+        save_checkpoint(workspace / "valid.bin", EncoderParams.init(16, 2, 1, seed=0),
+                        EncoderParams.init(16, 2, 1, seed=1))
+        data = (workspace / "valid.bin").read_bytes()
+        assert self.predict(workspace, data) == 0
+        return data
+
+    def test_every_truncation(self, workspace, valid):
+        for size in range(len(valid)):
+            assert self.predict(workspace, valid[:size]) == 1, size
+
+    @settings(max_examples=60, deadline=None)
+    @given(words=st.tuples(HEADER_WORDS, HEADER_WORDS, HEADER_WORDS))
+    def test_random_header_words(self, workspace, valid, words):
+        v, d, _ = words
+        accepted = (v, d) == (16, 2)  # the only (V, d) that fits the body
+        code = self.predict(workspace, valid[:6] + struct.pack("<III", *words) + valid[18:])
+        assert code == (0 if accepted else 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(v=st.sampled_from([1 << i for i in range(7)]), d=st.integers(1, 4),
+           window=HEADER_WORDS, data=st.data())
+    def test_valid_header_with_random_tensors(self, workspace, valid, v, d, window, data):
+        size = 8 * (v * d + 2 * d * d + d)
+        body = data.draw(st.binary(min_size=size, max_size=size))
+        code = self.predict(workspace, valid[:6] + struct.pack("<III", v, d, window) + body)
+        # finite tensors predict; NaN or infinity may predict or be rejected
+        if np.isfinite(np.frombuffer(body, dtype="<f4")).all():
+            assert code == 0
+        else:
+            assert code in (0, 1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(extra=st.binary(min_size=1, max_size=64))
+    def test_appended_bytes(self, workspace, valid, extra):
+        assert self.predict(workspace, valid + extra) == 1
+
+
 class TestDeterminism:
     def test_written_config_retrains_identically(self, workspace):
         first = workspace / "roundtrip_a"
@@ -312,6 +372,44 @@ class TestExitCodes:
         assert code == 1
         assert f"is {size + 1} bytes" in capsys.readouterr().err
 
+    def test_zero_width_checkpoint_is_validation_error(self, workspace, capsys):
+        # 18 bytes: V = 1024, d = 0 implies no tensor bytes at all
+        model = workspace / "zero_width.bin"
+        model.write_bytes(b"VRBED1" + struct.pack("<III", 1024, 0, 2))
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", model, "--out", workspace / "x.jsonl")
+        assert code == 1
+        assert "dim must be at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sim", ["euclidean", "cosine", "dot"])
+    def test_predict_with_an_empty_label_set_is_validation_error(
+        self, workspace, tmp_path, capsys, sim
+    ):
+        (tmp_path / "labels.jsonl").write_text("")
+        model = tmp_path / "model.bin"
+        save_checkpoint(model, EncoderParams.init(64, 4, 2, seed=0),
+                        EncoderParams.init(64, 4, 2, seed=1))
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", tmp_path / "labels.jsonl", "--checkpoint", model,
+                   "--sim", sim, "--out", tmp_path / "x.jsonl")
+        assert code == 1
+        assert "empty label set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dev", [True, False], ids=["dev", "no-dev"])
+    def test_train_with_an_empty_label_set_is_validation_error(
+        self, workspace, tmp_path, capsys, dev
+    ):
+        (tmp_path / "labels.jsonl").write_text("")
+        flags = ["--dev", workspace / "dev.jsonl"] if dev else []
+        code = run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", tmp_path / "labels.jsonl",
+                   "--config", workspace / "config.txt", "--epochs", "1",
+                   "--out", tmp_path / "run", *flags)
+        assert code == 1
+        assert "empty label set" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     @pytest.mark.parametrize(
         "flags, config_text, key",
         [
@@ -403,6 +501,24 @@ class TestExitCodes:
             pytest.param("predict", '{"id": "d", "text": "a b", "mentions": '
                          '[{"start": 0, "end": 1, "label": true}]}', "label",
                          id="mention-label-bool"),
+            pytest.param("predict", '{"id": "d", "text": "a b", "mentions": '
+                         '[{"start": 0.9, "end": 1, "label": "A"}]}', "start",
+                         id="mention-start-float"),
+            pytest.param("predict", '{"id": "d", "text": "a b", "mentions": '
+                         '[{"start": 0, "end": true, "label": "A"}]}', "end",
+                         id="mention-end-bool"),
+            pytest.param("predict", '{"id": "d", "text": "a b", "mentions": '
+                         '[{"start": "0", "end": 1, "label": "A"}]}', "start",
+                         id="mention-start-string"),
+            pytest.param("predict", '{"id": "d", "text": "a b", "mentions": '
+                         '[{"start": 0, "end": 1.0, "label": "A"}]}', "end",
+                         id="mention-end-integral-float"),
+            pytest.param("eval", '{"doc": "d", "start": "0", "end": 1, "pred": "A"}',
+                         "start", id="prediction-start-string"),
+            pytest.param("eval", '{"doc": "d", "start": 0, "end": 5.7, "pred": "A"}',
+                         "end", id="prediction-end-float"),
+            pytest.param("eval", '{"doc": "d", "start": false, "end": 1, "pred": "A"}',
+                         "start", id="prediction-start-bool"),
         ],
     )
     def test_malformed_json_row_is_validation_error(

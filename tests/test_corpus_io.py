@@ -328,16 +328,28 @@ def wrong_label_row(row):
             or any(not_a_name(v) for v in values))
 
 
+def not_an_offset(row, key):
+    """A present ``start`` or ``end`` that is not a JSON integer."""
+    return key in row and (isinstance(row[key], bool) or not isinstance(row[key], int))
+
+
 def wrong_corpus_row(row):
-    """A corpus row that holds a value of the wrong shape where a string goes."""
+    """A corpus row that holds a value of the wrong shape where a string or
+    a mention offset goes."""
     if not isinstance(row, dict):
         return False
     mentions = row.get("mentions")
-    labels = [m["label"] for m in mentions if isinstance(m, dict) and "label" in m] \
+    mentions = [m for m in mentions if isinstance(m, dict)] \
         if isinstance(mentions, list) else []
     return (("id" in row and not_a_name(row["id"]))
             or ("text" in row and not isinstance(row["text"], str))
-            or any(not_a_name(label) for label in labels))
+            or any("label" in m and not_a_name(m["label"]) for m in mentions)
+            or any(not_an_offset(m, key) for m in mentions for key in ("start", "end")))
+
+
+def wrong_prediction_row(row):
+    """A prediction row whose ``start`` or ``end`` is not a JSON integer."""
+    return isinstance(row, dict) and any(not_an_offset(row, k) for k in ("start", "end"))
 
 
 label_rows = objects(
@@ -351,17 +363,26 @@ label_rows = objects(
         max_size=2,
     ),
 )
+
+
+def offsets(lo, hi):
+    """Offsets in [lo, hi], often as a float, boolean or string that an
+    int() call would take for one."""
+    near = st.floats(lo, hi) | st.booleans() | st.integers(lo, hi).map(str)
+    return st.integers(lo, hi) | near
+
+
 corpus_rows = objects(
     id=st.sampled_from(["d", "e"]),
     text=st.text("ab !", max_size=12),
     mentions=st.lists(
-        objects(start=st.integers(-1, 12), end=st.integers(-1, 12),
+        objects(start=offsets(-1, 12), end=offsets(-1, 12),
                 label=st.sampled_from(["A", "B", "Z"])),
         max_size=3,
     ),
 )
 prediction_rows = objects(
-    doc=st.just("d"), start=st.integers(0, 4), end=st.integers(0, 4),
+    doc=st.just("d"), start=offsets(0, 4), end=offsets(0, 4),
     pred=st.sampled_from(["A", "B"]),
 )
 
@@ -421,3 +442,5 @@ class TestRowShapes:
         code = self.run_with(row_inputs, rows_, "eval", "--pred", row_inputs / "rows.jsonl",
                              "--gold-corpus", row_inputs / "gold.jsonl")
         assert code in (0, 1)
+        if any(wrong_prediction_row(row) for row in rows_):
+            assert code == 1

@@ -16,9 +16,7 @@ from dualed.encoder import (
     EncoderParams,
     TokenSequence,
     backward_spans,
-    encode,
     encode_spans,
-    encoder_backward,
     fnv1a_64,
     load_checkpoint,
     pool_span,
@@ -67,6 +65,23 @@ def tokenize_loop(text, vocab_size):
         spans.append((start, len(text)))
     ids = [fnv1a_64(text[s:e].lower().encode("utf-8")) % vocab_size for s, e in spans]
     return ids, spans
+
+
+def per_token(seq):
+    """One ``mean`` range (t, t + 1) per token: through the span calls, a
+    sequence's rows are its token vectors, bit for bit."""
+    return [[(t, t + 1) for t in range(len(seq))]]
+
+
+def token_vectors(seq, params):
+    """Contextual vectors (T, d) of every token, through ``encode_spans``."""
+    return encode_spans([seq], per_token(seq), params, MEAN)
+
+
+def token_backward(seq, params, upstream):
+    """Gradients of ``token_vectors`` for upstream rows (T, d), through
+    ``backward_spans``."""
+    return backward_spans([seq], per_token(seq), upstream, params, MEAN)
 
 
 def random_seq(rng, length, vocab=V):
@@ -155,14 +170,14 @@ class TestEncodeForward:
         p.w_ctx = np.zeros((4, 4))
         p.bias = np.zeros(4)
         seq = tokenize("word", V)
-        out = encode(seq, p)
+        out = token_vectors(seq, p)
         np.testing.assert_allclose(out[0], p.table[seq.token_ids[0]])
 
     def test_identical_tokens_identical_vectors(self):
         rng = np.random.default_rng(1)
         p = random_params(rng, dim=4, window=2)
         seq = tokenize("same same", V)
-        out = encode(seq, p)
+        out = token_vectors(seq, p)
         np.testing.assert_allclose(out[0], out[1])
 
     def test_matches_stepwise_recomputation(self):
@@ -170,7 +185,7 @@ class TestEncodeForward:
         rng = np.random.default_rng(2)
         p = random_params(rng, dim=2, window=1)
         seq = random_seq(rng, 3)
-        out = encode(seq, p)
+        out = token_vectors(seq, p)
         emb = [p.table[t] for t in seq.token_ids]
         for t in range(3):
             window = emb[max(0, t - 1):min(3, t + 2)]
@@ -181,14 +196,14 @@ class TestEncodeForward:
     def test_context_sensitivity(self):
         rng = np.random.default_rng(3)
         p = random_params(rng, dim=4, window=2)
-        a = encode(tokenize("pivot alpha beta", V), p)
-        b = encode(tokenize("pivot gamma delta", V), p)
+        a = token_vectors(tokenize("pivot alpha beta", V), p)
+        b = token_vectors(tokenize("pivot gamma delta", V), p)
         assert not np.allclose(a[0], b[0])
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValidationError):
-            encode(tokenize("", V), random_params(rng))
+            token_vectors(tokenize("", V), random_params(rng))
 
 
 class TestPooling:
@@ -237,7 +252,7 @@ def numerical_param_grads(objective, params, h=1e-5):
 
 
 def encode_objective(seq, params, upstream):
-    return lambda: float((encode(seq, params) * upstream).sum())
+    return lambda: float((token_vectors(seq, params) * upstream).sum())
 
 
 def relative_error(a, b):
@@ -275,7 +290,7 @@ class TestEncoderBackward:
         rng = np.random.default_rng(5)
         p = random_params(rng)
         seq = random_seq(rng, 4)
-        grads = encoder_backward(seq, p, np.zeros((4, 3)))
+        grads = token_backward(seq, p, np.zeros((4, 3)))
         for t in (grads.table, grads.w_self, grads.w_ctx, grads.bias):
             assert not t.any()
 
@@ -285,7 +300,7 @@ class TestEncoderBackward:
         p.w_ctx = np.zeros((3, 3))
         seq = random_seq(rng, 1)
         upstream = rng.normal(size=(1, 3))
-        grads = encoder_backward(seq, p, upstream)
+        grads = token_backward(seq, p, upstream)
         np.testing.assert_allclose(grads.bias, upstream[0])
 
     def test_matches_finite_differences(self):
@@ -295,7 +310,7 @@ class TestEncoderBackward:
             p = random_params(rng, vocab=8, dim=dim, window=int(rng.integers(1, 4)))
             seq = random_seq(rng, int(rng.integers(1, 17)), vocab=8)
             upstream = rng.normal(size=(len(seq), dim))
-            analytic = encoder_backward(seq, p, upstream)
+            analytic = token_backward(seq, p, upstream)
             numeric = numerical_param_grads(encode_objective(seq, p, upstream), p)
             analytic.table = dense_table(analytic, 8)
             for name in ("table", "w_self", "w_ctx", "bias"):
@@ -308,7 +323,7 @@ class TestEncoderBackward:
         seq = tokenize("dup dup", V)
         assert seq.token_ids[0] == seq.token_ids[1]
         upstream = rng.normal(size=(2, 3))
-        grads = encoder_backward(seq, p, upstream)
+        grads = token_backward(seq, p, upstream)
         numeric = numerical_param_grads(encode_objective(seq, p, upstream), p)
         assert relative_error(dense_table(grads, V), numeric["table"]) <= 1e-4
 
@@ -316,13 +331,13 @@ class TestEncoderBackward:
         rng = np.random.default_rng(9)
         p = random_params(rng)
         with pytest.raises(ValidationError):
-            encoder_backward(random_seq(rng, 4), p, np.zeros((3, 3)))
+            token_backward(random_seq(rng, 4), p, np.zeros((3, 3)))
 
     def test_rows_are_sorted_unique_token_ids(self):
         rng = np.random.default_rng(10)
         p = random_params(rng, vocab=8)
         seq = random_seq(rng, 12, vocab=8)
-        grads = encoder_backward(seq, p, rng.normal(size=(12, 3)))
+        grads = token_backward(seq, p, rng.normal(size=(12, 3)))
         np.testing.assert_array_equal(grads.rows, np.unique(seq.token_ids))
         assert grads.table.shape == (len(grads.rows), 3)
 
@@ -336,7 +351,7 @@ class TestEncoderBackward:
             seq = random_seq(rng, int(rng.integers(1, 40)), vocab=vocab)
             repeated += len(np.unique(seq.token_ids)) < len(seq)
             upstream = rng.normal(size=(len(seq), dim))
-            sparse = encoder_backward(seq, p, upstream)
+            sparse = token_backward(seq, p, upstream)
             dense = reference_encoder_backward(seq, p, upstream)
             assert np.array_equal(dense_table(sparse, vocab), dense.table), trial
             for name in ("w_self", "w_ctx", "bias"):
@@ -369,8 +384,9 @@ def dense_oracle_backward(seqs, ranges, span_grads, params, method):
 
 
 def check_spans_against_oracle(rng, lengths, vocab, dim, window, max_ranges=3):
-    """encode_spans and backward_spans, and their one-item calls, equal the
-    per-sequence oracle in bits, for both poolings."""
+    """encode_spans and backward_spans equal the per-sequence oracle in bits,
+    for both poolings, and so do the token vectors and gradients of each
+    sequence alone."""
     p = random_params(rng, vocab=vocab, dim=dim, window=window)
     seqs = [
         TokenSequence(rng.integers(0, vocab, size=n), [(i, i + 1) for i in range(n)], "")
@@ -379,8 +395,8 @@ def check_spans_against_oracle(rng, lengths, vocab, dim, window, max_ranges=3):
     ranges = [random_ranges(rng, n, max_ranges) for n in lengths]
     for seq in seqs:
         upstream = rng.normal(size=(len(seq), dim))
-        assert np.array_equal(bits(encode(seq, p)), bits(encode_one(seq, p)))
-        single, ref = encoder_backward(seq, p, upstream), encoder_backward_one(seq, p, upstream)
+        assert np.array_equal(bits(token_vectors(seq, p)), bits(encode_one(seq, p)))
+        single, ref = token_backward(seq, p, upstream), encoder_backward_one(seq, p, upstream)
         for name in ("table", "w_self", "w_ctx", "bias", "rows"):
             assert np.array_equal(bits(getattr(single, name)), bits(getattr(ref, name)))
     for method in (MEAN, FIRST_LAST):
@@ -512,10 +528,10 @@ class TestTwoEncoderIndependence:
         mention = EncoderParams.init(64, 4, 2, seed=1)
         label = EncoderParams.init(64, 4, 2, seed=2)
         seq = tokenize("a stable probe text", 64)
-        before = encode(seq, label).tobytes()
+        before = token_vectors(seq, label).tobytes()
         mention.table += 1.0
         mention.w_self *= -2.0
-        assert encode(seq, label).tobytes() == before
+        assert token_vectors(seq, label).tobytes() == before
 
 
 class TestCheckpoint:

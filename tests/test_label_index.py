@@ -19,7 +19,6 @@ from dualed.label_index import (
     encode_labels,
     full_refresh,
     mine_hard_negatives,
-    nearest_label,
     sample_in_batch_negatives,
     tokenize_labels,
     top_rows,
@@ -48,6 +47,17 @@ def toy_records(n=5):
     }
 
 
+def cached(cache, label_id):
+    """The cached embedding of one label."""
+    return cache.matrix[cache.row_of[label_id]]
+
+
+def nearest(cache, anchor, allowed=None):
+    """``top_rows`` for one anchor over an allowed-id set: (label id, score)."""
+    rows, scores = top_rows(cache, anchor[None, :], allowed_rows(cache, allowed))
+    return cache.ids[rows[0, 0]], float(scores[0, 0])
+
+
 def brute_force_ranking(cache, anchor):
     """Independent per-row scan: python loop, scalar similarity, tuple sort."""
     sims = [
@@ -56,6 +66,14 @@ def brute_force_ranking(cache, anchor):
     ]
     sims.sort(key=lambda t: (-t[0], t[1]))
     return sims
+
+
+class TestLabelCache:
+    def test_empty_label_set_rejected(self):
+        with pytest.raises(ValidationError, match="empty label set"):
+            LabelCache.empty([], 4, "mean", EUCLIDEAN)
+        with pytest.raises(ValidationError, match="empty label set"):
+            LabelCache(ids=[], matrix=np.zeros((0, 4)), pooling="mean", sim_spec=EUCLIDEAN)
 
 
 class TestFullRefresh:
@@ -74,7 +92,7 @@ class TestFullRefresh:
             seq = tokenize(verb.text, 256)
             span = token_range(seq, verb.title_char_span)
             expected = pool_span(encode_one(seq, self.params), span, "mean")
-            np.testing.assert_array_equal(self.cache.embedding(label_id), expected)
+            np.testing.assert_array_equal(cached(self.cache, label_id), expected)
 
     def test_unchanged_params_byte_identical(self):
         full_refresh(self.cache, self.params, self.tokens)
@@ -102,10 +120,10 @@ class TestFullRefresh:
 
     def test_refresh_overwrites_write_back(self):
         full_refresh(self.cache, self.params, self.tokens)
-        original = self.cache.embedding("e2").copy()
+        original = cached(self.cache, "e2").copy()
         write_back(self.cache, "e2", np.full(4, 9.0))
         full_refresh(self.cache, self.params, self.tokens)
-        np.testing.assert_array_equal(self.cache.embedding("e2"), original)
+        np.testing.assert_array_equal(cached(self.cache, "e2"), original)
 
 
 def varied_records(n, seed):
@@ -151,7 +169,7 @@ class TestGroupedRefresh:
         embs = encode_labels(params, tokens, order, "first_last")
         cache = build_cache(sorted(records), params, tokens, "first_last", EUCLIDEAN)
         for row, label_id in enumerate(order):
-            assert embs[row].tobytes() == cache.embedding(label_id).tobytes()
+            assert embs[row].tobytes() == cached(cache, label_id).tobytes()
         assert encode_labels(params, tokens, [], "mean").shape == (0, 8)
 
 
@@ -159,7 +177,7 @@ class TestWriteBack:
     def test_read_your_write(self):
         cache = cache_from_matrix(np.zeros((3, 2)))
         write_back(cache, "e2", np.array([1.5, -2.5]))
-        np.testing.assert_array_equal(cache.embedding("e2"), [1.5, -2.5])
+        np.testing.assert_array_equal(cached(cache, "e2"), [1.5, -2.5])
 
     def test_counts_writes_not_diffs(self):
         cache = cache_from_matrix(np.zeros((3, 2)))
@@ -213,30 +231,30 @@ class TestMineHardNegatives:
 class TestNearestLabel:
     def test_exact_row_match(self):
         cache = cache_from_matrix([[1, 1], [2, 2], [3, 3]])
-        label_id, sim = nearest_label(cache, np.array([3.0, 3.0]))
+        label_id, sim = nearest(cache, np.array([3.0, 3.0]))
         assert (label_id, sim) == ("e3", 0.0)
 
     def test_restriction_contract(self):
         cache = cache_from_matrix([[1, 1], [2, 2], [3, 3], [-9, -9]])
-        label_id, _ = nearest_label(cache, np.array([1.0, 1.0]), allowed_ids={"e4"})
+        label_id, _ = nearest(cache, np.array([1.0, 1.0]), {"e4"})
         assert label_id == "e4"
 
     def test_empty_allowed_set_rejected(self):
         cache = cache_from_matrix([[1, 1]])
         with pytest.raises(ValidationError):
-            nearest_label(cache, np.array([1.0, 1.0]), allowed_ids=set())
+            nearest(cache, np.array([1.0, 1.0]), set())
 
     def test_unknown_allowed_id_rejected(self):
         cache = cache_from_matrix([[1, 1]])
         with pytest.raises(ValidationError):
-            nearest_label(cache, np.array([1.0, 1.0]), allowed_ids={"zz"})
+            nearest(cache, np.array([1.0, 1.0]), {"zz"})
 
     def test_thousand_rows_match_exhaustive_scan(self):
         rng = np.random.default_rng(1)
         cache = cache_from_matrix(rng.normal(size=(1000, 8)))
         for _ in range(10):
             anchor = rng.normal(size=8)
-            label_id, sim = nearest_label(cache, anchor)
+            label_id, sim = nearest(cache, anchor)
             best_sim, best_row = brute_force_ranking(cache, anchor)[0]
             assert label_id == cache.ids[best_row]
             assert sim == pytest.approx(best_sim, rel=1e-9, abs=1e-12)
@@ -407,7 +425,7 @@ class TestBlockScorerMatchesScan:
         for anchor, row, score in zip(anchors, rows[:, 0], scores[:, 0]):
             want = scan_nearest(cache, anchor, allowed)
             assert (cache.ids[row], float(score).hex()) == want
-            assert hexed([nearest_label(cache, anchor, allowed)]) == [want]
+            assert hexed([nearest(cache, anchor, allowed)]) == [want]
 
     @settings(max_examples=300, deadline=None)
     @given(block=BLOCKS, kind=st.sampled_from(SIMILARITY_KINDS), data=st.data())
@@ -451,8 +469,8 @@ class TestBlockScorerMatchesScan:
         cache = cache_from_matrix(matrix, sim=SimilaritySpec(kind=kind))
         anchors = np.vstack([rng.normal(size=(2, 3)), matrix[6], [bad, 0.0, 1.0]])
         for anchor in anchors:
-            assert hexed([nearest_label(cache, anchor)]) == [scan_nearest(cache, anchor)]
-            assert hexed([nearest_label(cache, anchor, {"e3", "e5"})]) == [
+            assert hexed([nearest(cache, anchor)]) == [scan_nearest(cache, anchor)]
+            assert hexed([nearest(cache, anchor, {"e3", "e5"})]) == [
                 scan_nearest(cache, anchor, {"e3", "e5"})]
             assert hexed(mine_hard_negatives(cache, anchor, "e3", 4)) == scan_negatives(
                 cache, anchor, "e3", 4)

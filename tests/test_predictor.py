@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 import tracemalloc
 
 from dualed.corpus import Document, EntityRecord, Mention
-from dualed.encoder import EncoderParams, encode, pool_span, token_range, tokenize
+from dualed.encoder import EncoderParams, encode_spans, token_range, tokenize
 from dualed.errors import ValidationError
-from dualed.label_index import LabelCache, build_cache, tokenize_labels
+from dualed.label_index import LabelCache, allowed_rows, build_cache, tokenize_labels
 from dualed.losses import SIMILARITY_KINDS, SimilaritySpec
 from dualed.predictor import (
     _WINDOW,
     PredictionState,
     insert_verbalization,
     insertion_text,
+    iterate_chunks,
+    predict_chunks,
     predict_corpus,
-    predict_document,
-    predict_iterative,
     target_label_set,
 )
 from dualed.synthetic import make_task
@@ -123,12 +123,13 @@ def build_fixture():
     }
     doc = doc_with(text, [(0, 3, "LA"), (10, 13, "L2")])
 
-    vectors = encode(seq, params)
-    anchor_a = pool_span(vectors, token_range(seq, (0, 3)), "mean")
-    anchor_b1 = pool_span(vectors, token_range(seq, (10, 13)), "mean")
     seq2 = tokenize("aaa (shift) likes bbb", vocab)
-    vectors2 = encode(seq2, params)
-    anchor_b2 = pool_span(vectors2, token_range(seq2, (18, 21)), "mean")
+    anchor_a, anchor_b1, anchor_b2 = encode_spans(
+        [seq, seq2],
+        [[token_range(seq, (0, 3)), token_range(seq, (10, 13))],
+         [token_range(seq2, (18, 21))]],
+        params, "mean",
+    )
 
     matrix = np.vstack([anchor_a, anchor_b1 + [0.05, 0.0], anchor_b2])
     cache = LabelCache(ids=["LA", "L1", "L2"], matrix=matrix,
@@ -142,16 +143,16 @@ class TestPredictDocument:
         params = identity_params(rng.normal(size=(64, 2)))
         cache = LabelCache(ids=["x"], matrix=np.zeros((1, 2)),
                            pooling="mean", sim_spec=EUCLIDEAN)
-        assert predict_document(doc_with("no mentions here", []), params, cache) == []
+        assert predict_chunks([doc_with("no mentions here", [])], params, cache) == [[]]
 
     def test_singleton_restriction_forces_gold(self):
         doc, params, cache, _ = build_fixture()
-        preds = predict_document(doc, params, cache, allowed_ids={"L1"})
+        [preds] = predict_chunks([doc], params, cache, allowed_rows(cache, {"L1"}))
         assert all(p.predicted_id == "L1" for p in preds)
 
     def test_exact_cache_row_scores_zero(self):
         doc, params, cache, _ = build_fixture()
-        preds = predict_document(doc, params, cache)
+        [preds] = predict_chunks([doc], params, cache)
         assert preds[0].predicted_id == "LA"
         assert preds[0].score == pytest.approx(0.0, abs=1e-12)
 
@@ -168,9 +169,9 @@ class TestPredictIterative:
         verbs = verbalize_all(task.records, FormatSpec.from_name("title_desc"))
         cache = LC.empty(sorted(task.records), 8, "first_last", EUCLIDEAN)
         full_refresh(cache, label_params, tokenize_labels(verbs, 1 << 12))
-        for doc in task.dev_docs:
-            one_shot = predict_document(doc, params, cache)
-            result = predict_iterative(doc, params, cache, task.records)
+        results = iterate_chunks(task.dev_docs, params, cache, task.records)
+        one_shots = predict_chunks(task.dev_docs, params, cache)
+        for result, one_shot in zip(results, one_shots):
             assert result.iterations == 1
             assert [p.predicted_id for p in result.predictions] == [
                 p.predicted_id for p in one_shot
@@ -182,14 +183,14 @@ class TestPredictIterative:
         words = " ".join(["aaa"] * 9)
         spans = [(4 * i, 4 * i + 3, "LA") for i in range(9)]
         nine = doc_with(words, spans)
-        result = predict_iterative(nine, params, cache, records)
+        [result] = iterate_chunks([nine], params, cache, records)
         assert result.iterations == 3
 
     def test_insertion_flips_neighbor_prediction(self):
         doc, params, cache, records = build_fixture()
-        one_shot = predict_document(doc, params, cache)
+        [one_shot] = predict_chunks([doc], params, cache)
         assert one_shot[1].predicted_id == "L1"
-        result = predict_iterative(doc, params, cache, records)
+        [result] = iterate_chunks([doc], params, cache, records)
         assert result.iterations == 2
         assert result.first_pass[1].predicted_id == "L1"
         assert result.predictions[1].predicted_id == "L2"
@@ -206,8 +207,8 @@ class TestPredictIterative:
         verbs = verbalize_all(task.records, FormatSpec.from_name("title_desc"))
         cache = LC.empty(sorted(task.records), 6, "mean", EUCLIDEAN)
         full_refresh(cache, label_params, tokenize_labels(verbs, 1 << 12))
-        for doc in task.dev_docs:
-            result = predict_iterative(doc, params, cache, task.records)
+        results = iterate_chunks(task.dev_docs, params, cache, task.records)
+        for doc, result in zip(task.dev_docs, results):
             assert 1 <= result.iterations <= len(doc.mentions)
             for first, last in zip(result.first_pass, result.predictions):
                 assert last.score >= first.score
@@ -325,20 +326,22 @@ class TestWindowedPredictionMatchesPerChunkOracle:
         rng = np.random.default_rng(0)
         records = seeded_records(12, rng)
         params, cache = seeded_model(records, 4, "first_last", "euclidean", 3)
+        restricted = allowed_rows(cache, set(sorted(records)[3:8]))
         for n in (0, 1, 7, 70):
             doc = seeded_document("d", n, 1, rng, sorted(records))
-            got, want = (predict_document(doc, params, cache),
-                         predict_document_one(doc, params, cache))
-            assert [(p.predicted_id, p.score.hex()) for p in got] == [
-                (p.predicted_id, p.score.hex()) for p in want]
-            got, want = (predict_iterative(doc, params, cache, records),
-                         predict_iterative_one(doc, params, cache, records))
-            assert got.iterations == want.iterations
-            assert got.state.working_text == want.state.working_text
-            for a, b in ((got.predictions, want.predictions),
-                         (got.first_pass, want.first_pass)):
-                assert [(p.predicted_id, p.score.hex()) for p in a] == [
-                    (p.predicted_id, p.score.hex()) for p in b]
+            for rows in (None, restricted):
+                [got] = predict_chunks([doc], params, cache, rows)
+                want = predict_document_one(doc, params, cache, rows)
+                assert [(p.predicted_id, p.score.hex()) for p in got] == [
+                    (p.predicted_id, p.score.hex()) for p in want]
+                [got] = iterate_chunks([doc], params, cache, records, rows)
+                want = predict_iterative_one(doc, params, cache, records, rows)
+                assert got.iterations == want.iterations
+                assert got.state.working_text == want.state.working_text
+                for a, b in ((got.predictions, want.predictions),
+                             (got.first_pass, want.first_pass)):
+                    assert [(p.predicted_id, p.score.hex()) for p in a] == [
+                        (p.predicted_id, p.score.hex()) for p in b]
 
 
 class TestWindowedPredictionMemory:

@@ -21,16 +21,15 @@ TRACED = {
         "flag_unlinkable", "load_corpus", "load_label_set",
     ],
     "encoder": [
-        "EncoderGrads", "EncoderParams", "TokenSequence", "backward_spans", "encode",
-        "encode_spans", "encoder_backward", "fnv1a_64", "load_checkpoint", "pool_span",
-        "pool_span_backward", "pooled_width", "save_checkpoint", "token_range", "tokenize",
+        "EncoderGrads", "EncoderParams", "TokenSequence", "backward_spans", "encode_spans",
+        "fnv1a_64", "load_checkpoint", "pool_span", "pool_span_backward", "pooled_width",
+        "save_checkpoint", "token_range", "tokenize",
     ],
     "evaluator": ["ChangeTable", "EvalReport", "change_analysis", "score"],
     "label_index": [
-        "LabelCache", "LabelCache.embedding", "LabelTokens", "allowed_rows",
-        "build_cache", "encode_labels", "full_refresh", "mine_hard_negatives",
-        "nearest_label", "sample_in_batch_negatives", "tokenize_labels", "top_rows",
-        "write_back",
+        "LabelCache", "LabelTokens", "allowed_rows", "build_cache", "encode_labels",
+        "full_refresh", "mine_hard_negatives", "sample_in_batch_negatives",
+        "tokenize_labels", "top_rows", "write_back",
     ],
     "losses": [
         "LossGradients", "LossSpec", "LossSpec.resolve_margin", "SimilaritySpec",
@@ -39,8 +38,8 @@ TRACED = {
     "predictor": [
         "CorpusPredictions", "DocumentPrediction", "MentionPrediction", "MentionSlot",
         "PredictionState", "PredictionState.strip_insertions", "insert_verbalization",
-        "insertion_text", "predict_chunks", "predict_corpus", "predict_document",
-        "predict_iterative", "target_label_set",
+        "insertion_text", "iterate_chunks", "predict_chunks", "predict_corpus",
+        "target_label_set",
     ],
     "trainer": [
         "PreparedChunk", "StepStats", "TrainConfig", "TrainConfig.to_mapping",
@@ -59,12 +58,11 @@ PACKAGE_ALL = [
     "Mention", "MentionPrediction", "PredictionState", "SimilaritySpec",
     "TokenSequence", "TrainConfig", "Trainer", "ValidationError", "Verbalization",
     "allowed_rows", "apply_iterative_insertions", "backward_spans", "change_analysis",
-    "chunk_document", "corpus", "dynamic_negative_count", "encode", "encode_spans",
-    "encoder", "encoder_backward", "errors", "evaluator", "flag_unlinkable",
-    "full_refresh", "insert_verbalization", "label_index", "load_checkpoint",
-    "load_corpus", "load_label_set", "loss_gradients", "losses", "make_batches",
-    "mine_hard_negatives", "nearest_label", "pool_span", "predict_chunks",
-    "predict_corpus", "predict_document", "predict_iterative", "predictor",
+    "chunk_document", "corpus", "dynamic_negative_count", "encode_spans", "encoder",
+    "errors", "evaluator", "flag_unlinkable", "full_refresh", "insert_verbalization",
+    "iterate_chunks", "label_index", "load_checkpoint", "load_corpus", "load_label_set",
+    "loss_gradients", "losses", "make_batches", "mine_hard_negatives", "pool_span",
+    "predict_chunks", "predict_corpus", "predictor",
     "sample_in_batch_negatives", "save_checkpoint", "score", "target_label_set",
     "token_range", "tokenize", "tokenize_labels", "top_rows", "trainer",
     "truncate_soft", "verbalize", "verbalizer", "write_back",

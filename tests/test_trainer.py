@@ -141,10 +141,8 @@ class TestTrainStep:
         assert stats.write_log
         assert trainer.cache.dirty_writes == len(stats.write_log)
         for label_id in stats.write_log:
-            np.testing.assert_array_equal(
-                trainer.cache.embedding(label_id),
-                poisoned[trainer.cache.row_of[label_id]],
-            )
+            row = trainer.cache.row_of[label_id]
+            np.testing.assert_array_equal(trainer.cache.matrix[row], poisoned[row])
 
     def test_interval_crossing_triggers_one_refresh(self):
         trainer, task = make_trainer(refresh_interval_spans=10)
