@@ -28,11 +28,11 @@ from .corpus import (
     load_corpus,
     load_label_set,
 )
-from .encoder import POOLING_METHODS, load_checkpoint, save_checkpoint
+from .encoder import load_checkpoint, save_checkpoint
 from .errors import ValidationError
 from .evaluator import change_analysis, score
 from .label_index import build_cache, tokenize_labels
-from .losses import LOSS_KINDS, SIMILARITY_KINDS, SimilaritySpec
+from .losses import LOSS_KINDS, SIMILARITY_KINDS
 from .predictor import predict_corpus, target_label_set
 from .trainer import TrainConfig, Trainer, parse_config_file
 from .verbalizer import FORMAT_NAMES, FormatSpec, verbalize_all
@@ -81,18 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict labels for every mention")
     p.add_argument("--corpus", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint.bin in a train --out dir")
     p.add_argument("--out", required=True)
     p.add_argument("--iterative", action="store_true")
     p.add_argument("--restrict-to-targets", action="store_true",
                    help="restrict inference to the corpus gold-label set")
-    p.add_argument("--format", default=TrainConfig.verbalization, choices=FORMAT_NAMES)
-    p.add_argument("--pooling", default=TrainConfig.pooling, choices=POOLING_METHODS)
-    p.add_argument("--sim", default=TrainConfig.sim, choices=SIMILARITY_KINDS)
-    p.add_argument("--max-mentions-per-chunk", type=int,
-                   default=TrainConfig.max_mentions_per_chunk)
-    p.add_argument("--max-chars-per-chunk", type=int,
-                   default=TrainConfig.max_chars_per_chunk)
 
     p = sub.add_parser("eval", help="score a prediction file against gold mentions")
     p.add_argument("--pred", required=True)
@@ -162,15 +155,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    config_path = Path(args.checkpoint).with_name("config.txt")
+    if not config_path.is_file():
+        raise ValidationError(f"no {config_path}: train --out writes it beside checkpoint.bin")
+    config = TrainConfig.from_mapping(parse_config_file(config_path))
     corpus = load_corpus(args.corpus)
     records = load_label_set(args.labels)
     flag_unlinkable(corpus, set(records))
     mention_params, label_params = load_checkpoint(args.checkpoint)
     label_tokens = tokenize_labels(
-        verbalize_all(records, FormatSpec.from_name(args.format)), label_params.vocab_size
+        verbalize_all(records, config.format_spec), label_params.vocab_size
     )
     cache = build_cache(
-        sorted(records), label_params, label_tokens, args.pooling, SimilaritySpec(args.sim)
+        sorted(records), label_params, label_tokens, config.pooling, config.sim_spec
     )
     allowed = target_label_set(corpus, cache) if args.restrict_to_targets else None
     preds = predict_corpus(
@@ -178,7 +175,7 @@ def cmd_predict(args) -> int:
         mention_params,
         cache,
         records,
-        limits=(args.max_mentions_per_chunk, args.max_chars_per_chunk),
+        limits=(config.max_mentions_per_chunk, config.max_chars_per_chunk),
         iterative=args.iterative,
         allowed_ids=allowed,
     )
@@ -207,22 +204,17 @@ def cmd_predict(args) -> int:
 
 def _load_predictions(path) -> dict[tuple[str, int, int], str]:
     out = {}
-    try:
-        for line_no, obj in _jsonl_objects(path):
-            try:
-                doc, start, end, pred = (obj[k] for k in ("doc", "start", "end", "pred"))
-            except KeyError as exc:
-                raise ValidationError(f"line {line_no}: missing key {exc}") from exc
-            for name, value in (("doc", doc), ("pred", pred)):
-                if not isinstance(value, str):
-                    raise ValidationError(
-                        f"line {line_no}: {name} must be a string, got {_json_kind(value)}"
-                    )
-            where = f"line {line_no}"
-            start, end = _as_integer(start, "start", where), _as_integer(end, "end", where)
-            out[(doc, start, end)] = pred
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    for line_no, obj in _jsonl_objects(path):
+        where = f"{path}: line {line_no}"
+        try:
+            doc, start, end, pred = (obj[k] for k in ("doc", "start", "end", "pred"))
+        except KeyError as exc:
+            raise ValidationError(f"{where}: missing key {exc}") from exc
+        for name, value in (("doc", doc), ("pred", pred)):
+            if not isinstance(value, str):
+                raise ValidationError(f"{where}: {name} must be a string, got {_json_kind(value)}")
+        start, end = _as_integer(start, "start", where), _as_integer(end, "end", where)
+        out[(doc, start, end)] = pred
     return out
 
 

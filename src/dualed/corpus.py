@@ -23,6 +23,7 @@ a mention span.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,7 @@ from pathlib import Path
 from .errors import ValidationError
 
 RELATION_KEYS = ("instance_of", "subclass_of", "country", "occupation")
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 @dataclass
@@ -80,23 +82,63 @@ class Chunk:
     parent_offset: int = 0
 
 
+def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a UTF-8 text file; bytes that
+    are not UTF-8 are a ValidationError naming the file and the line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead in blocks, so find the line afresh
+            for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+            raise ValidationError(f"{path}: line {line_no}: not UTF-8 ({exc.reason})") from exc
+
+
 def _jsonl_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL file; a
-    line that is not JSON, or not a JSON object, is a ValidationError."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {line_no}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValidationError(
-                    f"line {line_no}: expected a JSON object, got {_json_kind(obj)}"
-                )
-            yield line_no, obj
+    line that is not JSON, not a JSON object, or holds a lone surrogate
+    escape, is a ValidationError naming the file and the line."""
+    for line_no, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: line {line_no}: malformed JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValidationError(
+                f"{path}: line {line_no}: expected a JSON object, got {_json_kind(obj)}"
+            )
+        # json.loads joins every valid surrogate pair, so a surrogate left
+        # in a string is a lone one; only a \u escape can make one
+        if "\\u" in line and (key := _lone_surrogate_key(obj)) is not None:
+            raise ValidationError(
+                f"{path}: line {line_no}: {key!r} holds a lone surrogate escape"
+            )
+        yield line_no, obj
+
+
+def _lone_surrogate_key(value, key: str | None = None) -> str | None:
+    """The key of the first string in ``value`` that holds a surrogate code
+    point (a key that holds one names itself), or None."""
+    if isinstance(value, str):
+        return key if _SURROGATE.search(value) else None
+    if isinstance(value, dict):
+        pairs = [(k, k) for k in value] + list(value.items())
+    elif isinstance(value, list):
+        pairs = [(key, v) for v in value]
+    else:
+        return None
+    for k, v in pairs:
+        found = _lone_surrogate_key(v, k)
+        if found is not None:
+            return found
+    return None
 
 
 def _json_kind(value) -> str:

@@ -462,13 +462,18 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams]:
                 f"implies {implied}"
             )
         out = []
-        for _ in range(2):
+        for encoder in ("mention", "label"):
             tensors = []
-            for shape in ((v, d), (d, d), (d, d), (d,)):
-                buf = read_exact(fh, 4 * int(np.prod(shape)), "checkpoint file")
-                tensors.append(
-                    np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)
+            for name, shape in (("table", (v, d)), ("w_self", (d, d)), ("w_ctx", (d, d)),
+                                ("bias", (d,))):
+                raw = np.frombuffer(
+                    read_exact(fh, 4 * int(np.prod(shape)), "checkpoint file"), dtype="<f4"
                 )
+                if not np.isfinite(raw).all():
+                    raise ValidationError(
+                        f"checkpoint {encoder} encoder's {name} holds NaN or infinity"
+                    )
+                tensors.append(raw.astype(np.float64).reshape(shape))
             out.append(
                 EncoderParams(
                     table=tensors[0],

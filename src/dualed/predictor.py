@@ -273,7 +273,8 @@ def predict_corpus(
     mention_params: EncoderParams,
     cache: LabelCache,
     records: dict[str, EntityRecord] | None = None,
-    limits: tuple[int, int] = (100, 2800),
+    *,
+    limits: tuple[int, int],
     iterative: bool = False,
     allowed_ids: set[str] | None = None,
 ) -> CorpusPredictions:

@@ -28,8 +28,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corpus import Chunk, Document, EntityRecord, chunk_document
+from .corpus import Chunk, Document, EntityRecord, _text_lines, chunk_document
 from .encoder import (
+    POOLING_METHODS,
     EncoderGrads,
     EncoderParams,
     backward_spans,
@@ -49,7 +50,7 @@ from .label_index import (
     write_back,
 )
 from .evaluator import score as eval_score
-from .losses import LOSS_KINDS, LossSpec, SimilaritySpec, loss_gradients
+from .losses import LOSS_KINDS, SIMILARITY_KINDS, LossSpec, SimilaritySpec, loss_gradients
 from .predictor import (
     PredictionState,
     insert_verbalization,
@@ -57,7 +58,7 @@ from .predictor import (
     predict_chunks,
     predict_corpus,
 )
-from .verbalizer import FormatSpec, verbalize_all
+from .verbalizer import FORMAT_NAMES, FormatSpec, verbalize_all
 
 HARD = "hard"
 IN_BATCH = "in_batch"
@@ -100,10 +101,12 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.neg_mode not in (HARD, IN_BATCH):
             raise ValidationError(f"neg_mode must be hard or in_batch, got {self.neg_mode!r}")
-        if self.loss not in LOSS_KINDS:
-            raise ValidationError(
-                f"loss must be one of {', '.join(LOSS_KINDS)}, got {self.loss!r}"
-            )
+        for name, kinds in (("loss", LOSS_KINDS), ("sim", SIMILARITY_KINDS),
+                            ("pooling", POOLING_METHODS), ("verbalization", FORMAT_NAMES)):
+            if getattr(self, name) not in kinds:
+                raise ValidationError(
+                    f"{name} must be one of {', '.join(kinds)}, got {getattr(self, name)!r}"
+                )
         if self.neg_count != DYNAMIC and int(self.neg_count) < 1:
             raise ValidationError("neg_count must be >= 1 or 'dyn'")
         if not 0.0 <= self.corrupt_rate <= 1.0:
@@ -174,15 +177,14 @@ def _cast_config_value(key: str, raw):
 def parse_config_file(path) -> dict[str, str]:
     """Flat UTF-8 key=value file; blank lines and # comments ignored."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"config line {line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for line_no, line in _text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}: line {line_no}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 

@@ -363,8 +363,7 @@ def test_criterion_7_cli_determinism(tmp_path):
         assert cli_main([
             "predict", "--corpus", str(tmp_path / "dev.jsonl"),
             "--labels", str(tmp_path / "labels.jsonl"),
-            "--checkpoint", str(run_dir / "checkpoint.bin"),
-            "--format", "title_desc", "--out", str(preds),
+            "--checkpoint", str(run_dir / "checkpoint.bin"), "--out", str(preds),
         ]) == 0
         rep = tmp_path / f"report_{tag}.json"
         assert cli_main([

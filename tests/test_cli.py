@@ -13,7 +13,7 @@ from dualed.cli import main
 from dualed.corpus import load_corpus, load_label_set
 from dualed.encoder import EncoderParams, load_checkpoint, save_checkpoint
 from dualed.errors import ValidationError
-from dualed.predictor import predict_corpus
+from dualed.predictor import predict_corpus, target_label_set
 from dualed.synthetic import make_task, write_corpus_file, write_label_file
 from dualed.trainer import TrainConfig, Trainer
 
@@ -78,8 +78,7 @@ class TestTrainPredictEvalPipeline:
         pred_file = workspace / "preds.jsonl"
         assert run("predict", "--corpus", workspace / "dev.jsonl",
                    "--labels", workspace / "labels.jsonl",
-                   "--checkpoint", run_dir / "checkpoint.bin",
-                   "--format", "title_desc", "--out", pred_file) == 0
+                   "--checkpoint", run_dir / "checkpoint.bin", "--out", pred_file) == 0
         rows = [json.loads(line) for line in pred_file.read_text().splitlines()]
         assert len(rows) == 24
         assert set(rows[0]) == {"doc", "start", "end", "pred", "score", "gold",
@@ -111,7 +110,6 @@ class TestTrainPredictEvalPipeline:
         assert run("predict", "--corpus", workspace / "dev.jsonl",
                    "--labels", workspace / "labels.jsonl",
                    "--checkpoint", run_dir / "checkpoint.bin",
-                   "--format", "title_desc",
                    "--iterative", "--restrict-to-targets",
                    "--out", pred_file) == 0
         rows = [json.loads(line) for line in pred_file.read_text().splitlines()]
@@ -126,8 +124,7 @@ class TestTrainPredictEvalPipeline:
         assert run("predict", "--corpus", workspace / "dev.jsonl",
                    "--labels", workspace / "labels.jsonl",
                    "--checkpoint", run_dir / "checkpoint.bin",
-                   "--format", "title_desc", "--iterative",
-                   "--out", iterative) == 0
+                   "--iterative", "--out", iterative) == 0
         report_file = workspace / "report_changes.json"
         assert run("eval", "--pred", iterative,
                    "--gold-corpus", workspace / "dev.jsonl",
@@ -156,8 +153,7 @@ class TestTrainPredictEvalPipeline:
         pred_file = workspace / "preds_eval_cache.jsonl"
         assert run("predict", "--corpus", workspace / "dev.jsonl",
                    "--labels", workspace / "labels.jsonl",
-                   "--checkpoint", run_dir / "checkpoint.bin",
-                   "--format", "title_desc", "--out", pred_file) == 0
+                   "--checkpoint", run_dir / "checkpoint.bin", "--out", pred_file) == 0
 
         mention, label = load_checkpoint(run_dir / "checkpoint.bin")
         records = load_label_set(workspace / "labels.jsonl")
@@ -166,14 +162,142 @@ class TestTrainPredictEvalPipeline:
         trainer = Trainer(records, config)
         trainer.mention_params, trainer.label_params = mention, label
         cache = trainer.eval_cache()
-        limits = (config.max_mentions_per_chunk, config.max_chars_per_chunk)
         expected = predict_corpus(load_corpus(workspace / "dev.jsonl"), mention, cache,
-                                  records, limits).final
+                                  records,
+                                  limits=(config.max_mentions_per_chunk,
+                                          config.max_chars_per_chunk)).final
         rows = [json.loads(line) for line in pred_file.read_text().splitlines()]
         assert len(rows) == len(expected)
         for row in rows:
             want = expected[(row["doc"], row["start"], row["end"])]
             assert (row["pred"], row["score"]) == (want.predicted_id, want.score)
+
+
+MODES = {"one": [], "iterative": ["--iterative"], "restricted": ["--restrict-to-targets"]}
+
+
+class TestPredictReadsTheTrainingConfig:
+    """``predict`` scores the model that ``train --out`` wrote: pooling,
+    similarity, verbalization and chunk limits come from the config.txt
+    beside the checkpoint, and no flag can set them."""
+
+    LIMITS = (2, 80)  # the dev documents hold 1-4 mentions in 50-200 characters
+
+    @pytest.mark.parametrize("sim", ["cosine", "dot"])
+    def test_rows_equal_predict_corpus_under_the_trained_config(self, workspace, tmp_path,
+                                                                  sim):
+        run_dir = tmp_path / "run"
+        assert run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--config", workspace / "config.txt", "--epochs", "1",
+                   "--pooling", "mean", "--sim", sim, "--verbalization", "title",
+                   "--max-mentions-per-chunk", self.LIMITS[0],
+                   "--max-chars-per-chunk", self.LIMITS[1], "--out", run_dir) == 0
+
+        mention, label = load_checkpoint(run_dir / "checkpoint.bin")
+        records = load_label_set(workspace / "labels.jsonl")
+        config = TrainConfig(pooling="mean", sim=sim, verbalization="title",
+                             vocab_size=label.vocab_size, dim=label.dim, window=label.window)
+        trainer = Trainer(records, config)
+        trainer.mention_params, trainer.label_params = mention, label
+        cache = trainer.eval_cache()
+        docs = load_corpus(workspace / "dev.jsonl")
+        for mode, flags in MODES.items():
+            expected = predict_corpus(
+                docs, mention, cache, records, limits=self.LIMITS,
+                iterative=mode == "iterative",
+                allowed_ids=target_label_set(docs, cache) if mode == "restricted" else None)
+            out = tmp_path / f"{mode}.jsonl"
+            assert run("predict", "--corpus", workspace / "dev.jsonl",
+                       "--labels", workspace / "labels.jsonl",
+                       "--checkpoint", run_dir / "checkpoint.bin", "--out", out, *flags) == 0
+            rows = [json.loads(line) for line in out.read_text().splitlines()]
+            assert [(r["doc"], r["start"], r["end"]) for r in rows] == list(expected.final)
+            for row in rows:
+                key = (row["doc"], row["start"], row["end"])
+                want = expected.final[key]
+                assert (row["pred"], row["score"], row["iterations"]) == (
+                    want.predicted_id, want.score, expected.iterations[key]), mode
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--format", "title_desc"), ("--pooling", "mean"), ("--sim", "cosine"),
+        ("--max-mentions-per-chunk", "5"), ("--max-chars-per-chunk", "500"),
+    ])
+    def test_model_flags_are_gone(self, workspace, capsys, flag, value):
+        with pytest.raises(SystemExit):
+            main(["predict", "--help"])
+        assert flag not in capsys.readouterr().out
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", workspace / "run" / "checkpoint.bin",
+                   "--out", workspace / "x.jsonl", flag, value)
+        assert code == 1
+        assert flag in capsys.readouterr().err
+
+    def test_missing_config_is_validation_error(self, workspace, tmp_path, capsys):
+        model = tmp_path / "checkpoint.bin"
+        save_checkpoint(model, EncoderParams.init(64, 4, 2, seed=0),
+                        EncoderParams.init(64, 4, 2, seed=1))
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", model, "--out", tmp_path / "x.jsonl")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(tmp_path / "config.txt") in err and "train --out" in err
+
+    @pytest.mark.parametrize("text, key", [
+        pytest.param("epochs=two\n", "epochs", id="bad-value"),
+        pytest.param("label_batch_size=16\n", "label_batch_size", id="unknown-key"),
+        pytest.param("sim=euclidean\npooling\n", "line 2", id="no-equals"),
+        pytest.param("sim=bogus\n", "sim must be one of", id="unknown-sim"),
+        pytest.param("pooling=bogus\n", "pooling must be one of", id="unknown-pooling"),
+        pytest.param("verbalization=bogus\n", "verbalization must be one of",
+                     id="unknown-format"),
+        # written with surrogateescape: \udcff is the byte 0xff
+        pytest.param("seed=0\nsim=e\udcffuclidean\n", "line 2: not UTF-8", id="not-utf8"),
+    ])
+    def test_malformed_config_is_validation_error(self, workspace, tmp_path, capsys,
+                                                   text, key):
+        model = tmp_path / "checkpoint.bin"
+        save_checkpoint(model, EncoderParams.init(64, 4, 2, seed=0),
+                        EncoderParams.init(64, 4, 2, seed=1))
+        (tmp_path / "config.txt").write_text(text, encoding="utf-8", errors="surrogateescape")
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", model, "--out", tmp_path / "x.jsonl")
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+
+class TestNonFiniteCheckpoint:
+    """A NaN or infinity anywhere in a checkpoint is a validation error in
+    every predict mode, before anything is written."""
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_mention_table(self, workspace, tmp_path, capsys, mode, value):
+        mention = EncoderParams.init(64, 4, 2, seed=0)
+        mention.table[5, 1] = value
+        save_checkpoint(tmp_path / "checkpoint.bin", mention,
+                        EncoderParams.init(64, 4, 2, seed=1))
+        (tmp_path / "config.txt").write_text("")
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", tmp_path / "checkpoint.bin",
+                   "--out", tmp_path / "x.jsonl", *MODES[mode])
+        assert code == 1
+        assert "mention encoder's table" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("encoder", ["mention", "label"])
+    @pytest.mark.parametrize("tensor", ["table", "w_self", "w_ctx", "bias"])
+    def test_every_tensor_is_checked(self, tmp_path, encoder, tensor):
+        params = {"mention": EncoderParams.init(8, 2, 1, seed=0),
+                  "label": EncoderParams.init(8, 2, 1, seed=1)}
+        getattr(params[encoder], tensor).flat[-1] = np.nan
+        save_checkpoint(tmp_path / "checkpoint.bin", params["mention"], params["label"])
+        with pytest.raises(ValidationError, match=f"{encoder} encoder's {tensor} "):
+            load_checkpoint(tmp_path / "checkpoint.bin")
 
 
 # header words: edge values, small values and any uint32
@@ -221,11 +345,8 @@ class TestCheckpointFuzz:
         size = 8 * (v * d + 2 * d * d + d)
         body = data.draw(st.binary(min_size=size, max_size=size))
         code = self.predict(workspace, valid[:6] + struct.pack("<III", v, d, window) + body)
-        # finite tensors predict; NaN or infinity may predict or be rejected
-        if np.isfinite(np.frombuffer(body, dtype="<f4")).all():
-            assert code == 0
-        else:
-            assert code in (0, 1)
+        # finite tensors predict; NaN or infinity is rejected
+        assert code == (0 if np.isfinite(np.frombuffer(body, dtype="<f4")).all() else 1)
 
     @settings(max_examples=20, deadline=None)
     @given(extra=st.binary(min_size=1, max_size=64))
@@ -261,8 +382,7 @@ class TestDeterminism:
             pred_file = workspace / f"det_preds_{tag}.jsonl"
             assert run("predict", "--corpus", workspace / "dev.jsonl",
                        "--labels", workspace / "labels.jsonl",
-                       "--checkpoint", run_dir / "checkpoint.bin",
-                       "--format", "title_desc", "--out", pred_file) == 0
+                       "--checkpoint", run_dir / "checkpoint.bin", "--out", pred_file) == 0
             outputs.append(
                 (
                     (run_dir / "metrics.jsonl").read_bytes(),
@@ -390,9 +510,10 @@ class TestExitCodes:
         model = tmp_path / "model.bin"
         save_checkpoint(model, EncoderParams.init(64, 4, 2, seed=0),
                         EncoderParams.init(64, 4, 2, seed=1))
+        (tmp_path / "config.txt").write_text(f"sim={sim}\n")
         code = run("predict", "--corpus", workspace / "dev.jsonl",
                    "--labels", tmp_path / "labels.jsonl", "--checkpoint", model,
-                   "--sim", sim, "--out", tmp_path / "x.jsonl")
+                   "--out", tmp_path / "x.jsonl")
         assert code == 1
         assert "empty label set" in capsys.readouterr().err
 
@@ -442,13 +563,17 @@ class TestExitCodes:
                          "max_chars_per_chunk", id="chars-zero-flag"),
             pytest.param([], "max_mentions_per_chunk=0\nepochs=0\n",
                          "max_mentions_per_chunk", id="mentions-zero-config"),
+            pytest.param([], "epochs=0\nseed=\udcff\n", "config.txt: line 2: not UTF-8",
+                         id="config-not-utf8"),
         ],
     )
     def test_malformed_config_value_is_validation_error(
         self, workspace, tmp_path, capsys, flags, config_text, key
     ):
         if config_text is not None:
-            (tmp_path / "config.txt").write_text(config_text)
+            # written with surrogateescape, so \udcff is the byte 0xff
+            (tmp_path / "config.txt").write_text(config_text, encoding="utf-8",
+                                                 errors="surrogateescape")
             flags = [*flags, "--config", tmp_path / "config.txt"]
         code = run("train", "--corpus", workspace / "train.jsonl",
                    "--labels", workspace / "labels.jsonl",
@@ -519,18 +644,39 @@ class TestExitCodes:
                          "end", id="prediction-end-float"),
             pytest.param("eval", '{"doc": "d", "start": false, "end": 1, "pred": "A"}',
                          "start", id="prediction-start-bool"),
+            pytest.param("verbalize", '{"id": "a", "title": "\udcff"}', "bad.jsonl: line 1: "
+                         "not UTF-8", id="label-row-not-utf8"),
+            pytest.param("train", '{"id": "d", "text": "\udcff"}', "bad.jsonl: line 1: "
+                         "not UTF-8", id="corpus-row-not-utf8"),
+            pytest.param("eval", '{"doc": "\udcff"}', "bad.jsonl: line 1: not UTF-8",
+                         id="prediction-row-not-utf8"),
+            pytest.param("verbalize", r'{"id": "a", "title": "a\ud800b"}', "'title'",
+                         id="label-title-lone-surrogate"),
+            pytest.param("verbalize", r'{"id": "a", "title": "A", '
+                         r'"categories": {"country": ["x", "\ude00"]}}', "'country'",
+                         id="category-value-lone-surrogate"),
+            pytest.param("predict", r'{"id": "d\udc00", "text": "a b"}', "'id'",
+                         id="doc-id-lone-surrogate"),
+            pytest.param("predict", r'{"id": "d", "text": "a b", "mentions": '
+                         r'[{"start": 0, "end": 1, "label": "\ud83d"}]}', "'label'",
+                         id="mention-label-lone-surrogate"),
+            pytest.param("eval", r'{"doc": "d", "start": 0, "end": 1, "pred": "\udfff"}',
+                         "'pred'", id="prediction-pred-lone-surrogate"),
         ],
     )
     def test_malformed_json_row_is_validation_error(
         self, workspace, tmp_path, capsys, command, row, key
     ):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(row + "\n")
+        # written with surrogateescape, so "\udcff" in a row is the byte 0xff
+        bad.write_text(row + "\n", encoding="utf-8", errors="surrogateescape")
         argv = {
             "verbalize": ["--labels", bad, "--format", "title_desc_cat",
                           "--out", tmp_path / "out"],
             "predict": ["--corpus", bad, "--labels", workspace / "labels.jsonl",
                         "--checkpoint", workspace / "nope.bin", "--out", tmp_path / "out"],
+            "train": ["--corpus", bad, "--labels", workspace / "labels.jsonl",
+                      "--out", tmp_path / "run"],
             "eval": ["--pred", bad, "--gold-corpus", workspace / "dev.jsonl"],
         }[command]
         code = run(command, *argv)

@@ -1,6 +1,7 @@
 """Loader validation and chunking contracts."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dualed.corpus import (
     load_label_set,
 )
 from dualed.errors import ValidationError
+from dualed.trainer import parse_config_file
 from dualed.verbalizer import FORMAT_NAMES
 from strategies import documents
 
@@ -166,6 +168,43 @@ class TestStringFields:
         write_jsonl(tmp_path / "labels.jsonl", [{"title": "A"}])
         with pytest.raises(ValidationError, match="line 1: missing key 'id'"):
             load_label_set(tmp_path / "labels.jsonl")
+
+
+class TestTextEncoding:
+    """Inputs are UTF-8: an undecodable byte or a lone surrogate escape is a
+    ValidationError naming the file and the line."""
+
+    def test_undecodable_byte_names_its_line_past_the_read_ahead(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        rows = [json.dumps({"id": f"d{i}", "text": "x" * 20000}) for i in range(3)]
+        path.write_bytes("\n".join(rows).encode() + b'\n{"id": "d\xff", "text": "a"}\n')
+        with pytest.raises(ValidationError, match=f"{path}: line 4: not UTF-8"):
+            load_corpus(path)
+
+    def test_undecodable_config_line(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"epochs=1\r\nseed=1\rsim=\xc3\n")
+        with pytest.raises(ValidationError, match=f"{path}: line 3: not UTF-8"):
+            parse_config_file(path)
+
+    def test_surrogate_pairs_load(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"id": "a", "title": "x\\ud83d\\ude00", '
+                        '"categories": {"country": ["\\u00e9"]}}\n')
+        [record] = load_label_set(path).values()
+        assert (record.title, record.categories) == ("x\U0001F600", {"country": ["\u00e9"]})
+
+    @pytest.mark.parametrize("row, key", [
+        ('{"id": "a", "text": "\\udc00x"}', "'text'"),
+        ('{"id": "a", "text": "x\\ud83d"}', "'text'"),
+        ('{"id": "a", "text": "x", "mentions": [], "extra": [{"\\ud800": 1}]}',
+         "'\\ud800'"),  # the key itself, escaped by repr
+    ])
+    def test_lone_surrogate_names_line_and_key(self, tmp_path, row, key):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "ok", "text": "\\ud83d\\ude00"}\n' + row + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"line 2: {key} holds a lone")):
+            load_corpus(path)
 
 
 class TestFlagUnlinkable:
@@ -389,7 +428,7 @@ prediction_rows = objects(
 
 @pytest.fixture(scope="module")
 def row_inputs(tmp_path_factory):
-    """A small label set, gold corpus and checkpoint for the row-shape runs."""
+    """A small label set, gold corpus and model for the row-shape runs."""
     from dualed.encoder import EncoderParams, save_checkpoint
 
     root = tmp_path_factory.mktemp("rows")
@@ -398,6 +437,7 @@ def row_inputs(tmp_path_factory):
                                        "mentions": [{"start": 0, "end": 1, "label": "A"}]}])
     params = [EncoderParams.init(16, 2, 1, seed=s) for s in (0, 1)]
     save_checkpoint(root / "model.bin", *params)
+    (root / "config.txt").write_text("verbalization=title\n")
     return root
 
 
@@ -430,8 +470,7 @@ class TestRowShapes:
         code = self.run_with(row_inputs, rows_, "predict", "--corpus",
                              row_inputs / "rows.jsonl", "--labels",
                              row_inputs / "labels.jsonl", "--checkpoint",
-                             row_inputs / "model.bin", "--format", "title",
-                             "--out", row_inputs / "out.jsonl")
+                             row_inputs / "model.bin", "--out", row_inputs / "out.jsonl")
         assert code in (0, 1)
         if any(wrong_corpus_row(row) for row in rows_):
             assert code == 1

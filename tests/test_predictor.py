@@ -23,9 +23,12 @@ from dualed.predictor import (
     target_label_set,
 )
 from dualed.synthetic import make_task
+from dualed.trainer import TrainConfig
 from dualed.verbalizer import FormatSpec, verbalize_all
 from oracles import predict_corpus_one, predict_document_one, predict_iterative_one
 from strategies import documents
+
+LIMITS = (TrainConfig.max_mentions_per_chunk, TrainConfig.max_chars_per_chunk)
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
 
@@ -315,10 +318,10 @@ class TestWindowedPredictionMatchesPerChunkOracle:
         params, cache = seeded_model(records, dim, pooling, kind, seed)
         targets = target_label_set(docs, cache)
         for iterative, allowed in ((False, None), (True, None), (False, targets)):
-            got = predict_corpus(docs, params, cache, records, iterative=iterative,
-                                 allowed_ids=allowed)
-            want = predict_corpus_one(docs, params, cache, records, iterative=iterative,
-                                      allowed_ids=allowed)
+            got = predict_corpus(docs, params, cache, records, limits=LIMITS,
+                                 iterative=iterative, allowed_ids=allowed)
+            want = predict_corpus_one(docs, params, cache, records, LIMITS,
+                                      iterative=iterative, allowed_ids=allowed)
             assert list(got.final) == list(want.final)
             assert hexed(got) == hexed(want)
 
@@ -353,7 +356,7 @@ class TestWindowedPredictionMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            predict_corpus(docs, params, cache, records, iterative=iterative)
+            predict_corpus(docs, params, cache, records, limits=LIMITS, iterative=iterative)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
