@@ -203,7 +203,7 @@ def cmd_predict(args) -> int:
 
 
 def _load_predictions(path) -> dict[tuple[str, int, int], str]:
-    out = {}
+    out, first_line = {}, {}
     for line_no, obj in _jsonl_objects(path):
         where = f"{path}: line {line_no}"
         try:
@@ -214,7 +214,13 @@ def _load_predictions(path) -> dict[tuple[str, int, int], str]:
             if not isinstance(value, str):
                 raise ValidationError(f"{where}: {name} must be a string, got {_json_kind(value)}")
         start, end = _as_integer(start, "start", where), _as_integer(end, "end", where)
-        out[(doc, start, end)] = pred
+        key = (doc, start, end)
+        if key in first_line:
+            raise ValidationError(
+                f"{where}: duplicate prediction for {key!r}, first on line {first_line[key]}"
+            )
+        first_line[key] = line_no
+        out[key] = pred
     return out
 
 

@@ -91,7 +91,7 @@ class TrainConfig:
     vocab_size: int = 65536
     dim: int = 64
     window: int = 5
-    clip_norm: float = 1.0
+    clip_norm: float = 1.0               # 0 disables the clip
     seed: int = 0
 
     def __post_init__(self):
@@ -109,6 +109,8 @@ class TrainConfig:
                 )
         if self.neg_count != DYNAMIC and int(self.neg_count) < 1:
             raise ValidationError("neg_count must be >= 1 or 'dyn'")
+        if self.clip_norm < 0:
+            raise ValidationError("clip_norm must be >= 0 (0 disables clipping)")
         if not 0.0 <= self.corrupt_rate <= 1.0:
             raise ValidationError("corrupt_rate must be in [0, 1]")
         if not 0.0 < self.insert_fraction < 1.0:
@@ -550,8 +552,9 @@ class Trainer:
 # ``encoder.backward_spans`` keeps each encoder's table gradient as a compact
 # (R, d) buffer over those rows. Scale and update touch those rows alone:
 # for any other row the update is x - lr * 0.0, which is x. The clip norm
-# still sums the squares of the whole (V, d) table as np.sum does
-# (``_table_square_sum``).
+# keeps the bits of summing the squares of the whole (V, d) table with
+# np.sum, but replays that sum (``_table_square_sum``) only in a step where
+# a cheap sum over the touched rows cannot rule the clip out.
 
 
 def _scale(grads: EncoderGrads, factor: float) -> None:
@@ -561,17 +564,43 @@ def _scale(grads: EncoderGrads, factor: float) -> None:
     grads.bias *= factor
 
 
+def _square_total(a: EncoderGrads, b: EncoderGrads, table_sum) -> float:
+    total = 0.0
+    for g in (a, b):
+        total += table_sum(g)
+        for t in (g.w_self, g.w_ctx, g.bias):
+            total += float(np.sum(t * t))
+    return total
+
+
 def _clip_global_norm(
     a: EncoderGrads, b: EncoderGrads, max_norm: float, vocab_size: int
 ) -> None:
-    """Scale both gradients to a global norm of at most ``max_norm``."""
-    total = 0.0
-    for g in (a, b):
-        total += _table_square_sum(g.rows, g.table * g.table, vocab_size)
-        for t in (g.w_self, g.w_ctx, g.bias):
-            total += float(np.sum(t * t))
-    norm = math.sqrt(total)
-    if norm > max_norm > 0:
+    """Scale both gradients to a global norm of at most ``max_norm``; 0
+    disables the clip.
+
+    A float sum of non-negative terms, in any order, is within a factor
+    (1 ± u)**K of the exact sum, where u is the unit roundoff and K the
+    most additions one term passes through (Higham 2002, §4.2). Both for
+    the dense np.sum, whose norm the clip compares, and for the cheap sum
+    over the touched rows, K is at most (V + d) * d + 8: a table or weight
+    sum, then the chain of the 8 partial sums. So the dense total is below
+    the cheap one times 1 + 4 K u, and 8 u more covers rounding the widened
+    total. When even its square root is below ``max_norm``, the clip cannot
+    fire and the dense sum is not replayed; nan and inf fail the comparison
+    and take the replay.
+    """
+    if not max_norm > 0:
+        return
+    d = a.table.shape[1]
+    k = (vocab_size + d) * d + 8
+    cheap = _square_total(a, b, lambda g: float(np.sum(g.table * g.table)))
+    if math.sqrt(cheap * (1.0 + 4 * (k + 2) * 2.0**-53)) < max_norm:
+        return
+    norm = math.sqrt(_square_total(
+        a, b, lambda g: _table_square_sum(g.rows, g.table * g.table, vocab_size)
+    ))
+    if norm > max_norm:
         _scale(a, max_norm / norm)
         _scale(b, max_norm / norm)
 
@@ -585,115 +614,48 @@ def _apply_update(params: EncoderParams, grads: EncoderGrads, lr: float) -> None
     params.bias -= grads.bias
 
 
-# numpy sums a contiguous float64 array as 0.0 plus one pairwise sum over
-# all n elements (Higham 2002, §4.2). A run of more than 128 elements splits
-# at n // 2 rounded down to a multiple of 8. A leaf of m <= 128 elements runs
-# 8 interleaved accumulators over its first m - m % 8 elements, combines
-# them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then adds the
-# rest in order. The block size and the lane count are numpy internals, so
-# ``_emulation_exact`` checks them once per process against np.sum.
-_PAIRWISE_LEAF = 128
-_LANES = 8
-
-
-@dataclass(frozen=True)
-class _PairwiseTree:
-    """numpy's summation tree over n elements, one level per depth.
-
-    Nodes are numbered breadth first, so depth k is ``nodes[k]:nodes[k+1]``
-    and the two children of its i-th internal node are the nodes 2i and
-    2i + 1 of depth k + 1. Leaves are listed in element order.
-    """
-
-    nodes: np.ndarray        # first node number of each depth, then the node count
-    internal: list           # per depth, node numbers of its internal nodes
-    leaf_start: np.ndarray   # (L,) first element of each leaf, ascending
-    leaf_main: np.ndarray    # (L,) elements summed by the 8 accumulators
-    leaf_node: np.ndarray    # (L,) node number of each leaf
-
-
-@functools.lru_cache(maxsize=4)
-def _pairwise_tree(n: int) -> _PairwiseTree:
-    starts, lengths = np.zeros(1, np.int64), np.array([n], np.int64)
-    nodes, internal, leaves = [0], [], []
-    while True:
-        split = lengths > _PAIRWISE_LEAF
-        numbers = nodes[-1] + np.arange(len(lengths))
-        internal.append(numbers[split])
-        leaves.append((starts[~split], lengths[~split], numbers[~split]))
-        nodes.append(nodes[-1] + len(lengths))
-        if not split.any():
-            break
-        half = lengths[split] // 2
-        half -= half % _LANES
-        starts = np.stack([starts[split], starts[split] + half], axis=1).ravel()
-        lengths = np.stack([half, lengths[split] - half], axis=1).ravel()
-    start, length, node = (np.concatenate(parts) for parts in zip(*leaves))
-    order = np.argsort(start)
-    return _PairwiseTree(
-        nodes=np.array(nodes),
-        internal=internal,
-        leaf_start=start[order],
-        leaf_main=(length - length % _LANES)[order],
-        leaf_node=node[order],
-    )
+_RUN = 1 << 14  # the longest run of the replay that np.sum adds up itself
 
 
 def _pairwise_sum(rows: np.ndarray, squares: np.ndarray, vocab_size: int) -> float:
     """np.sum of a (vocab_size, d) table that is zero outside ``rows``
     (ascending, unique), where it holds ``squares``, with np.sum's bits.
 
-    Only leaves that hold a touched row are summed; every other leaf, and
-    every subtree of them, sums to +0.0, and x + 0.0 is x for the
-    non-negative squares.
+    numpy sums n contiguous float64 elements as 0.0 plus one pairwise sum,
+    which splits a run of more than 128 elements at n // 2 rounded down to
+    a multiple of 8 (Higham 2002, §4.2). The replay follows those splits
+    down to runs of at most ``_RUN`` elements and sums each run that holds
+    a touched row with np.sum; any other run sums to +0.0, and x + 0.0 is x
+    for the non-negative squares. The split rule is a numpy internal, so
+    ``_emulation_exact`` checks it once per process against np.sum.
     """
-    if not len(rows):
-        return 0.0
     d = squares.shape[1]
-    tree = _pairwise_tree(vocab_size * d)
-    # the touched leaves: those from a row's first element to its last
-    n_leaves = len(tree.leaf_start)
-    first = np.searchsorted(tree.leaf_start, rows * d, side="right") - 1
-    last = np.searchsorted(tree.leaf_start, rows * d + (d - 1), side="right")
-    cover = np.bincount(first, minlength=n_leaves + 1) - np.bincount(
-        last, minlength=n_leaves + 1
-    )
-    leaves = np.flatnonzero(np.cumsum(cover[:-1]))
-    # each touched leaf holds a contiguous run of the ascending elements
     element = (rows[:, None] * d + np.arange(d)).ravel()
-    start = tree.leaf_start[leaves]
-    counts = np.diff(np.searchsorted(element, start), append=len(element))
-    offset = element - np.repeat(start, counts)
-    main = np.repeat(tree.leaf_main[leaves], counts)
-    # one column per touched leaf: its accumulated elements in slots 0..127,
-    # the rest of it in slots 128..135, zeros elsewhere
-    block = np.zeros((_PAIRWISE_LEAF + _LANES, len(leaves)))
-    slot = np.where(offset < main, offset, _PAIRWISE_LEAF + offset - main)
-    column = np.repeat(np.arange(len(leaves)), counts)
-    block.ravel()[slot * len(leaves) + column] = squares.ravel()
-    r = block[:_LANES].copy()
-    for k in range(_LANES, _PAIRWISE_LEAF, _LANES):
-        r += block[k:k + _LANES]
-    sums = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for rest in block[_PAIRWISE_LEAF:]:
-        sums += rest
+    values = squares.ravel()
 
-    values = np.zeros(tree.nodes[-1])
-    values[tree.leaf_node[leaves]] = sums
-    for depth in range(len(tree.internal) - 2, -1, -1):
-        children = values[tree.nodes[depth + 1]:tree.nodes[depth + 2]]
-        values[tree.internal[depth]] = children[0::2] + children[1::2]
-    return float(0.0 + values[0])
+    def run(lo: int, n: int) -> float:
+        i, j = np.searchsorted(element, (lo, lo + n))
+        if i == j:
+            return 0.0
+        if n <= _RUN:
+            buf = np.zeros(n)
+            buf[element[i:j] - lo] = values[i:j]
+            return float(np.sum(buf))
+        half = n // 2 - n // 2 % 8
+        return run(lo, half) + run(lo + half, n - half)
+
+    return run(0, vocab_size * d)
 
 
 @functools.cache
 def _emulation_exact() -> bool:
     """Whether ``_pairwise_sum`` matches this numpy's np.sum bit for bit,
-    on small sparse tables of several shapes: some with short or uneven
-    leaves, some longer than numpy's default 8192-element ufunc buffer."""
+    on sparse tables of several shapes: some shorter than one run of the
+    replay, some split over many runs, the last two where rounding a
+    split down to a multiple of 4, 16 or 32 in place of 8 shows."""
     rng = np.random.default_rng(0)
     for vocab, d in ((1, 1), (2, 3), (8, 5), (64, 3), (256, 5), (512, 63),
-                     (1024, 8), (1024, 64), (2048, 32)):
+                     (1024, 8), (1024, 64), (2048, 32), (1500, 13), (3001, 61)):
         for touched in (1, max(vocab // 8, 1), vocab):
             rows = np.sort(rng.choice(vocab, size=touched, replace=False))
             scale = 10.0 ** rng.uniform(-8, 2, size=(touched, 1))
@@ -707,7 +669,7 @@ def _emulation_exact() -> bool:
 
 def _table_square_sum(rows: np.ndarray, squares: np.ndarray, vocab_size: int) -> float:
     """np.sum of the (vocab_size, d) table holding ``squares`` at ``rows``
-    and zeros elsewhere: emulated where ``_emulation_exact`` holds, else a
+    and zeros elsewhere: replayed where ``_emulation_exact`` holds, else a
     dense scatter and np.sum, so a numpy with another summation order
     changes the speed and never the bits."""
     if _emulation_exact():

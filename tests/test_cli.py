@@ -544,6 +544,7 @@ class TestExitCodes:
                          id="removed-key-config"),
             pytest.param(["--lr", "nan"], None, "lr", id="lr-nan-flag"),
             pytest.param(["--clip-norm", "inf"], None, "clip_norm", id="clip-inf-flag"),
+            pytest.param(["--clip-norm", "-3"], None, "clip_norm", id="clip-negative-flag"),
             pytest.param(["--margin", "-inf"], None, "margin", id="margin-inf-flag"),
             pytest.param(["--insert-fraction", "nan"], None, "insert_fraction",
                          id="insert-nan-flag"),
@@ -683,6 +684,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "line 1" in err and key in err
+
+    @pytest.mark.parametrize("flag", ["--pred", "--first-pass"])
+    def test_duplicate_prediction_row_is_validation_error(
+        self, workspace, tmp_path, capsys, flag
+    ):
+        """Two rows for one mention: I then X, where the gold is I."""
+        rows = [{"doc": d.id, "start": m.start, "end": m.end, "pred": m.gold_label}
+                for d in load_corpus(workspace / "dev.jsonl") for m in d.mentions]
+        duplicate = {**rows[0], "pred": "X"}
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        good.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        bad.write_text("".join(json.dumps(r) + "\n" for r in [rows[0], duplicate, *rows[1:]]))
+        files = {"--pred": good, "--first-pass": good, flag: bad}
+        code = run("eval", "--gold-corpus", workspace / "dev.jsonl",
+                   *(arg for pair in files.items() for arg in pair))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{bad}: line 2: duplicate prediction" in err and "first on line 1" in err
 
     def test_bad_subcommand_is_validation_error(self):
         assert run("frobnicate") == 1

@@ -1,7 +1,9 @@
 """Batching, negative counts, step contracts, insertions, scheduling."""
 
+import copy
 import dataclasses
 import inspect
+import math
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -24,7 +26,7 @@ from dualed.trainer import (
     parse_config_file,
 )
 from dualed.verbalizer import verbalize_all
-from oracles import train_step_per_label
+from oracles import clip_global_norm, train_step_per_label
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -242,15 +244,20 @@ class TestAgainstPerLabelStep:
 
 class TestSparseStep:
     @settings(max_examples=200, deadline=None)
-    @given(log_vocab=st.integers(0, 16), dim=st.sampled_from([1, 3, 5, 8, 32, 64]),
+    @given(log_vocab=st.integers(0, 16), extra=st.integers(0, 9),
+           dim=st.sampled_from([1, 3, 5, 8, 32, 64]),
            touched=st.integers(0, 300), special=st.integers(0, 3),
            seed=st.integers(0, 2**32 - 1))
-    def test_pairwise_emulation_matches_np_sum(self, log_vocab, dim, touched, special, seed):
-        """The clip's sparse square sum, emulated and by the dense fallback,
-        has np.sum's bits over the dense table, with odd and short leaves,
-        rows scaled from 1e-8 to 1e2, inf and nan."""
+    def test_pairwise_emulation_matches_np_sum(
+        self, log_vocab, extra, dim, touched, special, seed
+    ):
+        """The clip's sparse square sum, replayed and by the dense fallback,
+        has np.sum's bits over the dense table: tables shorter than one run
+        of the replay, and tables split over many runs, also where numpy
+        rounds a split down to a multiple of 8; rows scaled from 1e-8 to
+        1e2, inf and nan."""
         rng = np.random.default_rng(seed)
-        vocab = 1 << log_vocab
+        vocab = (1 << log_vocab) + extra
         rows = np.sort(rng.choice(vocab, size=min(touched, vocab), replace=False))
         values = rng.normal(size=(len(rows), dim)) * 10.0 ** rng.uniform(-8, 2, (len(rows), 1))
         for _ in range(special if len(rows) else 0):
@@ -293,6 +300,55 @@ class TestSparseStep:
         assert all(a.tobytes() == b.tobytes() for a, b in
                    zip(params_snapshot(trainer), params_snapshot(reference)))
         assert not params_equal(params_snapshot(trainer), params_snapshot(control))
+
+    @pytest.mark.parametrize("case", [-1e-9, -1e-15, 0.0, 1e-15, 1e-9, "nan", "inf"])
+    def test_clip_at_the_bound_equals_the_dense_oracle(self, monkeypatch, case):
+        """With a step's dense norm at max_norm * (1 + eps), or a nan or inf
+        entry, the clip gives the dense np.sum clip's bits; only a norm the
+        cheap sum proves below max_norm skips the replay."""
+        captured = []
+        monkeypatch.setattr(tm, "_clip_global_norm",
+                            lambda a, b, *_: captured.append(copy.deepcopy((a, b))))
+        trainer, task = make_trainer()
+        trainer.train_step(make_batches(task.train_docs, 4, (100, 2800), seed=2)[0])
+        monkeypatch.undo()
+        vocab = trainer.config.vocab_size
+        grads = captured[0]
+        if isinstance(case, str):
+            grads[0].table[0, 0] = float(case)
+        dense = []
+        for g in grads:
+            table = np.zeros((vocab, g.table.shape[1]))
+            table[g.rows] = g.table
+            dense.append(dataclasses.replace(copy.deepcopy(g), table=table))
+        total = sum(float(np.sum(t * t)) for g in dense
+                    for t in (g.table, g.w_self, g.w_ctx, g.bias))
+        max_norm = 0.5 if isinstance(case, str) else math.sqrt(total) / (1 + case)
+        replays = []
+        replay = tm._table_square_sum
+        monkeypatch.setattr(tm, "_table_square_sum",
+                            lambda *args: replays.append(1) or replay(*args))
+        with np.errstate(invalid="ignore"):  # an inf clips to inf * 0.0
+            tm._clip_global_norm(*grads, max_norm, vocab)
+            clip_global_norm(*dense, max_norm)
+        assert bool(replays) == (case != -1e-9)
+        for got, want in zip(grads, dense):
+            assert got.table.tobytes() == want.table[got.rows].tobytes()
+            for name in ("w_self", "w_ctx", "bias"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_unclipped_steps_do_not_replay_the_dense_sum(self, monkeypatch):
+        """Steps whose norms stay below the clip norm never run the replay
+        or its self-check."""
+        def fail(*args):
+            raise AssertionError("the dense sum was replayed")
+
+        monkeypatch.setattr(tm, "_table_square_sum", fail)
+        monkeypatch.setattr(tm, "_emulation_exact", fail)
+        trainer, task = make_trainer()
+        steps = [trainer.train_step(batch)
+                 for batch in make_batches(task.train_docs, 4, (100, 2800), seed=2)]
+        assert all(s.loss_terms for s in steps)
 
     def test_step_allocates_less_than_one_table(self):
         """A step at V=65536, d=32 never holds a (V, d) float64 table."""
