@@ -5,7 +5,7 @@ Shows the six built-in formats, the component separators, and the soft
 truncation rule that keeps verbalizations short without cutting words.
 """
 
-from dualed import EntityRecord, FormatSpec, truncate_soft, verbalize
+from dualed import EntityRecord, truncate_soft, verbalize
 from dualed.verbalizer import FORMAT_NAMES
 
 einstein = EntityRecord(
@@ -32,11 +32,11 @@ wembley = EntityRecord(
 
 print("Every format, applied to one record:\n")
 for name in FORMAT_NAMES:
-    out = verbalize(einstein, FormatSpec.from_name(name))
+    out = verbalize(einstein, name)
     print(f"  {name:<15} {out.text}")
 
 print("\nCategory relations render inline, semicolon-separated:\n")
-out = verbalize(wembley, FormatSpec.from_name("title_cat"))
+out = verbalize(wembley, "title_cat")
 print(f"  {out.text}")
 
 print("\nThe title span marks what the label encoder pools:\n")

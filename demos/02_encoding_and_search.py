@@ -12,7 +12,6 @@ import numpy as np
 from dualed import (
     EncoderParams,
     EntityRecord,
-    FormatSpec,
     LabelCache,
     SimilaritySpec,
     allowed_rows,
@@ -44,7 +43,7 @@ label_encoder = EncoderParams.init(vocab, dim, window=4, seed=1)
 # the cache holds one pooled embedding per label, refreshed from the
 # label encoder over the verbalization text (title tokens pooled, the
 # description acting as context); each text is tokenized once up front
-verbs = verbalize_all(records, FormatSpec.from_name("title_desc"))
+verbs = verbalize_all(records, "title_desc")
 cache = LabelCache.empty(sorted(records), dim, "first_last",
                          SimilaritySpec(kind="euclidean"))
 full_refresh(cache, label_encoder, tokenize_labels(verbs, vocab))

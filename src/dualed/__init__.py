@@ -59,9 +59,11 @@ from .trainer import (
     Trainer,
     apply_iterative_insertions,
     dynamic_negative_count,
+    load_model,
     make_batches,
+    save_model,
 )
-from .verbalizer import FormatSpec, Verbalization, truncate_soft, verbalize
+from .verbalizer import Verbalization, truncate_soft, verbalize
 
 __version__ = "0.1.0"
 

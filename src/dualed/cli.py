@@ -28,14 +28,13 @@ from .corpus import (
     load_corpus,
     load_label_set,
 )
-from .encoder import load_checkpoint, save_checkpoint
 from .errors import ValidationError
 from .evaluator import change_analysis, score
 from .label_index import build_cache, tokenize_labels
 from .losses import LOSS_KINDS, SIMILARITY_KINDS
 from .predictor import predict_corpus, target_label_set
-from .trainer import TrainConfig, Trainer, parse_config_file
-from .verbalizer import FORMAT_NAMES, FormatSpec, verbalize_all
+from .trainer import TrainConfig, Trainer, load_model, parse_config_file, save_model
+from .verbalizer import FORMAT_NAMES, verbalize_all
 
 AXES = ("verbalization", "pooling", "loss_similarity", "negatives", "refresh")
 
@@ -108,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verbalize(args) -> int:
-    verbs = verbalize_all(load_label_set(args.labels), FormatSpec.from_name(args.format))
+    verbs = verbalize_all(load_label_set(args.labels), args.format)
     with open(args.out, "w", encoding="utf-8") as fh:
         for rec_id, verb in verbs.items():
             fh.write(
@@ -125,28 +124,25 @@ def cmd_verbalize(args) -> int:
     return 0
 
 
+def _load_inputs(corpus_path, labels_path, dev_path=None):
+    """The corpus, the label set and the optional dev corpus, read in that
+    order, with the mentions whose gold is not a label flagged unlinkable."""
+    corpus = load_corpus(corpus_path)
+    records = load_label_set(labels_path)
+    dev = load_corpus(dev_path) if dev_path else None
+    flag_unlinkable(corpus, set(records))
+    if dev is not None:
+        flag_unlinkable(dev, set(records))
+    return corpus, records, dev
+
+
 def cmd_train(args) -> int:
     config = TrainConfig.from_mapping(_config_mapping(args))
-    corpus = load_corpus(args.corpus)
-    records = load_label_set(args.labels)
-    flag_unlinkable(corpus, set(records))
-    dev = None
-    if args.dev:
-        dev = load_corpus(args.dev)
-        flag_unlinkable(dev, set(records))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    corpus, records, dev = _load_inputs(args.corpus, args.labels, args.dev)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # fail before training, not after
     trainer = Trainer(records, config)
     metrics = trainer.train(corpus, dev)
-
-    save_checkpoint(out_dir / "checkpoint.bin", trainer.mention_params, trainer.label_params)
-    with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for row in metrics:
-            fh.write(json.dumps(row) + "\n")
-    with open(out_dir / "config.txt", "w", encoding="utf-8") as fh:
-        for key, value in config.to_mapping().items():
-            fh.write(f"{key}={value}\n")
+    save_model(args.out, trainer, metrics)
     for row in metrics:
         dev_part = "" if row["dev_acc"] is None else f"  dev_acc={row['dev_acc']:.4f}"
         print(f"epoch {row['epoch']}  loss={row['loss']:.4f}{dev_part}  "
@@ -155,16 +151,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config_path = Path(args.checkpoint).with_name("config.txt")
-    if not config_path.is_file():
-        raise ValidationError(f"no {config_path}: train --out writes it beside checkpoint.bin")
-    config = TrainConfig.from_mapping(parse_config_file(config_path))
-    corpus = load_corpus(args.corpus)
-    records = load_label_set(args.labels)
-    flag_unlinkable(corpus, set(records))
-    mention_params, label_params = load_checkpoint(args.checkpoint)
+    corpus, records, _ = _load_inputs(args.corpus, args.labels)
+    config, mention_params, label_params = load_model(args.checkpoint)
     label_tokens = tokenize_labels(
-        verbalize_all(records, config.format_spec), label_params.vocab_size
+        verbalize_all(records, config.verbalization), label_params.vocab_size
     )
     cache = build_cache(
         sorted(records), label_params, label_tokens, config.pooling, config.sim_spec
@@ -175,7 +165,7 @@ def cmd_predict(args) -> int:
         mention_params,
         cache,
         records,
-        limits=(config.max_mentions_per_chunk, config.max_chars_per_chunk),
+        limits=config.limits,
         iterative=args.iterative,
         allowed_ids=allowed,
     )
@@ -202,7 +192,8 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _load_predictions(path) -> dict[tuple[str, int, int], str]:
+def _load_predictions(path, gold_keys: set) -> dict[tuple[str, int, int], str]:
+    """One prediction per row of ``path``, each for a mention in ``gold_keys``."""
     out, first_line = {}, {}
     for line_no, obj in _jsonl_objects(path):
         where = f"{path}: line {line_no}"
@@ -219,6 +210,8 @@ def _load_predictions(path) -> dict[tuple[str, int, int], str]:
             raise ValidationError(
                 f"{where}: duplicate prediction for {key!r}, first on line {first_line[key]}"
             )
+        if key not in gold_keys:
+            raise ValidationError(f"{where}: {key!r} is not a mention of the gold corpus")
         first_line[key] = line_no
         out[key] = pred
     return out
@@ -226,7 +219,8 @@ def _load_predictions(path) -> dict[tuple[str, int, int], str]:
 
 def cmd_eval(args) -> int:
     docs = load_corpus(args.gold_corpus)
-    preds = _load_predictions(args.pred)
+    gold_keys = {(doc.id, m.start, m.end) for doc in docs for m in doc.mentions}
+    preds = _load_predictions(args.pred, gold_keys)
     report = score(preds, docs)
     print(f"{'mentions':>10} {'correct':>10} {'accuracy':>10}")
     print(f"{report.mentions:>10d} {report.correct:>10d} {report.accuracy:>10.4f}")
@@ -236,7 +230,7 @@ def cmd_eval(args) -> int:
         "accuracy": report.accuracy,
     }
     if args.first_pass:
-        first = _load_predictions(args.first_pass)
+        first = _load_predictions(args.first_pass, gold_keys)
         table = change_analysis(first, preds, docs)
         print()
         print(f"{'category':<22} {'count':>8}")
@@ -305,11 +299,7 @@ def _run_variant(task) -> float:
     mapping.update(deltas)
     mapping["seed"] = str(seed)
     config = TrainConfig.from_mapping(mapping)
-    corpus = load_corpus(corpus_path)
-    records = load_label_set(labels_path)
-    dev = load_corpus(dev_path)
-    flag_unlinkable(corpus, set(records))
-    flag_unlinkable(dev, set(records))
+    corpus, records, dev = _load_inputs(corpus_path, labels_path, dev_path)
     trainer = Trainer(records, config)
     trainer.train(corpus)
     return trainer.evaluate(dev)

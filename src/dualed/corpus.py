@@ -215,75 +215,82 @@ def load_corpus(path: str | Path) -> list[Document]:
 
     Returns documents in file order. Mentions are normalized to
     ascending start order; overlapping mentions, bad offsets, duplicate
-    document ids, and malformed JSON all raise ValidationError with the
-    offending line number.
+    document ids, and malformed JSON all raise ValidationError naming the
+    file and the offending line.
     """
     docs: list[Document] = []
     seen_ids: set[str] = set()
     for line_no, obj in _jsonl_objects(path):
-        doc_id = _string(obj, "id", f"line {line_no}", numbers=True)
-        text = _string(obj, "text", f"line {line_no}: document {doc_id!r}")
-        if doc_id in seen_ids:
-            raise ValidationError(f"line {line_no}: duplicate document id {doc_id!r}")
-        seen_ids.add(doc_id)
+        try:
+            doc_id = _string(obj, "id", f"line {line_no}", numbers=True)
+            text = _string(obj, "text", f"line {line_no}: document {doc_id!r}")
+            if doc_id in seen_ids:
+                raise ValidationError(f"line {line_no}: duplicate document id {doc_id!r}")
+            seen_ids.add(doc_id)
 
-        where = f"line {line_no}: document {doc_id!r}"
-        mentions = [
-            _parse_mention(m, text, doc_id, line_no)
-            for m in _typed(obj, "mentions", list, [], where)
-        ]
-        mentions.sort(key=lambda m: m.start)
-        for prev, cur in zip(mentions, mentions[1:]):
-            if cur.start < prev.end:
-                raise ValidationError(
-                    f"{where}: overlapping mentions "
-                    f"({prev.start}, {prev.end}) and ({cur.start}, {cur.end})"
-                )
-        if mentions and not text:
-            raise ValidationError(f"{where}: empty text with mentions")
-        docs.append(Document(id=doc_id, text=text, mentions=mentions))
+            where = f"line {line_no}: document {doc_id!r}"
+            mentions = [
+                _parse_mention(m, text, doc_id, line_no)
+                for m in _typed(obj, "mentions", list, [], where)
+            ]
+            mentions.sort(key=lambda m: m.start)
+            for prev, cur in zip(mentions, mentions[1:]):
+                if cur.start < prev.end:
+                    raise ValidationError(
+                        f"{where}: overlapping mentions "
+                        f"({prev.start}, {prev.end}) and ({cur.start}, {cur.end})"
+                    )
+            if mentions and not text:
+                raise ValidationError(f"{where}: empty text with mentions")
+            docs.append(Document(id=doc_id, text=text, mentions=mentions))
+        except ValidationError as exc:  # a try costs nothing on a valid row
+            raise ValidationError(f"{path}: {exc}") from exc
     return docs
 
 
 def load_label_set(path: str | Path) -> dict[str, EntityRecord]:
     """Load a JSONL label set keyed by entity id.
 
-    Duplicate ids and unknown category relation keys are rejected.
+    Duplicate ids and unknown category relation keys are rejected, with a
+    ValidationError naming the file.
     """
     records: dict[str, EntityRecord] = {}
     first_line: dict[str, int] = {}
     for line_no, obj in _jsonl_objects(path):
-        rec_id = _string(obj, "id", f"line {line_no}", numbers=True)
-        where = f"line {line_no}: entity {rec_id!r}"
-        title = _string(obj, "title", where)
-        if not title:
-            raise ValidationError(f"{where}: empty title")
-        if rec_id in records:
-            raise ValidationError(
-                f"duplicate entity id {rec_id!r} on lines "
-                f"{first_line[rec_id]} and {line_no}"
-            )
-        raw_categories = _typed(obj, "categories", dict, {}, where)
-        categories: dict[str, list[str]] = {}
-        for key in raw_categories:
-            if key not in RELATION_KEYS:
+        try:
+            rec_id = _string(obj, "id", f"line {line_no}", numbers=True)
+            where = f"line {line_no}: entity {rec_id!r}"
+            title = _string(obj, "title", where)
+            if not title:
+                raise ValidationError(f"{where}: empty title")
+            if rec_id in records:
                 raise ValidationError(
-                    f"{where}: unknown relation key {key!r} "
-                    f"(expected one of {', '.join(RELATION_KEYS)})"
+                    f"duplicate entity id {rec_id!r} on lines "
+                    f"{first_line[rec_id]} and {line_no}"
                 )
-            values = _typed(raw_categories, key, list, [], f"{where}: categories")
-            categories[key] = [
-                _as_string(v, f"{key} value", f"{where}: categories", numbers=True)
-                for v in values
-            ]
-        records[rec_id] = EntityRecord(
-            id=rec_id,
-            title=title,
-            description=_typed(obj, "description", str, "", where) or None,
-            categories=categories,
-            paragraph=_typed(obj, "paragraph", str, "", where) or None,
-        )
-        first_line[rec_id] = line_no
+            raw_categories = _typed(obj, "categories", dict, {}, where)
+            categories: dict[str, list[str]] = {}
+            for key in raw_categories:
+                if key not in RELATION_KEYS:
+                    raise ValidationError(
+                        f"{where}: unknown relation key {key!r} "
+                        f"(expected one of {', '.join(RELATION_KEYS)})"
+                    )
+                values = _typed(raw_categories, key, list, [], f"{where}: categories")
+                categories[key] = [
+                    _as_string(v, f"{key} value", f"{where}: categories", numbers=True)
+                    for v in values
+                ]
+            records[rec_id] = EntityRecord(
+                id=rec_id,
+                title=title,
+                description=_typed(obj, "description", str, "", where) or None,
+                categories=categories,
+                paragraph=_typed(obj, "paragraph", str, "", where) or None,
+            )
+            first_line[rec_id] = line_no
+        except ValidationError as exc:  # a try costs nothing on a valid row
+            raise ValidationError(f"{path}: {exc}") from exc
     return records
 
 

@@ -23,8 +23,10 @@ in the text.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .encoder import (
     EncoderParams,
     backward_spans,
     encode_spans,
+    load_checkpoint,
+    save_checkpoint,
     token_range,
     tokenize,
 )
@@ -58,7 +62,7 @@ from .predictor import (
     predict_chunks,
     predict_corpus,
 )
-from .verbalizer import FORMAT_NAMES, FormatSpec, verbalize_all
+from .verbalizer import FORMAT_NAMES, verbalize_all
 
 HARD = "hard"
 IN_BATCH = "in_batch"
@@ -124,6 +128,11 @@ class TrainConfig:
         for name in ("epochs", "refresh_interval_spans", "window", "seed"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
+        for name in _HEADER_KEYS:  # the checkpoint header holds them as uint32
+            if getattr(self, name) >= 1 << 32:
+                raise ValidationError(f"{name} must be < 2**32, got {getattr(self, name)}")
+        if self.vocab_size & (self.vocab_size - 1):
+            raise ValidationError(f"vocab_size must be a power of two, got {self.vocab_size}")
 
     @property
     def sim_spec(self) -> SimilaritySpec:
@@ -134,8 +143,8 @@ class TrainConfig:
         return LossSpec(kind=self.loss, margin=self.margin)
 
     @property
-    def format_spec(self) -> FormatSpec:
-        return FormatSpec.from_name(self.verbalization)
+    def limits(self) -> tuple[int, int]:  # (max mentions, max characters) per chunk
+        return (self.max_mentions_per_chunk, self.max_chars_per_chunk)
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "TrainConfig":
@@ -154,6 +163,7 @@ class TrainConfig:
 
 
 _FLOAT_KEYS = ("lr", "margin", "insert_fraction", "corrupt_rate", "clip_norm")
+_HEADER_KEYS = ("vocab_size", "dim", "window")  # what the checkpoint header records
 
 
 def _cast_config_value(key: str, raw):
@@ -174,6 +184,42 @@ def _cast_config_value(key: str, raw):
         return cast(raw)
     except ValueError as exc:
         raise ValidationError(f"{key} must be {cast.__name__}, got {raw!r}") from exc
+
+
+# ── the model directory ──────────────────────────────────────────────────────
+#
+# A model is the directory ``train --out`` writes: checkpoint.bin (both
+# encoders), config.txt (the config they were trained with, which --config
+# reads back) and metrics.jsonl (one row per epoch).
+
+
+def save_model(out_dir, trainer: Trainer, metrics: list[dict]) -> None:
+    """Write ``trainer``'s model and its metrics rows into the directory ``out_dir``."""
+    out_dir = Path(out_dir)
+    save_checkpoint(out_dir / "checkpoint.bin", trainer.mention_params, trainer.label_params)
+    (out_dir / "metrics.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in metrics), encoding="utf-8"
+    )
+    (out_dir / "config.txt").write_text(
+        "".join(f"{k}={v}\n" for k, v in trainer.config.to_mapping().items()), encoding="utf-8"
+    )
+
+
+def load_model(checkpoint) -> tuple[TrainConfig, EncoderParams, EncoderParams]:
+    """The config and the (mention, label) encoders of the model whose
+    checkpoint.bin is ``checkpoint``."""
+    config_path = Path(checkpoint).with_name("config.txt")
+    if not config_path.is_file():
+        raise ValidationError(f"no {config_path}: train --out writes it beside checkpoint.bin")
+    mapping = parse_config_file(config_path)
+    config = TrainConfig.from_mapping(mapping)
+    mention, label = load_checkpoint(checkpoint)
+    # only the keys config.txt sets: a default says nothing about the checkpoint
+    for key, header in zip(_HEADER_KEYS, (label.vocab_size, label.dim, label.window)):
+        if key in mapping and getattr(config, key) != header:
+            raise ValidationError(f"{config_path} sets {key}={getattr(config, key)}, "
+                                  f"but the checkpoint header says {header}")
+    return config, mention, label
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -325,7 +371,7 @@ class Trainer:
             config.vocab_size, config.dim, config.window, seed=config.seed + 1
         )
         self.label_tokens = tokenize_labels(
-            verbalize_all(records, config.format_spec), self.label_params.vocab_size
+            verbalize_all(records, config.verbalization), self.label_params.vocab_size
         )
         self.cache = LabelCache.empty(
             sorted(records), config.dim, config.pooling, config.sim_spec
@@ -511,8 +557,9 @@ class Trainer:
 
     def evaluate(self, docs: list[Document]) -> float:
         """One-shot accuracy on ``docs`` with a freshly encoded cache."""
-        limits = (self.config.max_mentions_per_chunk, self.config.max_chars_per_chunk)
-        preds = predict_corpus(docs, self.mention_params, self.eval_cache(), limits=limits)
+        preds = predict_corpus(
+            docs, self.mention_params, self.eval_cache(), limits=self.config.limits
+        )
         mapping = {key: p.predicted_id for key, p in preds.final.items()}
         return eval_score(mapping, docs).accuracy
 
@@ -521,12 +568,11 @@ class Trainer:
     ) -> list[dict]:
         """Run all epochs; returns one metrics row per epoch."""
         config = self.config
-        limits = (config.max_mentions_per_chunk, config.max_chars_per_chunk)
         metrics: list[dict] = []
         for epoch in range(config.epochs):
             self.refresh_cache()
             batches = make_batches(
-                corpus, config.batch_docs, limits, seed=[config.seed, epoch]
+                corpus, config.batch_docs, config.limits, seed=[config.seed, epoch]
             )
             epoch_loss, epoch_terms = 0.0, 0
             for batch in batches:

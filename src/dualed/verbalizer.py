@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .corpus import RELATION_KEYS, EntityRecord
 from .errors import ValidationError
 
-TITLE = "title"
 DESCRIPTION = "description"
 CATEGORIES = "categories"
 PARAGRAPH = "paragraph"
@@ -29,54 +28,26 @@ PUNCTUATION = ",;.:!?"
 
 _SOFT_LIMIT = 50  # soft-truncation limit of every non-paragraph component
 
-FORMAT_NAMES = (
-    "title",
-    "title_desc",
-    "title_cat",
-    "title_desc_cat",
-    "title_para100",
-    "title_para500",
-)
+# each named format: the components after the title, in order, each with
+# its soft-truncation limit
+_FORMATS = {
+    "title": (),
+    "title_desc": ((DESCRIPTION, _SOFT_LIMIT),),
+    "title_cat": ((CATEGORIES, _SOFT_LIMIT),),
+    "title_desc_cat": ((DESCRIPTION, _SOFT_LIMIT), (CATEGORIES, _SOFT_LIMIT)),
+    "title_para100": ((PARAGRAPH, 100),),
+    "title_para500": ((PARAGRAPH, 500),),
+}
+FORMAT_NAMES = tuple(_FORMATS)
 
 
-@dataclass(frozen=True)
-class FormatSpec:
-    """Which components to render, in which order, and the paragraph limit."""
-
-    components: tuple[str, ...] = (TITLE,)
-    paragraph_limit: int = 100
-
-    def __post_init__(self):
-        if not self.components or self.components[0] != TITLE:
-            raise ValidationError("format must start with the title component")
-        known = {TITLE, DESCRIPTION, CATEGORIES, PARAGRAPH}
-        unknown = set(self.components) - known
-        if unknown:
-            raise ValidationError(f"unknown verbalization components: {sorted(unknown)}")
-        if len(set(self.components)) != len(self.components):
-            raise ValidationError("duplicate verbalization components")
-        if DESCRIPTION in self.components and PARAGRAPH in self.components:
-            raise ValidationError("description and paragraph are mutually exclusive")
-        if PARAGRAPH in self.components and self.paragraph_limit not in (100, 500):
-            raise ValidationError("paragraph_limit must be 100 or 500")
-
-    @classmethod
-    def from_name(cls, name: str) -> "FormatSpec":
-        """Resolve one of the named formats (title, title_desc, ...)."""
-        table = {
-            "title": (TITLE,),
-            "title_desc": (TITLE, DESCRIPTION),
-            "title_cat": (TITLE, CATEGORIES),
-            "title_desc_cat": (TITLE, DESCRIPTION, CATEGORIES),
-            "title_para100": (TITLE, PARAGRAPH),
-            "title_para500": (TITLE, PARAGRAPH),
-        }
-        if name not in table:
-            raise ValidationError(
-                f"unknown format {name!r} (expected one of {', '.join(FORMAT_NAMES)})"
-            )
-        limit = 500 if name == "title_para500" else 100
-        return cls(components=table[name], paragraph_limit=limit)
+def _tail_components(fmt: str) -> tuple[tuple[str, int], ...]:
+    try:
+        return _FORMATS[fmt]
+    except KeyError:
+        raise ValidationError(
+            f"unknown format {fmt!r} (expected one of {', '.join(FORMAT_NAMES)})"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -111,24 +82,22 @@ def _render_categories(record: EntityRecord) -> str:
     return "; ".join(parts)
 
 
-def verbalize(record: EntityRecord, spec: FormatSpec) -> Verbalization:
-    """Render a record per the format spec.
+def verbalize(record: EntityRecord, fmt: str) -> Verbalization:
+    """Render a record in the named format (one of ``FORMAT_NAMES``).
 
     Output is ``title`` alone, or ``title; tail`` where the tail
-    comma-joins the remaining components in spec order, each
-    soft-truncated on its own (the paragraph component uses
-    paragraph_limit, others a limit of 50). Empty components are skipped.
+    comma-joins the format's remaining components in order, each
+    soft-truncated on its own (a paragraph at the format's limit, 100 or
+    500, others at 50). Empty components are skipped.
     """
     tail_parts: list[str] = []
-    for comp in spec.components:
-        if comp == TITLE:
-            continue
+    for comp, limit in _tail_components(fmt):
         if comp == DESCRIPTION:
-            rendered, limit = record.description or "", _SOFT_LIMIT
+            rendered = record.description or ""
         elif comp == CATEGORIES:
-            rendered, limit = _render_categories(record), _SOFT_LIMIT
+            rendered = _render_categories(record)
         else:  # PARAGRAPH
-            rendered, limit = record.paragraph or "", spec.paragraph_limit
+            rendered = record.paragraph or ""
         if rendered:
             tail_parts.append(truncate_soft(rendered, limit))
 
@@ -138,7 +107,6 @@ def verbalize(record: EntityRecord, spec: FormatSpec) -> Verbalization:
     return Verbalization(text=text, title_char_span=(0, len(record.title)))
 
 
-def verbalize_all(
-    records: dict[str, EntityRecord], spec: FormatSpec
-) -> dict[str, Verbalization]:
-    return {rec_id: verbalize(rec, spec) for rec_id, rec in records.items()}
+def verbalize_all(records: dict[str, EntityRecord], fmt: str) -> dict[str, Verbalization]:
+    _tail_components(fmt)  # an unknown name fails on an empty label set too
+    return {rec_id: verbalize(rec, fmt) for rec_id, rec in records.items()}

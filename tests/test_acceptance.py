@@ -32,7 +32,7 @@ from dualed.losses import (
 from dualed.predictor import iterate_chunks, predict_chunks, target_label_set
 from dualed.synthetic import make_task, write_corpus_file, write_label_file
 from dualed.trainer import TrainConfig, Trainer
-from dualed.verbalizer import FormatSpec, truncate_soft, verbalize, verbalize_all
+from dualed.verbalizer import truncate_soft, verbalize, verbalize_all
 from oracles import loss_value, similarity
 from test_encoder import token_backward, token_vectors
 
@@ -278,11 +278,11 @@ def test_criterion_5_verbalizer_goldens():
         (EINSTEIN, "title", "Albert Einstein"),
     ]
     for record, fmt, expected in goldens:
-        got = verbalize(record, FormatSpec.from_name(fmt)).text
+        got = verbalize(record, fmt).text
         assert got == expected, f"{fmt}: {got!r}"
 
     rng = np.random.default_rng(23)
-    specs = [FormatSpec.from_name(n) for n in ("title", "title_desc", "title_desc_cat")]
+    formats = ("title", "title_desc", "title_desc_cat")
     for _ in range(1000):
         text = random_text(rng)
         limit = int(rng.integers(1, 60))
@@ -290,7 +290,7 @@ def test_criterion_5_verbalizer_goldens():
         assert truncate_soft(once, limit) == once  # idempotence
         assert text.startswith(once) or text.startswith(once.rstrip())
     for record in (EINSTEIN, WEMBLEY):
-        outs = [verbalize(record, s).text for s in specs]
+        outs = [verbalize(record, fmt).text for fmt in formats]
         for shorter, longer in zip(outs, outs[1:]):
             assert longer.startswith(shorter)  # prefix property
     report(5, "verbalizer goldens", True)
@@ -308,7 +308,7 @@ def test_criterion_6_iterative_invariants():
     assert len(docs) == 500
     params = EncoderParams.init(1 << 13, 12, 4, seed=41)
     label_params = EncoderParams.init(1 << 13, 12, 4, seed=42)
-    verbs = verbalize_all(gen.records, FormatSpec.from_name("title_desc"))
+    verbs = verbalize_all(gen.records, "title_desc")
     cache = LabelCache.empty(sorted(gen.records), 12, "first_last",
                              SimilaritySpec("euclidean"))
     full_refresh(cache, label_params, tokenize_labels(verbs, 1 << 13))

@@ -234,6 +234,26 @@ class TestPredictReadsTheTrainingConfig:
         assert code == 1
         assert flag in capsys.readouterr().err
 
+    def test_config_from_another_run_is_validation_error(self, workspace, tmp_path, capsys):
+        """A V = 2048, d = 16 run's config.txt beside a V = 1024, d = 8 checkpoint."""
+        for name, flags in (("big", ["--vocab-size", "2048", "--dim", "16",
+                                      "--pooling", "mean"]),
+                            ("small", ["--vocab-size", "1024", "--dim", "8"])):
+            assert run("train", "--corpus", workspace / "train.jsonl",
+                       "--labels", workspace / "labels.jsonl",
+                       "--config", workspace / "config.txt", "--epochs", "1", *flags,
+                       "--out", tmp_path / name) == 0
+        (tmp_path / "small" / "config.txt").write_bytes(
+            (tmp_path / "big" / "config.txt").read_bytes())
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", tmp_path / "small" / "checkpoint.bin",
+                   "--out", tmp_path / "x.jsonl")
+        assert code == 1
+        assert ("sets vocab_size=2048, but the checkpoint header says 1024"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_missing_config_is_validation_error(self, workspace, tmp_path, capsys):
         model = tmp_path / "checkpoint.bin"
         save_checkpoint(model, EncoderParams.init(64, 4, 2, seed=0),
@@ -308,11 +328,13 @@ HEADER_WORDS = st.sampled_from([0, 1, 2, 16, 2**31, 2**32 - 1]) | st.integers(0,
 class TestCheckpointFuzz:
     """Checkpoints made from a valid V = 16, d = 2 file: ``predict`` exits 1
     when the header is invalid or the file size is not the one it implies,
-    exits 0 on a valid file of finite tensors, and never exits 2."""
+    exits 0 on a valid file of finite tensors, and never exits 2. The
+    checkpoint's config.txt is empty, so only the header decides V, d and
+    the window."""
 
     @staticmethod
     def predict(workspace, data):
-        model = workspace / "fuzz.bin"
+        model = workspace / "fuzz" / "fuzz.bin"
         model.write_bytes(data)
         return run("predict", "--corpus", workspace / "dev.jsonl",
                    "--labels", workspace / "labels.jsonl",
@@ -320,6 +342,8 @@ class TestCheckpointFuzz:
 
     @pytest.fixture(scope="class")
     def valid(self, workspace):
+        (workspace / "fuzz").mkdir()
+        (workspace / "fuzz" / "config.txt").write_text("")
         save_checkpoint(workspace / "valid.bin", EncoderParams.init(16, 2, 1, seed=0),
                         EncoderParams.init(16, 2, 1, seed=1))
         data = (workspace / "valid.bin").read_bytes()
@@ -477,8 +501,10 @@ class TestExitCodes:
         with pytest.raises(ValidationError, match=f"118 bytes.*implies {implied}"):
             load_checkpoint(model)
 
-    def test_checkpoint_with_trailing_bytes_is_validation_error(self, workspace, capsys):
-        model = workspace / "trailing.bin"
+    def test_checkpoint_with_trailing_bytes_is_validation_error(self, workspace, tmp_path,
+                                                                capsys):
+        model = tmp_path / "trailing.bin"
+        (tmp_path / "config.txt").write_text("")  # the header alone decides V, d, window
         save_checkpoint(model, EncoderParams.init(64, 4, 2, seed=0),
                         EncoderParams.init(64, 4, 2, seed=1))
         size = model.stat().st_size
@@ -566,6 +592,17 @@ class TestExitCodes:
                          "max_mentions_per_chunk", id="mentions-zero-config"),
             pytest.param([], "epochs=0\nseed=\udcff\n", "config.txt: line 2: not UTF-8",
                          id="config-not-utf8"),
+            # the checkpoint header holds V, d and the window as uint32
+            pytest.param(["--window", "5000000000"], None, "window must be < 2**32",
+                         id="window-past-uint32-flag"),
+            pytest.param(["--dim", str(2**32)], None, "dim must be < 2**32",
+                         id="dim-past-uint32-flag"),
+            pytest.param(["--vocab-size", str(2**32)], None, "vocab_size must be < 2**32",
+                         id="vocab-past-uint32-flag"),
+            pytest.param(["--vocab-size", "1000"], None, "vocab_size must be a power of two",
+                         id="vocab-not-power-of-two-flag"),
+            pytest.param([], "vocab_size=3\n", "vocab_size must be a power of two",
+                         id="vocab-not-power-of-two-config"),
         ],
     )
     def test_malformed_config_value_is_validation_error(
@@ -581,6 +618,7 @@ class TestExitCodes:
                    "--out", tmp_path / "run", *flags)
         assert code == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # rejected before anything was written
 
     @pytest.mark.parametrize(
         "command, row, key",
@@ -683,7 +721,7 @@ class TestExitCodes:
         code = run(command, *argv)
         err = capsys.readouterr().err
         assert code == 1
-        assert "line 1" in err and key in err
+        assert f"{bad}: line 1" in err and key in err
 
     @pytest.mark.parametrize("flag", ["--pred", "--first-pass"])
     def test_duplicate_prediction_row_is_validation_error(
@@ -702,6 +740,70 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert f"{bad}: line 2: duplicate prediction" in err and "first on line 1" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--corpus"), ("train", "--dev"), ("train", "--labels"),
+        ("predict", "--corpus"), ("predict", "--labels"), ("eval", "--gold-corpus"),
+        ("verbalize", "--labels"),
+    ])
+    @pytest.mark.parametrize("corpus_rows, label_rows, message", [
+        pytest.param(['{"id": "d", "text": "a b"}', '{"id": "d", "text": "c"}'],
+                     ['{"id": "a", "title": "A"}', '{"id": "a", "title": "B"}'],
+                     ("line 2: duplicate document id 'd'", "duplicate entity id 'a' on lines"),
+                     id="duplicate-id"),
+        pytest.param(['{"id": "d", "text": "a b", "mentions": '
+                      '[{"start": 0, "end": 9, "label": "A"}]}'],
+                     ['{"id": "a", "title": ""}'],
+                     ("line 1: document 'd': mention (0, 9) outside text",
+                      "line 1: entity 'a': empty title"), id="bad-value"),
+        pytest.param(['{"id": "d", "text": "a b", "mentions": [{"start": 0, "end": 2, '
+                      '"label": "A"}, {"start": 1, "end": 3, "label": "B"}]}'],
+                     ['{"id": "a", "title": "A", "categories": {"color": ["red"]}}'],
+                     ("overlapping mentions", "unknown relation key 'color'"),
+                     id="structure"),
+        pytest.param(['{"id": "d"}'], ['{"id": "a"}'],
+                     ("line 1: document 'd': missing key 'text'",
+                      "line 1: entity 'a': missing key 'title'"), id="missing-key"),
+    ])
+    def test_field_error_names_the_file(self, workspace, tmp_path, capsys, command, flag,
+                                        corpus_rows, label_rows, message):
+        is_labels = flag == "--labels"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(row + "\n" for row in (label_rows if is_labels else corpus_rows)))
+        argv = {
+            "train": {"--corpus": workspace / "train.jsonl", "--dev": workspace / "dev.jsonl",
+                      "--labels": workspace / "labels.jsonl", "--epochs": "0",
+                      "--out": tmp_path / "run"},
+            "predict": {"--corpus": workspace / "dev.jsonl",
+                        "--labels": workspace / "labels.jsonl",
+                        "--checkpoint": workspace / "nope.bin", "--out": tmp_path / "out"},
+            "eval": {"--pred": workspace / "nope.jsonl", "--gold-corpus": workspace / "dev.jsonl"},
+            "verbalize": {"--labels": workspace / "labels.jsonl", "--format": "title",
+                          "--out": tmp_path / "out"},
+        }[command]
+        argv[flag] = bad
+        code = run(command, *(arg for pair in argv.items() for arg in pair))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {bad}: " in err and message[is_labels] in err
+
+    @pytest.mark.parametrize("flag", ["--pred", "--first-pass"])
+    def test_prediction_row_outside_the_gold_corpus_is_validation_error(
+        self, workspace, tmp_path, capsys, flag
+    ):
+        rows = [{"doc": d.id, "start": m.start, "end": m.end, "pred": m.gold_label}
+                for d in load_corpus(workspace / "dev.jsonl") for m in d.mentions]
+        extra = {"doc": "no-such-doc", "start": 0, "end": 3, "pred": "X"}
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        good.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        bad.write_text("".join(json.dumps(r) + "\n" for r in [*rows, extra]))
+        files = {"--pred": good, "--first-pass": good, flag: bad}
+        code = run("eval", "--gold-corpus", workspace / "dev.jsonl",
+                   *(arg for pair in files.items() for arg in pair))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (f"{bad}: line {len(rows) + 1}: ('no-such-doc', 0, 3) is not a mention of "
+                "the gold corpus") in err
 
     def test_bad_subcommand_is_validation_error(self):
         assert run("frobnicate") == 1

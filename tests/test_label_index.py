@@ -25,7 +25,7 @@ from dualed.label_index import (
     write_back,
 )
 from dualed.losses import SIMILARITY_KINDS, SimilaritySpec, similarity_to_matrix
-from dualed.verbalizer import FormatSpec, verbalize_all
+from dualed.verbalizer import verbalize_all
 from oracles import encode_one, similarity
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
@@ -79,7 +79,7 @@ class TestLabelCache:
 class TestFullRefresh:
     def setup_method(self):
         self.records = toy_records()
-        self.verbs = verbalize_all(self.records, FormatSpec.from_name("title_desc"))
+        self.verbs = verbalize_all(self.records, "title_desc")
         self.params = EncoderParams.init(256, 4, 2, seed=0)
         self.tokens = tokenize_labels(self.verbs, 256)
         self.cache = LabelCache.empty(sorted(self.records), 4, "mean", EUCLIDEAN)
@@ -147,7 +147,7 @@ class TestGroupedRefresh:
     @pytest.mark.parametrize("pooling", ["mean", "first_last"])
     def test_equals_per_label_refresh_bit_for_bit(self, pooling):
         records = varied_records(3 * _BLOCK, seed=0)
-        verbs = verbalize_all(records, FormatSpec.from_name("title_desc"))
+        verbs = verbalize_all(records, "title_desc")
         params = EncoderParams.init(1024, 32, 5, seed=3)
         tokens = tokenize_labels(verbs, 1024)
         counts = [len(seq) for seq in tokens.seqs.values()]
@@ -162,7 +162,7 @@ class TestGroupedRefresh:
 
     def test_encode_labels_follows_the_given_order(self):
         records = varied_records(40, seed=1)
-        tokens = tokenize_labels(verbalize_all(records, FormatSpec.from_name("title_desc")),
+        tokens = tokenize_labels(verbalize_all(records, "title_desc"),
                                  256)
         params = EncoderParams.init(256, 8, 2, seed=4)
         order = [f"e{i}" for i in (7, 3, 39, 0, 3)]
@@ -306,7 +306,7 @@ class TestInBatchSampling:
 class TestStalenessBookkeeping:
     def test_dirty_writes_monotone_between_refreshes(self):
         records = toy_records()
-        verbs = verbalize_all(records, FormatSpec.from_name("title"))
+        verbs = verbalize_all(records, "title")
         params = EncoderParams.init(256, 4, 1, seed=5)
         cache = LabelCache.empty(sorted(records), 4, "mean", EUCLIDEAN)
         tokens = tokenize_labels(verbs, 256)

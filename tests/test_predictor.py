@@ -24,11 +24,11 @@ from dualed.predictor import (
 )
 from dualed.synthetic import make_task
 from dualed.trainer import TrainConfig
-from dualed.verbalizer import FormatSpec, verbalize_all
+from dualed.verbalizer import verbalize_all
 from oracles import predict_corpus_one, predict_document_one, predict_iterative_one
 from strategies import documents
 
-LIMITS = (TrainConfig.max_mentions_per_chunk, TrainConfig.max_chars_per_chunk)
+LIMITS = TrainConfig().limits
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
 
@@ -167,9 +167,8 @@ class TestPredictIterative:
         params = EncoderParams.init(1 << 12, 8, 3, seed=0)
         label_params = EncoderParams.init(1 << 12, 8, 3, seed=1)
         from dualed.label_index import LabelCache as LC, full_refresh, tokenize_labels
-        from dualed.verbalizer import FormatSpec, verbalize_all
 
-        verbs = verbalize_all(task.records, FormatSpec.from_name("title_desc"))
+        verbs = verbalize_all(task.records, "title_desc")
         cache = LC.empty(sorted(task.records), 8, "first_last", EUCLIDEAN)
         full_refresh(cache, label_params, tokenize_labels(verbs, 1 << 12))
         results = iterate_chunks(task.dev_docs, params, cache, task.records)
@@ -205,9 +204,8 @@ class TestPredictIterative:
         params = EncoderParams.init(1 << 12, 6, 3, seed=7)
         label_params = EncoderParams.init(1 << 12, 6, 3, seed=8)
         from dualed.label_index import LabelCache as LC, full_refresh, tokenize_labels
-        from dualed.verbalizer import FormatSpec, verbalize_all
 
-        verbs = verbalize_all(task.records, FormatSpec.from_name("title_desc"))
+        verbs = verbalize_all(task.records, "title_desc")
         cache = LC.empty(sorted(task.records), 6, "mean", EUCLIDEAN)
         full_refresh(cache, label_params, tokenize_labels(verbs, 1 << 12))
         results = iterate_chunks(task.dev_docs, params, cache, task.records)
@@ -271,7 +269,7 @@ def seeded_document(doc_id, mentions, filler, rng, golds, vocab=WORDS):
 def seeded_model(records, dim, pooling, kind, seed):
     params = EncoderParams.init(256, dim, 2, seed=seed)
     label_params = EncoderParams.init(256, dim, 2, seed=seed + 1)
-    tokens = tokenize_labels(verbalize_all(records, FormatSpec.from_name("title_desc")), 256)
+    tokens = tokenize_labels(verbalize_all(records, "title_desc"), 256)
     cache = build_cache(sorted(records), label_params, tokens, pooling,
                         SimilaritySpec(kind=kind))
     return params, cache

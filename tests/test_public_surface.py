@@ -45,25 +45,26 @@ TRACED = {
         "PreparedChunk", "StepStats", "TrainConfig", "TrainConfig.to_mapping",
         "Trainer", "Trainer.eval_cache", "Trainer.evaluate", "Trainer.refresh_cache",
         "Trainer.train", "Trainer.train_step", "apply_iterative_insertions",
-        "dynamic_negative_count", "make_batches", "parse_config_file",
+        "dynamic_negative_count", "load_model", "make_batches", "parse_config_file",
+        "save_model",
     ],
     "verbalizer": [
-        "FormatSpec", "Verbalization", "truncate_soft", "verbalize", "verbalize_all",
+        "Verbalization", "truncate_soft", "verbalize", "verbalize_all",
     ],
 }
 
 PACKAGE_ALL = [
     "ChangeTable", "Chunk", "Document", "DocumentPrediction", "EncoderParams",
-    "EntityRecord", "EvalReport", "FormatSpec", "LabelCache", "LabelTokens", "LossSpec",
+    "EntityRecord", "EvalReport", "LabelCache", "LabelTokens", "LossSpec",
     "Mention", "MentionPrediction", "PredictionState", "SimilaritySpec",
     "TokenSequence", "TrainConfig", "Trainer", "ValidationError", "Verbalization",
     "allowed_rows", "apply_iterative_insertions", "backward_spans", "change_analysis",
     "chunk_document", "corpus", "dynamic_negative_count", "encode_spans", "encoder",
     "errors", "evaluator", "flag_unlinkable", "full_refresh", "insert_verbalization",
     "iterate_chunks", "label_index", "load_checkpoint", "load_corpus", "load_label_set",
-    "loss_gradients", "losses", "make_batches", "mine_hard_negatives", "pool_span",
+    "load_model", "loss_gradients", "losses", "make_batches", "mine_hard_negatives", "pool_span",
     "predict_chunks", "predict_corpus", "predictor",
-    "sample_in_batch_negatives", "save_checkpoint", "score", "target_label_set",
+    "sample_in_batch_negatives", "save_checkpoint", "save_model", "score", "target_label_set",
     "token_range", "tokenize", "tokenize_labels", "top_rows", "trainer",
     "truncate_soft", "verbalize", "verbalizer", "write_back",
 ]

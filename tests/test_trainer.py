@@ -3,9 +3,12 @@
 import copy
 import dataclasses
 import inspect
+import json
 import math
+import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,18 +17,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualed import trainer as tm
-from dualed.corpus import Chunk, Document, Mention
+from dualed.corpus import Chunk, Document, EntityRecord, Mention
+from dualed.encoder import POOLING_METHODS
 from dualed.errors import ValidationError
+from dualed.losses import LOSS_KINDS, SIMILARITY_KINDS
 from dualed.synthetic import make_task
 from dualed.trainer import (
     TrainConfig,
     Trainer,
     apply_iterative_insertions,
     dynamic_negative_count,
+    load_model,
     make_batches,
     parse_config_file,
+    save_model,
 )
-from dualed.verbalizer import verbalize_all
+from dualed.verbalizer import FORMAT_NAMES, verbalize_all
 from oracles import clip_global_norm, train_step_per_label
 
 
@@ -228,10 +235,11 @@ class TestAgainstPerLabelStep:
         for epoch in range(2):
             for trainer in (grouped, reference):
                 trainer.refresh_cache()
-            limits = (config.max_mentions_per_chunk, config.max_chars_per_chunk)
             for seed_batches in zip(
-                edit(make_batches(task.train_docs, config.batch_docs, limits, seed=[0, epoch])),
-                edit(make_batches(task.train_docs, config.batch_docs, limits, seed=[0, epoch])),
+                edit(make_batches(task.train_docs, config.batch_docs, config.limits,
+                                  seed=[0, epoch])),
+                edit(make_batches(task.train_docs, config.batch_docs, config.limits,
+                                  seed=[0, epoch])),
             ):
                 got = grouped.train_step(seed_batches[0])
                 want = train_step_per_label(reference, seed_batches[1])
@@ -549,7 +557,7 @@ class TestTrainLoop:
 
         task = tiny_task()
         config = small_config(epochs=2, refresh_interval_spans=25)
-        verbs = verbalize_all(task.records, config.format_spec)
+        verbs = verbalize_all(task.records, config.verbalization)
         label_texts = {v.text for v in verbs.values()}
         assert len(label_texts) == len(verbs)
         calls = Counter()
@@ -605,3 +613,103 @@ class TestConfigParsing:
             TrainConfig(corrupt_rate=1.5)
         with pytest.raises(ValidationError):
             TrainConfig(insert_fraction=0.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# any valid TrainConfig, with tables small enough to build a Trainer
+CONFIGS = st.builds(
+    TrainConfig,
+    batch_docs=st.integers(1, 2**31),
+    lr=FINITE,
+    epochs=st.integers(0, 2**31),
+    sim=st.sampled_from(SIMILARITY_KINDS),
+    loss=st.sampled_from(LOSS_KINDS),
+    margin=st.none() | FINITE,
+    pooling=st.sampled_from(POOLING_METHODS),
+    neg_mode=st.sampled_from(["hard", "in_batch"]),
+    neg_count=st.just("dyn") | st.integers(1, 2**31),
+    neg_budget=st.integers(1, 2**31),
+    refresh_interval_spans=st.integers(0, 2**31),
+    on_the_fly=st.booleans(),
+    iterative=st.booleans(),
+    insert_fraction=st.just(1 / 3) | st.floats(0, 1, exclude_min=True, exclude_max=True),
+    corrupt_rate=st.floats(0, 1),
+    switch_after_spans=st.integers(-2**31, 2**31),
+    verbalization=st.sampled_from(FORMAT_NAMES),
+    max_mentions_per_chunk=st.integers(1, 2**31),
+    max_chars_per_chunk=st.integers(1, 2**31),
+    vocab_size=st.sampled_from([1 << i for i in range(9)]),
+    dim=st.integers(1, 6),
+    window=st.integers(0, 2**32 - 1),
+    clip_norm=st.floats(0, allow_infinity=False),
+    seed=st.integers(0, 2**64),
+)
+
+RECORDS = {
+    "a": EntityRecord(id="a", title="Alpha"),
+    "b": EntityRecord(id="b", title="Beta", description="the second letter"),
+}
+METRICS = [{"epoch": 0, "loss": 1 / 3, "dev_acc": None, "refreshes": 1, "spans": 7}]
+
+
+class TestModelDirectory:
+    """``save_model`` writes checkpoint.bin, config.txt and metrics.jsonl;
+    ``load_model`` reads the first two back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=CONFIGS)
+    def test_saved_model_loads_back(self, config):
+        trainer = Trainer(RECORDS, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(tmp, trainer, METRICS)
+            loaded, mention, label = load_model(f"{tmp}/checkpoint.bin")
+            metrics = (Path(tmp) / "metrics.jsonl").read_text()
+        assert loaded == config
+        assert metrics == json.dumps(METRICS[0]) + "\n"
+        for saved, got in ((trainer.mention_params, mention), (trainer.label_params, label)):
+            assert got.window == saved.window
+            for name in ("table", "w_self", "w_ctx", "bias"):
+                # the checkpoint holds float32
+                want = getattr(saved, name).astype(np.float32).astype(np.float64)
+                assert np.array_equal(getattr(got, name), want), name
+
+    def test_written_files_keep_their_bytes(self, tmp_path):
+        save_model(tmp_path, Trainer(RECORDS, TrainConfig(vocab_size=256, dim=4, window=2)),
+                   METRICS)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.bin", "config.txt", "metrics.jsonl"]
+        assert (tmp_path / "config.txt").read_bytes() == (
+            b"batch_docs=32\nlr=0.05\nepochs=5\nsim=euclidean\nloss=cross_entropy\n"
+            b"margin=none\npooling=first_last\nneg_mode=hard\nneg_count=dyn\n"
+            b"neg_budget=256\nrefresh_interval_spans=2000\non_the_fly=True\n"
+            b"iterative=False\ninsert_fraction=0.3333333333333333\ncorrupt_rate=0.1\n"
+            b"switch_after_spans=30000\nverbalization=title_desc_cat\n"
+            b"max_mentions_per_chunk=100\nmax_chars_per_chunk=2800\nvocab_size=256\n"
+            b"dim=4\nwindow=2\nclip_norm=1.0\nseed=0\n"
+        )
+        assert (tmp_path / "metrics.jsonl").read_bytes() == (
+            b'{"epoch": 0, "loss": 0.3333333333333333, "dev_acc": null, "refreshes": 1, '
+            b'"spans": 7}\n'
+        )
+
+    @pytest.mark.parametrize("key, value, header", [
+        ("vocab_size", 512, 256), ("dim", 3, 4), ("window", 7, 2),
+    ])
+    def test_config_that_contradicts_the_header_is_rejected(self, tmp_path, key, value,
+                                                            header):
+        save_model(tmp_path, Trainer(RECORDS, TrainConfig(vocab_size=256, dim=4, window=2)),
+                   METRICS)
+        path = tmp_path / "config.txt"
+        path.write_text(path.read_text().replace(f"{key}={header}\n", f"{key}={value}\n"))
+        with pytest.raises(ValidationError,
+                           match=f"sets {key}={value}, but the checkpoint header says {header}"):
+            load_model(tmp_path / "checkpoint.bin")
+
+    def test_config_that_omits_the_header_keys_loads(self, tmp_path):
+        save_model(tmp_path, Trainer(RECORDS, TrainConfig(vocab_size=256, dim=4, window=2)),
+                   METRICS)
+        (tmp_path / "config.txt").write_text("pooling=mean\n")
+        config, mention, _ = load_model(tmp_path / "checkpoint.bin")
+        assert config == TrainConfig(pooling="mean")  # the defaults say V=65536, d=64
+        assert (mention.vocab_size, mention.dim, mention.window) == (256, 4, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from dualed.corpus import RELATION_KEYS, EntityRecord
 from dualed.errors import ValidationError
-from dualed.verbalizer import FormatSpec, truncate_soft, verbalize
+from dualed.verbalizer import truncate_soft, verbalize, verbalize_all
 
 EINSTEIN = EntityRecord(
     id="Albert_Einstein",
@@ -31,19 +31,18 @@ WEMBLEY = EntityRecord(
 
 class TestGoldenRenderings:
     def test_einstein_title_desc_cat(self):
-        out = verbalize(EINSTEIN, FormatSpec.from_name("title_desc_cat"))
+        out = verbalize(EINSTEIN, "title_desc_cat")
         assert out.text == (
             "Albert Einstein; German-born theoretical physicist (1879–1955), "
             "occupation: physicist, scientist"
         )
 
     def test_title_only_identity(self):
-        out = verbalize(EntityRecord(id="Italy", title="Italy"),
-                        FormatSpec.from_name("title"))
+        out = verbalize(EntityRecord(id="Italy", title="Italy"), "title")
         assert out.text == "Italy"
 
     def test_wembley_title_cat(self):
-        out = verbalize(WEMBLEY, FormatSpec.from_name("title_cat"))
+        out = verbalize(WEMBLEY, "title_cat")
         assert out.text == (
             "Wembley Stadium; instance of: multi-purpose sports venue; "
             "country: United Kingdom"
@@ -55,32 +54,32 @@ class TestGoldenRenderings:
         assert tuple(labels) == RELATION_KEYS
         for key, label in labels.items():
             rec = EntityRecord(id="q", title="Q", categories={key: ["v"]})
-            out = verbalize(rec, FormatSpec.from_name("title_cat"))
+            out = verbalize(rec, "title_cat")
             assert out.text == f"Q; {label}: v"
         # inserted in reverse order; rendered in RELATION_KEYS order, then
         # soft-truncated before the first punctuation at or past 50 chars
         rec = EntityRecord(id="q", title="Q", categories={
             key: [key[0]] for key in reversed(RELATION_KEYS)})
-        out = verbalize(rec, FormatSpec.from_name("title_cat"))
+        out = verbalize(rec, "title_cat")
         assert out.text == "Q; instance of: i; subclass of: s; country: c; occupation"
 
     def test_title_span_recovers_title(self):
         for rec in (EINSTEIN, WEMBLEY):
             for name in ("title", "title_desc", "title_cat", "title_desc_cat",
                          "title_para100", "title_para500"):
-                out = verbalize(rec, FormatSpec.from_name(name))
+                out = verbalize(rec, name)
                 s, e = out.title_char_span
                 assert out.text[s:e] == rec.title
                 assert out.text.startswith(rec.title)
 
     def test_missing_components_skipped_silently(self):
         rec = EntityRecord(id="x", title="X title")
-        out = verbalize(rec, FormatSpec.from_name("title_desc_cat"))
+        out = verbalize(rec, "title_desc_cat")
         assert out.text == "X title"
 
     def test_paragraph_limits(self):
-        out100 = verbalize(EINSTEIN, FormatSpec.from_name("title_para100"))
-        out500 = verbalize(EINSTEIN, FormatSpec.from_name("title_para500"))
+        out100 = verbalize(EINSTEIN, "title_para100")
+        out500 = verbalize(EINSTEIN, "title_para500")
         # the 100-char cut hits the first punctuation past index 100 (the
         # final period); under 500 chars the paragraph passes unchanged
         assert out100.text == "Albert Einstein; " + EINSTEIN.paragraph[:-1]
@@ -137,36 +136,23 @@ class TestTruncationProperties:
 
 class TestPrefixProperty:
     def test_spec_prefix_gives_output_prefix(self):
-        specs = [
-            FormatSpec.from_name("title"),
-            FormatSpec.from_name("title_desc"),
-            FormatSpec.from_name("title_desc_cat"),
-        ]
+        formats = ("title", "title_desc", "title_desc_cat")
         for rec in (EINSTEIN, WEMBLEY, EntityRecord(id="t", title="T")):
-            outs = [verbalize(rec, s).text for s in specs]
+            outs = [verbalize(rec, fmt).text for fmt in formats]
             for shorter, longer in zip(outs, outs[1:]):
                 assert longer.startswith(shorter)
 
 
-class TestFormatSpecValidation:
-    def test_title_must_lead(self):
-        with pytest.raises(ValidationError):
-            FormatSpec(components=("description", "title"))
-
-    def test_description_and_paragraph_exclusive(self):
-        with pytest.raises(ValidationError):
-            FormatSpec(components=("title", "description", "paragraph"))
-
-    def test_paragraph_limit_restricted(self):
-        with pytest.raises(ValidationError):
-            FormatSpec(components=("title", "paragraph"), paragraph_limit=250)
-
+class TestFormatNames:
     def test_unknown_format_name(self):
-        with pytest.raises(ValidationError):
-            FormatSpec.from_name("title_everything")
+        with pytest.raises(ValidationError, match="unknown format 'title_everything'"):
+            verbalize(EINSTEIN, "title_everything")
+        # rejected once per call, even with no record to render
+        with pytest.raises(ValidationError, match="expected one of title, title_desc"):
+            verbalize_all({}, "title_everything")
 
 
 def test_determinism_bit_exact():
-    a = verbalize(EINSTEIN, FormatSpec.from_name("title_desc_cat"))
-    b = verbalize(EINSTEIN, FormatSpec.from_name("title_desc_cat"))
+    a = verbalize(EINSTEIN, "title_desc_cat")
+    b = verbalize(EINSTEIN, "title_desc_cat")
     assert a.text.encode("utf-8") == b.text.encode("utf-8")
