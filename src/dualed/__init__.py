@@ -15,7 +15,6 @@ from .corpus import (
     EntityRecord,
     Mention,
     chunk_document,
-    flag_unlinkable,
     load_corpus,
     load_label_set,
 )

@@ -24,7 +24,6 @@ from .corpus import (
     _as_integer,
     _json_kind,
     _jsonl_objects,
-    flag_unlinkable,
     load_corpus,
     load_label_set,
 )
@@ -126,13 +125,14 @@ def cmd_verbalize(args) -> int:
 
 def _load_inputs(corpus_path, labels_path, dev_path=None):
     """The corpus, the label set and the optional dev corpus, read in that
-    order, with the mentions whose gold is not a label flagged unlinkable."""
+    order. A mention whose gold is not in the label set stays: training
+    skips it, and scoring counts it as wrong. A dev corpus needs a mention
+    to score, or the run would fail only after training."""
     corpus = load_corpus(corpus_path)
     records = load_label_set(labels_path)
     dev = load_corpus(dev_path) if dev_path else None
-    flag_unlinkable(corpus, set(records))
-    if dev is not None:
-        flag_unlinkable(dev, set(records))
+    if dev is not None and not any(doc.mentions for doc in dev):
+        raise ValidationError(f"{dev_path}: the dev corpus has no mentions to score")
     return corpus, records, dev
 
 

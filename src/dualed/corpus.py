@@ -39,15 +39,14 @@ class Mention:
     """A character span linked to a gold entity id.
 
     ``start`` is inclusive, ``end`` exclusive; ``surface`` is the text
-    slice the offsets select. ``unlinkable`` marks mentions whose gold
-    label is absent from the loaded label set (see flag_unlinkable).
+    slice the offsets select. Linkability belongs to a label set: a mention
+    whose gold is not one of its labels is skipped by training against it.
     """
 
     start: int
     end: int
     gold_label: str
     surface: str
-    unlinkable: bool = False
 
 
 @dataclass
@@ -294,21 +293,6 @@ def load_label_set(path: str | Path) -> dict[str, EntityRecord]:
     return records
 
 
-def flag_unlinkable(docs: list[Document], label_ids: set[str]) -> int:
-    """Mark mentions whose gold label is missing from the label set.
-
-    Flagged mentions are kept: trainers skip them and evaluators count
-    them against the model (unless a restricted label set injects the
-    missing ids). Returns the number of flagged mentions.
-    """
-    count = 0
-    for doc in docs:
-        for m in doc.mentions:
-            m.unlinkable = m.gold_label not in label_ids
-            count += m.unlinkable
-    return count
-
-
 def chunk_document(doc: Document, max_mentions: int, max_chars: int) -> list[Chunk]:
     """Split a document into chunks of at most max_mentions / max_chars.
 
@@ -345,7 +329,6 @@ def chunk_document(doc: Document, max_mentions: int, max_chars: int) -> list[Chu
                     end=m.end - pos,
                     gold_label=m.gold_label,
                     surface=m.surface,
-                    unlinkable=m.unlinkable,
                 )
             )
             mi += 1

@@ -439,6 +439,17 @@ def save_checkpoint(path, mention: EncoderParams, label: EncoderParams) -> None:
         label.window,
     ):
         raise ValidationError("mention and label encoders must share V, d, window")
+    for encoder, p in (("mention", mention), ("label", label)):
+        for name in ("table", "w_self", "w_ctx", "bias"):
+            tensor = getattr(p, name)
+            # the cast is monotone, so the ends are finite in float32 iff every value is
+            with np.errstate(over="ignore"):
+                ends = np.array([tensor.min(), tensor.max()], dtype=np.float32)
+            if not np.isfinite(ends).all():
+                raise ValidationError(
+                    f"{encoder} encoder's {name} holds NaN or a value beyond float32's range; "
+                    f"checkpoint not written"
+                )
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<III", mention.vocab_size, mention.dim, mention.window))

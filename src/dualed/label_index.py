@@ -60,7 +60,6 @@ class LabelCache:
     matrix: np.ndarray             # (|E|, p)
     pooling: str
     sim_spec: SimilaritySpec
-    last_full_refresh: int = 0     # processed spans at the last full refresh
     dirty_writes: int = 0          # on-the-fly writes since the last full refresh
     row_of: dict[str, int] = field(init=False)
 
@@ -142,7 +141,6 @@ def full_refresh(
     cache: LabelCache,
     label_params: EncoderParams,
     label_tokens: LabelTokens,
-    span_count: int | None = None,
 ) -> LabelCache:
     """Re-encode every cached row from its tokens with the current label encoder.
 
@@ -155,8 +153,6 @@ def full_refresh(
                               f"first: {missing[0]!r}")
     cache.matrix[...] = encode_labels(label_params, label_tokens, cache.ids, cache.pooling)
     cache.dirty_writes = 0
-    if span_count is not None:
-        cache.last_full_refresh = span_count
     return cache
 
 

@@ -248,18 +248,16 @@ class CorpusPredictions:
     iterations: dict[MentionKey, int]
 
 
-def _windows(
-    docs: list[Document], limits: tuple[int, int]
-) -> Iterator[list[tuple[str, Chunk]]]:
-    """(document id, chunk) of every chunk with mentions, in corpus order,
-    grouped in windows of at least _WINDOW mentions (the last may hold fewer)."""
-    window: list[tuple[str, Chunk]] = []
+def _windows(docs: list[Document], limits: tuple[int, int]) -> Iterator[list[Chunk]]:
+    """Every chunk with mentions, in corpus order, grouped in windows of at
+    least _WINDOW mentions (the last may hold fewer)."""
+    window: list[Chunk] = []
     mentions = 0
     for doc in docs:
         for chunk in chunk_document(doc, *limits):
             if not chunk.mentions:
                 continue
-            window.append((doc.id, chunk))
+            window.append(chunk)
             mentions += len(chunk.mentions)
             if mentions >= _WINDOW:
                 yield window
@@ -290,8 +288,7 @@ def predict_corpus(
     rows = allowed_rows(cache, allowed_ids)
     final: dict[MentionKey, MentionPrediction] = {}
     iterations: dict[MentionKey, int] = {}
-    for window in _windows(docs, limits):
-        chunks = [chunk for _, chunk in window]
+    for chunks in _windows(docs, limits):
         if iterative:
             results = [
                 (r.predictions, r.iterations)
@@ -299,10 +296,11 @@ def predict_corpus(
             ]
         else:
             results = [(p, 1) for p in predict_chunks(chunks, mention_params, cache, rows)]
-        for (doc_id, chunk), (preds, rounds) in zip(window, results):
+        for chunk, (preds, rounds) in zip(chunks, results):
             for pred in preds:
                 m = pred.mention
-                key = (doc_id, m.start + chunk.parent_offset, m.end + chunk.parent_offset)
+                key = (chunk.parent_doc, m.start + chunk.parent_offset,
+                       m.end + chunk.parent_offset)
                 final[key] = pred
                 iterations[key] = rounds
     return CorpusPredictions(final=final, iterations=iterations)

@@ -123,9 +123,10 @@ class TrainConfig:
                      "max_chars_per_chunk", "vocab_size", "dim"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
-        # 0 epochs is a valid no-op run; a 0 refresh interval disables the
-        # mid-epoch refreshes
-        for name in ("epochs", "refresh_interval_spans", "window", "seed"):
+        # 0 epochs or a 0 lr is a valid no-op run; a 0 refresh interval
+        # disables the mid-epoch refreshes
+        for name in ("epochs", "lr", "refresh_interval_spans", "switch_after_spans",
+                     "window", "seed"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
         for name in _HEADER_KEYS:  # the checkpoint header holds them as uint32
@@ -305,10 +306,7 @@ def apply_iterative_insertions(
     excluded: set[tuple[int, int]] = set()
     for ci, chunk in enumerate(batch):
         state = PredictionState.for_document(chunk)
-        eligible = [
-            mi for mi, m in enumerate(chunk.mentions)
-            if not m.unlinkable and m.gold_label in records
-        ]
+        eligible = [mi for mi, m in enumerate(chunk.mentions) if m.gold_label in records]
         if eligible:
             n_insert = min(math.ceil(config.insert_fraction * len(chunk.mentions)),
                            len(eligible))
@@ -382,12 +380,7 @@ class Trainer:
     # -- cache scheduling --
 
     def refresh_cache(self) -> None:
-        full_refresh(
-            self.cache,
-            self.label_params,
-            self.label_tokens,
-            span_count=self.processed_spans,
-        )
+        full_refresh(self.cache, self.label_params, self.label_tokens)
         self.refreshes += 1
 
     def _interval_refreshes(self, before: int, after: int) -> int:
@@ -438,7 +431,7 @@ class Trainer:
         else:
             k = int(config.neg_count)
         batch_golds = [
-            m.gold_label for c in batch for m in c.mentions if not m.unlinkable
+            m.gold_label for c in batch for m in c.mentions if m.gold_label in self.records
         ]
 
         # 1. anchors
@@ -450,7 +443,7 @@ class Trainer:
             seq = tokenize(prep.text, self.mention_params.vocab_size)
             spans = []
             for mi, mention in enumerate(chunk.mentions):
-                if mention.unlinkable:
+                if mention.gold_label not in self.records:
                     skipped += 1
                 elif (ci, mi) not in excluded:
                     spans.append(token_range(seq, prep.spans[mi]))

@@ -165,7 +165,8 @@ def train_step_per_label(trainer, batch):
         k = tm.dynamic_negative_count(max(batch_mentions, 1), config.neg_budget)
     else:
         k = int(config.neg_count)
-    batch_golds = [m.gold_label for c in batch for m in c.mentions if not m.unlinkable]
+    batch_golds = [m.gold_label for c in batch for m in c.mentions
+                   if m.gold_label in trainer.records]
 
     mention_grads = zero_grads(trainer.mention_params)
     label_grads = zero_grads(trainer.label_params)
@@ -190,7 +191,7 @@ def train_step_per_label(trainer, batch):
         chunk_upstream = np.zeros_like(vectors)
         touched = False
         for mi, mention in enumerate(chunk.mentions):
-            if mention.unlinkable:
+            if mention.gold_label not in trainer.records:
                 skipped += 1
                 continue
             if (ci, mi) in excluded:

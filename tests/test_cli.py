@@ -2,6 +2,7 @@
 
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -289,6 +290,17 @@ class TestPredictReadsTheTrainingConfig:
         assert key in capsys.readouterr().err
 
 
+def save_unchecked(path, mention, label):
+    """save_checkpoint's byte layout without its finiteness check, so a
+    checkpoint can hold the NaN or infinity that a reader must reject."""
+    with open(path, "wb") as fh:
+        fh.write(b"VRBED1" + struct.pack("<III", mention.vocab_size, mention.dim,
+                                          mention.window))
+        for p in (mention, label):
+            for tensor in (p.table, p.w_self, p.w_ctx, p.bias):
+                fh.write(np.asarray(tensor, dtype="<f4").tobytes())
+
+
 class TestNonFiniteCheckpoint:
     """A NaN or infinity anywhere in a checkpoint is a validation error in
     every predict mode, before anything is written."""
@@ -298,8 +310,8 @@ class TestNonFiniteCheckpoint:
     def test_mention_table(self, workspace, tmp_path, capsys, mode, value):
         mention = EncoderParams.init(64, 4, 2, seed=0)
         mention.table[5, 1] = value
-        save_checkpoint(tmp_path / "checkpoint.bin", mention,
-                        EncoderParams.init(64, 4, 2, seed=1))
+        save_unchecked(tmp_path / "checkpoint.bin", mention,
+                       EncoderParams.init(64, 4, 2, seed=1))
         (tmp_path / "config.txt").write_text("")
         code = run("predict", "--corpus", workspace / "dev.jsonl",
                    "--labels", workspace / "labels.jsonl",
@@ -315,7 +327,7 @@ class TestNonFiniteCheckpoint:
         params = {"mention": EncoderParams.init(8, 2, 1, seed=0),
                   "label": EncoderParams.init(8, 2, 1, seed=1)}
         getattr(params[encoder], tensor).flat[-1] = np.nan
-        save_checkpoint(tmp_path / "checkpoint.bin", params["mention"], params["label"])
+        save_unchecked(tmp_path / "checkpoint.bin", params["mention"], params["label"])
         with pytest.raises(ValidationError, match=f"{encoder} encoder's {tensor} "):
             load_checkpoint(tmp_path / "checkpoint.bin")
 
@@ -543,6 +555,44 @@ class TestExitCodes:
         assert code == 1
         assert "empty label set" in capsys.readouterr().err
 
+    def test_train_whose_weights_leave_float32_writes_no_checkpoint(
+        self, workspace, tmp_path, capsys
+    ):
+        # one step at a huge lr: the float64 weights stay finite, but no
+        # float32 can hold them
+        code = run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--config", workspace / "config.txt", "--epochs", "1",
+                   "--batch-docs", "1000", "--refresh-interval-spans", "0",
+                   "--lr", "1e308", "--out", tmp_path / "run")
+        assert code == 1
+        assert "mention encoder's table holds NaN or a value beyond float32's range" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("text", [
+        pytest.param("", id="no-documents"),
+        pytest.param('{"id": "d", "text": "no mentions here"}\n', id="no-mentions"),
+    ])
+    def test_dev_corpus_without_mentions_fails_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch, command, text
+    ):
+        monkeypatch.setenv("VERBALIZED_THREADS", "1")
+        (tmp_path / "dev.jsonl").write_text(text)
+        flags = (["--out", tmp_path / "run"] if command == "train"
+                 else ["--axis", "pooling", "--seeds", "0"])
+        with mock.patch.object(cli.Trainer, "train") as train:
+            code = run(command, "--corpus", workspace / "train.jsonl",
+                       "--labels", workspace / "labels.jsonl",
+                       "--dev", tmp_path / "dev.jsonl",
+                       "--config", workspace / "config.txt", *flags)
+        assert code == 1
+        assert f"{tmp_path / 'dev.jsonl'}: the dev corpus has no mentions" \
+            in capsys.readouterr().err
+        train.assert_not_called()
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("dev", [True, False], ids=["dev", "no-dev"])
     def test_train_with_an_empty_label_set_is_validation_error(
         self, workspace, tmp_path, capsys, dev
@@ -584,6 +634,9 @@ class TestExitCodes:
             pytest.param(["--window", "-1"], None, "window", id="window-negative-flag"),
             pytest.param(["--refresh-interval-spans", "-100"], None,
                          "refresh_interval_spans", id="refresh-negative-flag"),
+            pytest.param(["--lr", "-0.05"], None, "lr must be >= 0", id="lr-negative-flag"),
+            pytest.param([], "switch_after_spans=-1\n", "switch_after_spans must be >= 0",
+                         id="switch-negative-config"),
             pytest.param(["--loss", "foo", "--epochs", "0"], None, "loss",
                          id="loss-unknown-flag"),
             pytest.param(["--max-chars-per-chunk", "0", "--epochs", "0"], None,

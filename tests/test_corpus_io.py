@@ -12,7 +12,6 @@ from dualed.corpus import (
     Document,
     Mention,
     chunk_document,
-    flag_unlinkable,
     load_corpus,
     load_label_set,
 )
@@ -205,13 +204,6 @@ class TestTextEncoding:
         path.write_text('{"id": "ok", "text": "\\ud83d\\ude00"}\n' + row + "\n")
         with pytest.raises(ValidationError, match=re.escape(f"line 2: {key} holds a lone")):
             load_corpus(path)
-
-
-class TestFlagUnlinkable:
-    def test_flags_missing_golds(self):
-        doc = make_doc("d", "a b c", [(0, 1, "known"), (2, 3, "ghost")])
-        assert flag_unlinkable([doc], {"known"}) == 1
-        assert [m.unlinkable for m in doc.mentions] == [False, True]
 
 
 class TestChunkDocument:

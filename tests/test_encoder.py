@@ -562,6 +562,29 @@ class TestCheckpoint:
         with pytest.raises(ValidationError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("encoder", ["mention", "label"])
+    @pytest.mark.parametrize("tensor", ["table", "w_self", "w_ctx", "bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39],
+                             ids=["nan", "inf", "-inf", "1e39", "-1e39"])
+    def test_value_outside_float32_is_rejected_before_writing(
+        self, tmp_path, encoder, tensor, value
+    ):
+        params = {"mention": EncoderParams.init(8, 2, 1, seed=0),
+                  "label": EncoderParams.init(8, 2, 1, seed=1)}
+        getattr(params[encoder], tensor).flat[-1] = value
+        path = tmp_path / "model.bin"
+        with pytest.raises(ValidationError, match=f"{encoder} encoder's {tensor} holds NaN"):
+            save_checkpoint(path, params["mention"], params["label"])
+        assert not path.exists()
+
+    def test_float32_extremes_are_saved(self, tmp_path):
+        mention = EncoderParams.init(8, 2, 1, seed=0)
+        big = float(np.finfo(np.float32).max)
+        mention.table[0, 0], mention.table[1, 1] = big, -big
+        save_checkpoint(tmp_path / "model.bin", mention, EncoderParams.init(8, 2, 1, seed=1))
+        loaded, _ = load_checkpoint(tmp_path / "model.bin")
+        assert (loaded.table[0, 0], loaded.table[1, 1]) == (big, -big)
+
     def test_mismatched_hyperparams_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             save_checkpoint(

@@ -114,9 +114,8 @@ class TestFullRefresh:
         full_refresh(self.cache, self.params, self.tokens)
         write_back(self.cache, "e1", np.ones(4))
         assert self.cache.dirty_writes == 1
-        full_refresh(self.cache, self.params, self.tokens, span_count=123)
+        full_refresh(self.cache, self.params, self.tokens)
         assert self.cache.dirty_writes == 0
-        assert self.cache.last_full_refresh == 123
 
     def test_refresh_overwrites_write_back(self):
         full_refresh(self.cache, self.params, self.tokens)

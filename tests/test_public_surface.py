@@ -18,7 +18,7 @@ TRACED = {
     ],
     "corpus": [
         "Chunk", "Document", "EntityRecord", "Mention", "chunk_document",
-        "flag_unlinkable", "load_corpus", "load_label_set",
+        "load_corpus", "load_label_set",
     ],
     "encoder": [
         "EncoderGrads", "EncoderParams", "TokenSequence", "backward_spans", "encode_spans",
@@ -60,7 +60,7 @@ PACKAGE_ALL = [
     "TokenSequence", "TrainConfig", "Trainer", "ValidationError", "Verbalization",
     "allowed_rows", "apply_iterative_insertions", "backward_spans", "change_analysis",
     "chunk_document", "corpus", "dynamic_negative_count", "encode_spans", "encoder",
-    "errors", "evaluator", "flag_unlinkable", "full_refresh", "insert_verbalization",
+    "errors", "evaluator", "full_refresh", "insert_verbalization",
     "iterate_chunks", "label_index", "load_checkpoint", "load_corpus", "load_label_set",
     "load_model", "loss_gradients", "losses", "make_batches", "mine_hard_negatives", "pool_span",
     "predict_chunks", "predict_corpus", "predictor",

@@ -163,14 +163,13 @@ class TestTrainStep:
             consumed += stats.spans
             fired += stats.refreshes
         assert fired == consumed // 10
-        assert trainer.cache.dirty_writes == 0 or trainer.cache.last_full_refresh <= consumed
 
     def test_unlinkable_mentions_skipped(self):
         trainer, task = make_trainer()
         batch = make_batches(task.train_docs, 4, (100, 2800), seed=0)[0]
         for chunk in batch:
             for m in chunk.mentions:
-                m.unlinkable = True
+                m.gold_label = "not-a-label"
         before = params_snapshot(trainer)
         stats = trainer.train_step(batch)
         assert stats.loss_terms == 0
@@ -197,16 +196,14 @@ class TestTrainStep:
 def with_gradient_free_mentions(batches):
     """The batches with mentions that reach no loss term.
 
-    Every batch gains a chunk of words found nowhere else whose mentions
-    are all unlinkable: the step encodes it, and its token ids join the
-    mention gradient buffer as zero rows, which the oracle never
-    back-propagates. A last batch holds a single mention, whose gold is
+    Every batch gains a chunk of words found nowhere else whose golds are
+    not labels: the step encodes it, and its token ids join the mention
+    gradient buffer as zero rows, which the oracle never back-propagates. A last batch holds a single mention, whose gold is
     then the batch's only gold: in_batch mode finds it no negatives, and
     that step has no loss term.
     """
     text = "qoxv zejk wyfu"
-    unlinkable = [Mention(s, s + 4, "E000", text[s:s + 4], unlinkable=True)
-                  for s in (0, 5, 10)]
+    unlinkable = [Mention(s, s + 4, "not-a-label", text[s:s + 4]) for s in (0, 5, 10)]
     out = [[*batch, Chunk(parent_doc="dead", text=text, mentions=unlinkable)]
            for batch in batches]
     lone = batches[0][0]
@@ -585,6 +582,49 @@ class TestTrainLoop:
         assert metrics[-1]["refreshes"] == 2
 
 
+class TestLinkability:
+    """A mention is linkable when its gold is one of the trainer's own labels;
+    nothing stored on the corpus decides it."""
+
+    @pytest.mark.parametrize("neg_mode", [tm.HARD, tm.IN_BATCH])
+    @pytest.mark.parametrize("iterative", [False, True], ids=["one-shot", "iterative"])
+    def test_unknown_golds_are_skipped(self, neg_mode, iterative):
+        task = tiny_task()
+        unknown = 0
+        for doc in task.train_docs[::3]:
+            doc.mentions[0].gold_label = "not-a-label"
+            unknown += 1
+        trainer = Trainer(task.records, small_config(
+            epochs=2, neg_mode=neg_mode, iterative=iterative, switch_after_spans=30))
+        skipped = []
+        train_step = trainer.train_step
+
+        def counting_step(batch):
+            stats = train_step(batch)
+            skipped.append(stats.skipped_unlinkable)
+            return stats
+
+        trainer.train_step = counting_step
+        metrics = trainer.train(task.train_docs, task.dev_docs)
+        assert [row["epoch"] for row in metrics] == [0, 1]
+        assert sum(skipped) == 2 * unknown
+
+    def test_each_trainer_skips_the_golds_missing_from_its_own_labels(self):
+        task = tiny_task()
+        half = {i: task.records[i] for i in sorted(task.records)[:6]}
+        batches = make_batches(task.train_docs, 4, (100, 2800), seed=0)
+        golds = [m.gold_label for batch in batches for c in batch for m in c.mentions]
+        missing = {}
+        for name, records in (("half", half), ("full", task.records)):
+            trainer = Trainer(records, small_config())
+            trainer.refresh_cache()
+            skipped = sum(trainer.train_step(batch).skipped_unlinkable for batch in batches)
+            assert skipped == sum(gold not in records for gold in golds)
+            missing[name] = skipped
+        assert 0 < missing["half"] < len(golds)
+        assert missing["full"] == 0
+
+
 class TestConfigParsing:
     def test_key_value_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -621,7 +661,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 CONFIGS = st.builds(
     TrainConfig,
     batch_docs=st.integers(1, 2**31),
-    lr=FINITE,
+    lr=st.floats(0, allow_infinity=False),
     epochs=st.integers(0, 2**31),
     sim=st.sampled_from(SIMILARITY_KINDS),
     loss=st.sampled_from(LOSS_KINDS),
@@ -635,7 +675,7 @@ CONFIGS = st.builds(
     iterative=st.booleans(),
     insert_fraction=st.just(1 / 3) | st.floats(0, 1, exclude_min=True, exclude_max=True),
     corrupt_rate=st.floats(0, 1),
-    switch_after_spans=st.integers(-2**31, 2**31),
+    switch_after_spans=st.integers(0, 2**31),
     verbalization=st.sampled_from(FORMAT_NAMES),
     max_mentions_per_chunk=st.integers(1, 2**31),
     max_chars_per_chunk=st.integers(1, 2**31),
