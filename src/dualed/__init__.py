@@ -59,6 +59,7 @@ from .trainer import (
     apply_iterative_insertions,
     dynamic_negative_count,
     load_model,
+    load_predictor,
     make_batches,
     save_model,
 )

@@ -29,10 +29,9 @@ from .corpus import (
 )
 from .errors import ValidationError
 from .evaluator import change_analysis, score
-from .label_index import build_cache, tokenize_labels
 from .losses import LOSS_KINDS, SIMILARITY_KINDS
 from .predictor import predict_corpus, target_label_set
-from .trainer import TrainConfig, Trainer, load_model, parse_config_file, save_model
+from .trainer import TrainConfig, Trainer, load_predictor, parse_config_file, save_model
 from .verbalizer import FORMAT_NAMES, verbalize_all
 
 AXES = ("verbalization", "pooling", "loss_similarity", "negatives", "refresh")
@@ -139,6 +138,12 @@ def _load_inputs(corpus_path, labels_path, dev_path=None):
 def cmd_train(args) -> int:
     config = TrainConfig.from_mapping(_config_mapping(args))
     corpus, records, dev = _load_inputs(args.corpus, args.labels, args.dev)
+    # an empty label set fails in Trainer, naming itself
+    if config.epochs and records and not any(
+        m.gold_label in records for doc in corpus for m in doc.mentions
+    ):
+        raise ValidationError(f"{args.corpus}: no mention has its gold label in "
+                              f"{args.labels}, so training would make no update")
     Path(args.out).mkdir(parents=True, exist_ok=True)  # fail before training, not after
     trainer = Trainer(records, config)
     metrics = trainer.train(corpus, dev)
@@ -152,13 +157,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     corpus, records, _ = _load_inputs(args.corpus, args.labels)
-    config, mention_params, label_params = load_model(args.checkpoint)
-    label_tokens = tokenize_labels(
-        verbalize_all(records, config.verbalization), label_params.vocab_size
-    )
-    cache = build_cache(
-        sorted(records), label_params, label_tokens, config.pooling, config.sim_spec
-    )
+    config, mention_params, cache = load_predictor(args.checkpoint, records)
     allowed = target_label_set(corpus, cache) if args.restrict_to_targets else None
     preds = predict_corpus(
         corpus,

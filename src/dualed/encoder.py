@@ -30,6 +30,7 @@ pool and scatter one range.
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
 import re
 import struct
@@ -429,10 +430,14 @@ def pooled_width(dim: int, method: str) -> int:
 #
 # Single binary file: magic "VRBED1", then V, d, window as little-endian
 # uint32, then row-major little-endian float32 tensors in fixed order:
-# mention (table, w_self, w_ctx, bias), label (same).
+# mention (table, w_self, w_ctx, bias), label (same). The sha256 of the
+# label encoder's tensor bytes keys the label cache a model directory
+# stores beside the checkpoint (``trainer.save_model``).
 
 
-def save_checkpoint(path, mention: EncoderParams, label: EncoderParams) -> None:
+def save_checkpoint(path, mention: EncoderParams, label: EncoderParams) -> bytes:
+    """Write both encoders; returns the sha256 digest of the label
+    encoder's bytes as written."""
     if (mention.vocab_size, mention.dim, mention.window) != (
         label.vocab_size,
         label.dim,
@@ -450,15 +455,24 @@ def save_checkpoint(path, mention: EncoderParams, label: EncoderParams) -> None:
                     f"{encoder} encoder's {name} holds NaN or a value beyond float32's range; "
                     f"checkpoint not written"
                 )
+    label_sha = hashlib.sha256()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<III", mention.vocab_size, mention.dim, mention.window))
         for p in (mention, label):
             for tensor in (p.table, p.w_self, p.w_ctx, p.bias):
-                fh.write(memoryview(np.ascontiguousarray(tensor, dtype="<f4")))
+                raw = memoryview(np.ascontiguousarray(tensor, dtype="<f4"))
+                fh.write(raw)
+                if p is label:
+                    label_sha.update(raw)
+    return label_sha.digest()
 
 
-def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams]:
+def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams, bytes]:
+    """The (mention, label) encoders of a checkpoint, and the sha256 digest
+    of the label encoder's bytes as read, the one ``save_checkpoint``
+    returned."""
+    label_sha = hashlib.sha256()
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -477,9 +491,10 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams]:
             tensors = []
             for name, shape in (("table", (v, d)), ("w_self", (d, d)), ("w_ctx", (d, d)),
                                 ("bias", (d,))):
-                raw = np.frombuffer(
-                    read_exact(fh, 4 * int(np.prod(shape)), "checkpoint file"), dtype="<f4"
-                )
+                data = read_exact(fh, 4 * int(np.prod(shape)), "checkpoint file")
+                if encoder == "label":
+                    label_sha.update(data)
+                raw = np.frombuffer(data, dtype="<f4")
                 if not np.isfinite(raw).all():
                     raise ValidationError(
                         f"checkpoint {encoder} encoder's {name} holds NaN or infinity"
@@ -494,4 +509,4 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams]:
                     window=w,
                 )
             )
-    return out[0], out[1]
+    return out[0], out[1], label_sha.digest()

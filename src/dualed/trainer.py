@@ -23,8 +23,11 @@ in the text.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
+import os
+import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -38,11 +41,12 @@ from .encoder import (
     backward_spans,
     encode_spans,
     load_checkpoint,
+    pooled_width,
     save_checkpoint,
     token_range,
     tokenize,
 )
-from .errors import ValidationError
+from .errors import ValidationError, read_exact
 from .label_index import (
     LabelCache,
     build_cache,
@@ -62,7 +66,7 @@ from .predictor import (
     predict_chunks,
     predict_corpus,
 )
-from .verbalizer import FORMAT_NAMES, verbalize_all
+from .verbalizer import FORMAT_NAMES, Verbalization, verbalize_all
 
 HARD = "hard"
 IN_BATCH = "in_batch"
@@ -191,36 +195,146 @@ def _cast_config_value(key: str, raw):
 #
 # A model is the directory ``train --out`` writes: checkpoint.bin (both
 # encoders), config.txt (the config they were trained with, which --config
-# reads back) and metrics.jsonl (one row per epoch).
+# reads back), metrics.jsonl (one row per epoch) and label_cache.bin (the
+# label cache ``predict`` would build from them).
+#
+# label_cache.bin: magic "VRBLC1"; three sha256 keys, E (the label
+# encoder's float32 bytes in checkpoint.bin), C (the resolved config, as
+# config.txt serializes it) and L (the label set: each sorted id with its
+# verbalization text and title character span); the row count n and width
+# p as little-endian uint32 and the byte length of the ids as uint64; the
+# sorted ids as one ASCII JSON array; the (n, p) rows as little-endian
+# float64. ``load_predictor`` uses the rows only when all three keys match
+# its checkpoint, config and label set, and otherwise rebuilds them.
+
+_CACHE_MAGIC = b"VRBLC1"
+_CACHE_HEADER = struct.Struct("<6s32s32s32sIIQ")
 
 
 def save_model(out_dir, trainer: Trainer, metrics: list[dict]) -> None:
-    """Write ``trainer``'s model and its metrics rows into the directory ``out_dir``."""
+    """Write ``trainer``'s model and its metrics rows into the directory ``out_dir``.
+
+    The stored label cache is encoded with the label encoder as the
+    checkpoint holds it, so ``trainer.label_params`` is rounded to float32
+    in place: afterwards it equals what ``load_model`` returns.
+    """
     out_dir = Path(out_dir)
-    save_checkpoint(out_dir / "checkpoint.bin", trainer.mention_params, trainer.label_params)
+    label_key = save_checkpoint(
+        out_dir / "checkpoint.bin", trainer.mention_params, trainer.label_params
+    )
     (out_dir / "metrics.jsonl").write_text(
         "".join(json.dumps(row) + "\n" for row in metrics), encoding="utf-8"
     )
-    (out_dir / "config.txt").write_text(
-        "".join(f"{k}={v}\n" for k, v in trainer.config.to_mapping().items()), encoding="utf-8"
-    )
+    (out_dir / "config.txt").write_text(_config_text(trainer.config), encoding="utf-8")
+    label = trainer.label_params
+    for tensor in (label.table, label.w_self, label.w_ctx, label.bias):
+        tensor[...] = tensor.astype(np.float32)  # in place: no second (V, d) float64 table
+    cache = trainer.eval_cache()
+    ids = json.dumps(cache.ids).encode("ascii")
+    with open(out_dir / "label_cache.bin", "wb") as fh:
+        fh.write(_CACHE_HEADER.pack(
+            _CACHE_MAGIC, label_key, _config_key(trainer.config),
+            _label_key(trainer.verbalizations), *cache.matrix.shape, len(ids),
+        ))
+        fh.write(ids)
+        fh.write(memoryview(np.ascontiguousarray(cache.matrix, dtype="<f8")))
 
 
 def load_model(checkpoint) -> tuple[TrainConfig, EncoderParams, EncoderParams]:
     """The config and the (mention, label) encoders of the model whose
     checkpoint.bin is ``checkpoint``."""
+    return _read_model(checkpoint)[:3]
+
+
+def load_predictor(
+    checkpoint, records: dict[str, EntityRecord]
+) -> tuple[TrainConfig, EncoderParams, LabelCache]:
+    """The config, the mention encoder and the label cache of ``records``
+    with which ``predict`` scores the model whose checkpoint.bin is
+    ``checkpoint``: the rows of label_cache.bin when they were built from
+    this checkpoint, config and label set, else freshly encoded ones, which
+    have the same bits."""
+    config, mention, label, stored = _read_model(checkpoint)
+    verbs = verbalize_all(records, config.verbalization)
+    ids = sorted(records)
+    if stored is not None and stored[:2] == (_label_key(verbs), ids):
+        return config, mention, LabelCache(ids, stored[2], config.pooling, config.sim_spec)
+    tokens = tokenize_labels(verbs, label.vocab_size)
+    return config, mention, build_cache(ids, label, tokens, config.pooling, config.sim_spec)
+
+
+def _read_model(checkpoint):
+    """``load_model``'s config and encoders, plus ``_stored_rows``."""
     config_path = Path(checkpoint).with_name("config.txt")
     if not config_path.is_file():
         raise ValidationError(f"no {config_path}: train --out writes it beside checkpoint.bin")
     mapping = parse_config_file(config_path)
     config = TrainConfig.from_mapping(mapping)
-    mention, label = load_checkpoint(checkpoint)
+    mention, label, label_key = load_checkpoint(checkpoint)
     # only the keys config.txt sets: a default says nothing about the checkpoint
     for key, header in zip(_HEADER_KEYS, (label.vocab_size, label.dim, label.window)):
         if key in mapping and getattr(config, key) != header:
             raise ValidationError(f"{config_path} sets {key}={getattr(config, key)}, "
                                   f"but the checkpoint header says {header}")
-    return config, mention, label
+    return config, mention, label, _stored_rows(config_path, config, label_key)
+
+
+def _stored_rows(config_path: Path, config: TrainConfig, label_key: bytes):
+    """The (label-set key, ids, rows) of the label_cache.bin beside
+    ``config_path`` when it was written for the label encoder whose key is
+    ``label_key``; None when there is no such file or it was written for
+    another label encoder. A config.txt that differs from the one that
+    label encoder was trained with is a ValidationError."""
+    path = config_path.with_name("label_cache.bin")
+    if not path.is_file():  # a model written before label caches were stored
+        return None
+    with open(path, "rb") as fh:
+        magic, e_key, c_key, l_key, n, width, id_bytes = _CACHE_HEADER.unpack(
+            read_exact(fh, _CACHE_HEADER.size, f"label cache {path}")
+        )
+        if magic != _CACHE_MAGIC:
+            raise ValidationError(f"{path}: not a label cache (bad magic {magic!r})")
+        implied = _CACHE_HEADER.size + id_bytes + 8 * n * width
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != implied:
+            raise ValidationError(f"{path} is {actual} bytes, but its header (n={n}, "
+                                  f"p={width}, ids of {id_bytes} bytes) implies {implied}")
+        if e_key != label_key:  # checkpoint.bin was replaced: rebuild
+            return None
+        if c_key != _config_key(config):
+            raise ValidationError(
+                f"{config_path} is not the config the checkpoint beside it was trained "
+                f"with (its label cache {path.name} records another)"
+            )
+        try:
+            ids = json.loads(fh.read(id_bytes).decode("ascii"))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed label ids: {exc}") from exc
+        if not isinstance(ids, list) or len(ids) != n or width != pooled_width(
+            config.dim, config.pooling
+        ):
+            raise ValidationError(f"{path}: its ids or row width contradict its header")
+        rows = np.frombuffer(fh.read(8 * n * width), dtype="<f8").reshape(n, width)
+    return l_key, ids, rows.astype(np.float64)
+
+
+def _config_text(config: TrainConfig) -> str:
+    return "".join(f"{k}={v}\n" for k, v in config.to_mapping().items())
+
+
+def _config_key(config: TrainConfig) -> bytes:
+    """sha256 of the config as config.txt serializes it once read back,
+    so a value written as 1 and read back as 1.0 keys the same config."""
+    resolved = TrainConfig.from_mapping(config.to_mapping())
+    return hashlib.sha256(_config_text(resolved).encode("utf-8")).digest()
+
+
+def _label_key(verbalizations: dict[str, Verbalization]) -> bytes:
+    """sha256 of the label set: each sorted id with its verbalization text
+    and title character span."""
+    rows = [[i, verbalizations[i].text, *verbalizations[i].title_char_span]
+            for i in sorted(verbalizations)]
+    return hashlib.sha256(json.dumps(rows).encode("ascii")).digest()
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -368,9 +482,8 @@ class Trainer:
         self.label_params = EncoderParams.init(
             config.vocab_size, config.dim, config.window, seed=config.seed + 1
         )
-        self.label_tokens = tokenize_labels(
-            verbalize_all(records, config.verbalization), self.label_params.vocab_size
-        )
+        self.verbalizations = verbalize_all(records, config.verbalization)
+        self.label_tokens = tokenize_labels(self.verbalizations, self.label_params.vocab_size)
         self.cache = LabelCache.empty(
             sorted(records), config.dim, config.pooling, config.sim_spec
         )
@@ -550,20 +663,34 @@ class Trainer:
 
     def evaluate(self, docs: list[Document]) -> float:
         """One-shot accuracy on ``docs`` with a freshly encoded cache."""
-        preds = predict_corpus(
-            docs, self.mention_params, self.eval_cache(), limits=self.config.limits
-        )
+        return self._accuracy(docs, self.eval_cache())
+
+    def _accuracy(self, docs: list[Document], cache: LabelCache) -> float:
+        preds = predict_corpus(docs, self.mention_params, cache, limits=self.config.limits)
         mapping = {key: p.predicted_id for key, p in preds.final.items()}
         return eval_score(mapping, docs).accuracy
 
     def train(
         self, corpus: list[Document], dev_corpus: list[Document] | None = None
     ) -> list[dict]:
-        """Run all epochs; returns one metrics row per epoch."""
+        """Run all epochs; returns one metrics row per epoch.
+
+        A run of one or more epochs in which no step made a loss term is a
+        ValidationError, naming the mentions skipped as unlinkable and
+        those that found no negative.
+        """
         config = self.config
         metrics: list[dict] = []
+        fresh = None  # the dev evaluation's cache, encoded after the last update
+        terms = skipped = no_negatives = 0
         for epoch in range(config.epochs):
-            self.refresh_cache()
+            if fresh is None:
+                self.refresh_cache()
+            else:  # nothing was updated since the dev evaluation encoded these rows
+                self.cache.matrix[...] = fresh.matrix
+                self.cache.dirty_writes = 0
+                self.refreshes += 1
+                fresh = None  # not held through the epoch
             batches = make_batches(
                 corpus, config.batch_docs, config.limits, seed=[config.seed, epoch]
             )
@@ -572,7 +699,14 @@ class Trainer:
                 stats = self.train_step(batch)
                 epoch_loss += stats.loss * stats.loss_terms
                 epoch_terms += stats.loss_terms
-            dev_acc = self.evaluate(dev_corpus) if dev_corpus is not None else None
+                skipped += stats.skipped_unlinkable
+                no_negatives += (stats.spans - stats.skipped_unlinkable
+                                 - len(stats.excluded) - stats.loss_terms)
+            terms += epoch_terms
+            dev_acc = None
+            if dev_corpus is not None:
+                fresh = self.eval_cache()
+                dev_acc = self._accuracy(dev_corpus, fresh)
             metrics.append(
                 {
                     "epoch": epoch,
@@ -581,6 +715,12 @@ class Trainer:
                     "refreshes": self.refreshes,
                     "spans": self.processed_spans,
                 }
+            )
+        if config.epochs and not terms:
+            raise ValidationError(
+                f"training made no update in {config.epochs} epochs: {skipped} mentions "
+                f"skipped as unlinkable (gold not in the label set), {no_negatives} "
+                f"without a negative"
             )
         return metrics
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualed import cli
+from dualed import trainer as tm
 from dualed.cli import main
 from dualed.corpus import load_corpus, load_label_set
 from dualed.encoder import EncoderParams, load_checkpoint, save_checkpoint
@@ -156,7 +157,7 @@ class TestTrainPredictEvalPipeline:
                    "--labels", workspace / "labels.jsonl",
                    "--checkpoint", run_dir / "checkpoint.bin", "--out", pred_file) == 0
 
-        mention, label = load_checkpoint(run_dir / "checkpoint.bin")
+        mention, label, _ = load_checkpoint(run_dir / "checkpoint.bin")
         records = load_label_set(workspace / "labels.jsonl")
         config = TrainConfig(verbalization="title_desc", vocab_size=label.vocab_size,
                              dim=label.dim, window=label.window)
@@ -195,7 +196,7 @@ class TestPredictReadsTheTrainingConfig:
                    "--max-mentions-per-chunk", self.LIMITS[0],
                    "--max-chars-per-chunk", self.LIMITS[1], "--out", run_dir) == 0
 
-        mention, label = load_checkpoint(run_dir / "checkpoint.bin")
+        mention, label, _ = load_checkpoint(run_dir / "checkpoint.bin")
         records = load_label_set(workspace / "labels.jsonl")
         config = TrainConfig(pooling="mean", sim=sim, verbalization="title",
                              vocab_size=label.vocab_size, dim=label.dim, window=label.window)
@@ -288,6 +289,134 @@ class TestPredictReadsTheTrainingConfig:
                    "--checkpoint", model, "--out", tmp_path / "x.jsonl")
         assert code == 1
         assert key in capsys.readouterr().err
+
+
+class TestStoredLabelCache:
+    """``train`` stores the label cache ``predict`` would build; ``predict``
+    uses its rows only when they are provably those rows."""
+
+    @pytest.fixture(scope="class")
+    def model(self, workspace, tmp_path_factory):
+        out = tmp_path_factory.mktemp("stored") / "run"
+        assert run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--config", workspace / "config.txt", "--epochs", "1",
+                   "--out", out) == 0
+        return out
+
+    @staticmethod
+    def predict(workspace, model_dir, out, flags=(), labels=None):
+        """Predict in every mode; returns (tokenize_labels calls, bytes per mode)."""
+        calls, outputs = 0, {}
+        for mode, extra in MODES.items():
+            with mock.patch("dualed.trainer.tokenize_labels",
+                            wraps=tm.tokenize_labels) as tokenize:
+                assert run("predict", "--corpus", workspace / "dev.jsonl",
+                           "--labels", labels or workspace / "labels.jsonl",
+                           "--checkpoint", model_dir / "checkpoint.bin",
+                           "--out", out / f"{mode}.jsonl", *extra, *flags) == 0
+            calls += tokenize.call_count
+            outputs[mode] = (out / f"{mode}.jsonl").read_bytes()
+        return calls, outputs
+
+    @staticmethod
+    def copy_model(src, dst):
+        dst.mkdir()
+        for f in src.iterdir():
+            (dst / f.name).write_bytes(f.read_bytes())
+        return dst
+
+    def test_modes_are_byte_identical_with_and_without_the_file(self, workspace, model,
+                                                                 tmp_path):
+        stored_calls, stored = self.predict(workspace, model, tmp_path)
+        bare = self.copy_model(model, tmp_path / "bare")
+        (bare / "label_cache.bin").unlink()  # a model written before label caches
+        rebuilt_calls, rebuilt = self.predict(workspace, bare, tmp_path)
+        assert (stored_calls, rebuilt_calls) == (0, len(MODES))
+        assert stored == rebuilt
+
+    @pytest.mark.parametrize("case", ["other-checkpoint", "other-labels"])
+    def test_a_cache_of_another_encoder_or_label_set_is_rebuilt(self, workspace, model,
+                                                                  tmp_path, case):
+        labels = None
+        moved = self.copy_model(model, tmp_path / "moved")
+        if case == "other-checkpoint":  # the same config trained on other data
+            other = tmp_path / "other"
+            assert run("train", "--corpus", workspace / "dev.jsonl",
+                       "--labels", workspace / "labels.jsonl",
+                       "--config", model / "config.txt", "--out", other) == 0
+            assert (other / "config.txt").read_bytes() == (model / "config.txt").read_bytes()
+            (moved / "checkpoint.bin").write_bytes((other / "checkpoint.bin").read_bytes())
+        else:  # one description changed
+            rows = [json.loads(line) for line in
+                    (workspace / "labels.jsonl").read_text().splitlines()]
+            rows[3]["description"] = "another description"
+            labels = tmp_path / "labels.jsonl"
+            labels.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        calls, got = self.predict(workspace, moved, tmp_path, labels=labels)
+        (moved / "label_cache.bin").unlink()
+        _, want = self.predict(workspace, moved, tmp_path, labels=labels)
+        assert calls == len(MODES)
+        assert got == want
+
+    def test_a_config_txt_copied_from_another_run_is_validation_error(self, workspace,
+                                                                       model, tmp_path,
+                                                                       capsys):
+        """Same V, d and window, another pooling: the header cannot tell."""
+        other = tmp_path / "mean"
+        assert run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--config", model / "config.txt", "--pooling", "mean",
+                   "--out", other) == 0
+        moved = self.copy_model(model, tmp_path / "moved")
+        (moved / "config.txt").write_bytes((other / "config.txt").read_bytes())
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", moved / "checkpoint.bin", "--out", tmp_path / "x.jsonl")
+        assert code == 1
+        assert (f"{moved / 'config.txt'} is not the config the checkpoint beside it was "
+                f"trained with") in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda b: b"VRBLC0" + b[6:], id="bad-magic"),
+        pytest.param(lambda b: b[:50], id="truncated-header"),
+        pytest.param(lambda b: b[:-8], id="truncated-rows"),
+        pytest.param(lambda b: b + b"\0", id="appended-byte"),
+        pytest.param(lambda b: b[:102] + struct.pack("<I", 13) + b[106:], id="row-count"),
+        pytest.param(lambda b: b[:118] + b"{" + b[119:], id="ids-not-json"),
+    ])
+    def test_a_malformed_file_is_validation_error(self, workspace, model, tmp_path, capsys,
+                                                  damage):
+        moved = self.copy_model(model, tmp_path / "moved")
+        path = moved / "label_cache.bin"
+        path.write_bytes(damage(path.read_bytes()))
+        code = run("predict", "--corpus", workspace / "dev.jsonl",
+                   "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", moved / "checkpoint.bin", "--out", tmp_path / "x.jsonl")
+        assert code == 1
+        assert str(path) in capsys.readouterr().err
+
+
+class TestTrainWithoutUpdates:
+    def test_a_corpus_with_no_gold_in_the_labels_fails_before_out(self, workspace,
+                                                                   tmp_path, capsys):
+        rows = [json.loads(line) for line in
+                (workspace / "labels.jsonl").read_text().splitlines()]
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join(json.dumps(dict(r, id="X" + r["id"])) + "\n"
+                                  for r in rows))
+        with mock.patch.object(cli.Trainer, "train") as train:
+            code = run("train", "--corpus", workspace / "train.jsonl", "--labels", labels,
+                       "--config", workspace / "config.txt", "--out", tmp_path / "run")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{workspace / 'train.jsonl'}: no mention has its gold label in {labels}" in err
+        train.assert_not_called()
+        assert not (tmp_path / "run").exists()
+        assert run("train", "--corpus", workspace / "train.jsonl", "--labels", labels,
+                   "--config", workspace / "config.txt", "--epochs", "0",
+                   "--out", tmp_path / "run") == 0
 
 
 def save_unchecked(path, mention, label):

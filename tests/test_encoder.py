@@ -1,5 +1,6 @@
 """Tokenizer, encoder forward/backward, pooling, and checkpoint format."""
 
+import hashlib
 import re
 import sys
 
@@ -539,8 +540,11 @@ class TestCheckpoint:
         mention = EncoderParams.init(64, 4, 2, seed=3)
         label = EncoderParams.init(64, 4, 2, seed=4)
         path = tmp_path / "model.bin"
-        save_checkpoint(path, mention, label)
-        m2, l2 = load_checkpoint(path)
+        key = save_checkpoint(path, mention, label)
+        m2, l2, loaded_key = load_checkpoint(path)
+        # both return the sha256 of the label encoder's bytes, the file's second half
+        label_bytes = path.read_bytes()[18 + 4 * (64 * 4 + 2 * 4 * 4 + 4):]
+        assert key == loaded_key == hashlib.sha256(label_bytes).digest()
         assert (m2.vocab_size, m2.dim, m2.window) == (64, 4, 2)
         np.testing.assert_allclose(m2.table, mention.table, atol=1e-6)
         np.testing.assert_allclose(l2.w_ctx, label.w_ctx, atol=1e-6)
@@ -582,7 +586,7 @@ class TestCheckpoint:
         big = float(np.finfo(np.float32).max)
         mention.table[0, 0], mention.table[1, 1] = big, -big
         save_checkpoint(tmp_path / "model.bin", mention, EncoderParams.init(8, 2, 1, seed=1))
-        loaded, _ = load_checkpoint(tmp_path / "model.bin")
+        loaded, _, _ = load_checkpoint(tmp_path / "model.bin")
         assert (loaded.table[0, 0], loaded.table[1, 1]) == (big, -big)
 
     def test_mismatched_hyperparams_rejected(self, tmp_path):

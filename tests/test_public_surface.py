@@ -45,8 +45,8 @@ TRACED = {
         "PreparedChunk", "StepStats", "TrainConfig", "TrainConfig.to_mapping",
         "Trainer", "Trainer.eval_cache", "Trainer.evaluate", "Trainer.refresh_cache",
         "Trainer.train", "Trainer.train_step", "apply_iterative_insertions",
-        "dynamic_negative_count", "load_model", "make_batches", "parse_config_file",
-        "save_model",
+        "dynamic_negative_count", "load_model", "load_predictor", "make_batches",
+        "parse_config_file", "save_model",
     ],
     "verbalizer": [
         "Verbalization", "truncate_soft", "verbalize", "verbalize_all",
@@ -62,7 +62,7 @@ PACKAGE_ALL = [
     "chunk_document", "corpus", "dynamic_negative_count", "encode_spans", "encoder",
     "errors", "evaluator", "full_refresh", "insert_verbalization",
     "iterate_chunks", "label_index", "load_checkpoint", "load_corpus", "load_label_set",
-    "load_model", "loss_gradients", "losses", "make_batches", "mine_hard_negatives", "pool_span",
+    "load_model", "load_predictor", "loss_gradients", "losses", "make_batches", "mine_hard_negatives", "pool_span",
     "predict_chunks", "predict_corpus", "predictor",
     "sample_in_batch_negatives", "save_checkpoint", "save_model", "score", "target_label_set",
     "token_range", "tokenize", "tokenize_labels", "top_rows", "trainer",

@@ -20,6 +20,7 @@ from dualed import trainer as tm
 from dualed.corpus import Chunk, Document, EntityRecord, Mention
 from dualed.encoder import POOLING_METHODS
 from dualed.errors import ValidationError
+from dualed.label_index import build_cache, encode_labels, tokenize_labels
 from dualed.losses import LOSS_KINDS, SIMILARITY_KINDS
 from dualed.synthetic import make_task
 from dualed.trainer import (
@@ -28,6 +29,7 @@ from dualed.trainer import (
     apply_iterative_insertions,
     dynamic_negative_count,
     load_model,
+    load_predictor,
     make_batches,
     parse_config_file,
     save_model,
@@ -694,8 +696,9 @@ METRICS = [{"epoch": 0, "loss": 1 / 3, "dev_acc": None, "refreshes": 1, "spans":
 
 
 class TestModelDirectory:
-    """``save_model`` writes checkpoint.bin, config.txt and metrics.jsonl;
-    ``load_model`` reads the first two back."""
+    """``save_model`` writes checkpoint.bin, config.txt, metrics.jsonl and
+    label_cache.bin; ``load_model`` reads the first two back, and
+    ``load_predictor`` the label cache too."""
 
     @settings(max_examples=60, deadline=None)
     @given(config=CONFIGS)
@@ -718,7 +721,7 @@ class TestModelDirectory:
         save_model(tmp_path, Trainer(RECORDS, TrainConfig(vocab_size=256, dim=4, window=2)),
                    METRICS)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "checkpoint.bin", "config.txt", "metrics.jsonl"]
+            "checkpoint.bin", "config.txt", "label_cache.bin", "metrics.jsonl"]
         assert (tmp_path / "config.txt").read_bytes() == (
             b"batch_docs=32\nlr=0.05\nepochs=5\nsim=euclidean\nloss=cross_entropy\n"
             b"margin=none\npooling=first_last\nneg_mode=hard\nneg_count=dyn\n"
@@ -749,7 +752,102 @@ class TestModelDirectory:
     def test_config_that_omits_the_header_keys_loads(self, tmp_path):
         save_model(tmp_path, Trainer(RECORDS, TrainConfig(vocab_size=256, dim=4, window=2)),
                    METRICS)
+        (tmp_path / "label_cache.bin").unlink()  # as in a model written before it
         (tmp_path / "config.txt").write_text("pooling=mean\n")
         config, mention, _ = load_model(tmp_path / "checkpoint.bin")
         assert config == TrainConfig(pooling="mean")  # the defaults say V=65536, d=64
         assert (mention.vocab_size, mention.dim, mention.window) == (256, 4, 2)
+
+    @pytest.mark.parametrize("pooling", POOLING_METHODS)
+    def test_stored_rows_equal_build_cache_on_the_loaded_encoder(self, tmp_path, pooling):
+        task = tiny_task()
+        trainer = Trainer(task.records, small_config(pooling=pooling))
+        save_model(tmp_path, trainer, trainer.train(task.train_docs))
+        _, _, label = load_model(tmp_path / "checkpoint.bin")
+        config = small_config(pooling=pooling)
+        want = build_cache(sorted(task.records), label,
+                           tokenize_labels(verbalize_all(task.records, "title_desc"),
+                                           label.vocab_size),
+                           pooling, config.sim_spec)
+        with mock.patch.object(tm, "tokenize_labels") as tokenize:
+            _, _, cache = load_predictor(tmp_path / "checkpoint.bin", task.records)
+        tokenize.assert_not_called()  # the stored rows were used
+        assert cache.ids == want.ids
+        assert cache.matrix.tobytes() == want.matrix.tobytes()
+
+    def test_save_model_rounds_the_label_encoder_in_place(self, tmp_path):
+        task = tiny_task()
+        trainer = Trainer(task.records, small_config())
+        save_model(tmp_path, trainer, trainer.train(task.train_docs))
+        _, mention, label = load_model(tmp_path / "checkpoint.bin")
+        for name in ("table", "w_self", "w_ctx", "bias"):
+            assert getattr(trainer.label_params, name).tobytes() == getattr(label, name).tobytes()
+        # the mention encoder is left as trained
+        assert trainer.mention_params.table.tobytes() != mention.table.tobytes()
+
+    def test_save_model_allocates_no_second_table(self, tmp_path):
+        trainer = Trainer(RECORDS, TrainConfig(vocab_size=1 << 15, dim=16, window=2))
+        table_bytes = trainer.label_params.table.nbytes
+        tracemalloc.start()
+        try:
+            save_model(tmp_path, trainer, METRICS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a float32 copy of one table at a time, never a (V, d) float64 one
+        assert peak < table_bytes
+
+
+class TestZeroUpdateRuns:
+    """A run of one or more epochs that makes no loss term is an error."""
+
+    def test_no_gold_in_the_label_set(self):
+        task = tiny_task()
+        records = {f"X{i}": EntityRecord(id=f"X{i}", title=r.title)
+                   for i, r in task.records.items()}
+        n = sum(len(doc.mentions) for doc in task.train_docs)
+        trainer = Trainer(records, small_config(epochs=2))
+        with pytest.raises(ValidationError, match=f"no update in 2 epochs: {2 * n} mentions "
+                                                  f"skipped as unlinkable .*, 0 without"):
+            trainer.train(task.train_docs)
+
+    def test_in_batch_with_one_gold_per_batch(self):
+        task = tiny_task()
+        docs = [Document(id=f"d{i}", text=doc.text, mentions=doc.mentions[:1])
+                for i, doc in enumerate(task.train_docs)]
+        trainer = Trainer(task.records, small_config(neg_mode="in_batch", batch_docs=1))
+        with pytest.raises(ValidationError, match=f"0 mentions skipped as unlinkable "
+                                                  rf"\(gold not in the label set\), "
+                                                  f"{len(docs)} without a negative"):
+            trainer.train(docs)
+
+    def test_zero_lr_and_zero_epochs_stay_valid(self):
+        task = tiny_task()
+        metrics = Trainer(task.records, small_config(lr=0.0)).train(task.train_docs)
+        assert metrics[0]["loss"] > 0
+        records = {"X": EntityRecord(id="X", title="nothing")}
+        assert Trainer(records, small_config(epochs=0)).train(task.train_docs) == []
+
+
+class TestRefreshReuse:
+    def test_epoch_start_rows_are_a_full_refresh(self):
+        """With a dev corpus, an epoch after the first starts from the dev
+        evaluation's rows; they have the bits of re-encoding every label."""
+        task = tiny_task()
+        trainer = Trainer(task.records, small_config(epochs=3, refresh_interval_spans=0))
+        seen = []
+
+        def batches(*args, **kwargs):  # called right after the epoch's refresh
+            want = encode_labels(trainer.label_params, trainer.label_tokens,
+                                 trainer.cache.ids, trainer.config.pooling)
+            seen.append((trainer.cache.matrix.tobytes() == want.tobytes(),
+                         trainer.cache.dirty_writes, trainer.refreshes))
+            return make_batches(*args, **kwargs)
+
+        with mock.patch.object(tm, "full_refresh", wraps=tm.full_refresh) as refresh, \
+                mock.patch.object(tm, "make_batches", side_effect=batches):
+            metrics = trainer.train(task.train_docs, task.dev_docs)
+        assert seen == [(True, 0, 1), (True, 0, 2), (True, 0, 3)]
+        assert [row["refreshes"] for row in metrics] == [1, 2, 3]
+        # the first epoch's refresh only: the dev evaluations build their own caches
+        assert refresh.call_count == 1
