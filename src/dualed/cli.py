@@ -22,6 +22,7 @@ import numpy as np
 
 from .corpus import (
     _as_integer,
+    _check_chunkable,
     _json_kind,
     _jsonl_objects,
     load_corpus,
@@ -122,22 +123,37 @@ def cmd_verbalize(args) -> int:
     return 0
 
 
-def _load_inputs(corpus_path, labels_path, dev_path=None):
+def _load_inputs(corpus_path, labels_path, dev_path=None, max_chars=None):
     """The corpus, the label set and the optional dev corpus, read in that
     order. A mention whose gold is not in the label set stays: training
     skips it, and scoring counts it as wrong. A dev corpus needs a mention
-    to score, or the run would fail only after training."""
+    to score, or the run would fail only after training. With
+    ``max_chars``, both corpora are checked by ``_check_chunks``."""
     corpus = load_corpus(corpus_path)
     records = load_label_set(labels_path)
     dev = load_corpus(dev_path) if dev_path else None
     if dev is not None and not any(doc.mentions for doc in dev):
         raise ValidationError(f"{dev_path}: the dev corpus has no mentions to score")
+    if max_chars is not None:
+        for path, docs in ((corpus_path, corpus), (dev_path, dev or [])):
+            _check_chunks(path, docs, max_chars)
     return corpus, records, dev
+
+
+def _check_chunks(path, docs, max_chars: int) -> None:
+    """A ValidationError naming ``path`` when no chunk of ``max_chars``
+    characters could hold one of its mentions."""
+    try:
+        for doc in docs:
+            _check_chunkable(doc, max_chars)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
     config = TrainConfig.from_mapping(_config_mapping(args))
-    corpus, records, dev = _load_inputs(args.corpus, args.labels, args.dev)
+    corpus, records, dev = _load_inputs(args.corpus, args.labels, args.dev,
+                                        config.max_chars_per_chunk)
     # an empty label set fails in Trainer, naming itself
     if config.epochs and records and not any(
         m.gold_label in records for doc in corpus for m in doc.mentions
@@ -158,6 +174,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     corpus, records, _ = _load_inputs(args.corpus, args.labels)
     config, mention_params, cache = load_predictor(args.checkpoint, records)
+    _check_chunks(args.corpus, corpus, config.max_chars_per_chunk)
     allowed = target_label_set(corpus, cache) if args.restrict_to_targets else None
     preds = predict_corpus(
         corpus,
@@ -298,7 +315,8 @@ def _run_variant(task) -> float:
     mapping.update(deltas)
     mapping["seed"] = str(seed)
     config = TrainConfig.from_mapping(mapping)
-    corpus, records, dev = _load_inputs(corpus_path, labels_path, dev_path)
+    corpus, records, dev = _load_inputs(corpus_path, labels_path, dev_path,
+                                        config.max_chars_per_chunk)
     trainer = Trainer(records, config)
     trainer.train(corpus)
     return trainer.evaluate(dev)

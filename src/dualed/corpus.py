@@ -28,6 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .encoder import _TOKEN_RUN
 from .errors import ValidationError
 
 RELATION_KEYS = ("instance_of", "subclass_of", "country", "occupation")
@@ -206,6 +207,11 @@ def _parse_mention(obj: dict, text: str, doc_id: str, line_no: int) -> Mention:
             f"line {line_no}: document {doc_id!r}: mention ({start}, {end}) "
             f"outside text of length {len(text)}"
         )
+    if not _TOKEN_RUN.search(text, start, end):  # the tokenizer's own runs
+        raise ValidationError(
+            f"line {line_no}: document {doc_id!r}: mention ({start}, {end}) "
+            f"{text[start:end]!r:.40} holds no letter or digit, so it covers no token"
+        )
     return Mention(start=start, end=end, gold_label=label, surface=text[start:end])
 
 
@@ -213,9 +219,10 @@ def load_corpus(path: str | Path) -> list[Document]:
     """Load and fully validate a JSONL corpus.
 
     Returns documents in file order. Mentions are normalized to
-    ascending start order; overlapping mentions, bad offsets, duplicate
-    document ids, and malformed JSON all raise ValidationError naming the
-    file and the offending line.
+    ascending start order; overlapping mentions, bad offsets, a mention
+    without a letter or digit (it covers no token), duplicate document
+    ids, and malformed JSON all raise ValidationError naming the file and
+    the offending line.
     """
     docs: list[Document] = []
     seen_ids: set[str] = set()
@@ -250,8 +257,9 @@ def load_corpus(path: str | Path) -> list[Document]:
 def load_label_set(path: str | Path) -> dict[str, EntityRecord]:
     """Load a JSONL label set keyed by entity id.
 
-    Duplicate ids and unknown category relation keys are rejected, with a
-    ValidationError naming the file.
+    Duplicate ids, unknown category relation keys and a title without a
+    letter or digit (it has no token) are rejected, with a ValidationError
+    naming the file.
     """
     records: dict[str, EntityRecord] = {}
     first_line: dict[str, int] = {}
@@ -262,6 +270,10 @@ def load_label_set(path: str | Path) -> dict[str, EntityRecord]:
             title = _string(obj, "title", where)
             if not title:
                 raise ValidationError(f"{where}: empty title")
+            if not _TOKEN_RUN.search(title):
+                raise ValidationError(
+                    f"{where}: title {title!r:.40} holds no letter or digit, so it has no token"
+                )
             if rec_id in records:
                 raise ValidationError(
                     f"duplicate entity id {rec_id!r} on lines "
@@ -293,6 +305,17 @@ def load_label_set(path: str | Path) -> dict[str, EntityRecord]:
     return records
 
 
+def _check_chunkable(doc: Document, max_chars: int) -> None:
+    """A ValidationError when a mention of ``doc`` is longer than
+    ``max_chars``, since no chunk could hold it."""
+    for m in doc.mentions:
+        if m.end - m.start > max_chars:
+            raise ValidationError(
+                f"document {doc.id!r}: mention ({m.start}, {m.end}) is longer "
+                f"than max_chars_per_chunk={max_chars}; cannot chunk"
+            )
+
+
 def chunk_document(doc: Document, max_mentions: int, max_chars: int) -> list[Chunk]:
     """Split a document into chunks of at most max_mentions / max_chars.
 
@@ -305,12 +328,7 @@ def chunk_document(doc: Document, max_mentions: int, max_chars: int) -> list[Chu
     """
     if max_mentions < 1 or max_chars < 1:
         raise ValidationError("chunk limits must be >= 1")
-    for m in doc.mentions:
-        if m.end - m.start > max_chars:
-            raise ValidationError(
-                f"document {doc.id!r}: mention ({m.start}, {m.end}) is longer "
-                f"than max_chars={max_chars}; cannot chunk"
-            )
+    _check_chunkable(doc, max_chars)
 
     text, mentions = doc.text, doc.mentions
     n = len(text)

@@ -6,8 +6,10 @@ most confident predictions get their label's description (or title)
 inserted in parentheses right after the mention, the modified text is
 re-encoded, and everything is re-predicted — stored predictions are
 only overwritten by a strictly higher score. Each round commits
-ceil(total_mentions / 3) of the still-unresolved mentions, so the loop
-always terminates.
+ceil(total_mentions / 3) of the mentions still without an insertion, so
+the loop always terminates. The working text is never stored:
+``PredictionState.render`` builds it from the chunk's text and the
+insertions its slots record, here and in iterative training alike.
 
 Both modes take a batch of chunks: ``predict_chunks`` (one-shot) and
 ``iterate_chunks`` (iterative, the rounds of all chunks in lockstep)
@@ -21,8 +23,8 @@ bits of predicting each chunk, and each of its mentions, alone.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,63 +43,52 @@ def insertion_text(record: EntityRecord) -> str:
 @dataclass
 class MentionSlot:
     mention: Mention
-    span: tuple[int, int]          # current offsets into working_text
     predicted_id: str | None = None
     score: float = -math.inf
-    resolved: bool = False
+    inserted: str | None = None    # the text inside the parenthetical after the mention
 
 
 @dataclass
 class PredictionState:
-    """Per-document working text with insertion and offset bookkeeping."""
+    """A chunk's own text and one slot per mention, in mention order (the
+    mentions ascending and not overlapping, as ``chunk_document`` gives
+    them); ``render`` builds the working text from them."""
 
-    working_text: str
+    text: str
     slots: list[MentionSlot]
-    inserted_spans: list[tuple[int, int]] = field(default_factory=list)
 
     @classmethod
     def for_document(cls, doc: Document | Chunk) -> "PredictionState":
-        return cls(
-            working_text=doc.text,
-            slots=[MentionSlot(mention=m, span=(m.start, m.end)) for m in doc.mentions],
-        )
+        return cls(text=doc.text, slots=[MentionSlot(mention=m) for m in doc.mentions])
 
-    def strip_insertions(self) -> str:
-        """Working text with every inserted parenthetical removed."""
-        out = []
-        pos = 0
-        for s, length in sorted(self.inserted_spans):
-            out.append(self.working_text[pos:s])
-            pos = s + length
-        out.append(self.working_text[pos:])
-        return "".join(out)
+    def render(self) -> tuple[str, list[tuple[int, int]]]:
+        """The working text, with " (inserted)" right after every mention
+        that has an insertion, and every mention's span in it, in slot order."""
+        parts, spans = [], []
+        pos = shift = 0  # text[:pos] is in parts, followed by shift inserted characters
+        for slot in self.slots:
+            m = slot.mention
+            spans.append((m.start + shift, m.end + shift))
+            if slot.inserted is not None:
+                inserted = f" ({slot.inserted})"
+                parts += (self.text[pos:m.end], inserted)
+                pos = m.end
+                shift += len(inserted)
+        parts.append(self.text[pos:])
+        return "".join(parts), spans
 
 
 def insert_verbalization(
     state: PredictionState, slot_index: int, text: str
 ) -> PredictionState:
-    """Insert " (text)" right after a mention and mark it resolved.
-
-    All downstream offsets (mention spans and earlier insertions) shift
-    by the insertion length. Inserting twice on one mention is an error.
-    """
+    """Record " (text)" as inserted right after a mention; ``render`` places
+    it. Inserting twice on one mention is an error."""
     slot = state.slots[slot_index]
-    if slot.resolved:
+    if slot.inserted is not None:
         raise ValidationError(
             f"mention ({slot.mention.start}, {slot.mention.end}) already has an insertion"
         )
-    inserted = f" ({text})"
-    pos = slot.span[1]
-    state.working_text = state.working_text[:pos] + inserted + state.working_text[pos:]
-    shift = len(inserted)
-    for other in state.slots:
-        if other.span[0] >= pos:
-            other.span = (other.span[0] + shift, other.span[1] + shift)
-    state.inserted_spans = [
-        (s + shift, n) if s >= pos else (s, n) for s, n in state.inserted_spans
-    ]
-    state.inserted_spans.append((pos, shift))
-    slot.resolved = True
+    slot.inserted = text
     return state
 
 
@@ -113,7 +104,7 @@ class DocumentPrediction:
     predictions: list[MentionPrediction]
     first_pass: list[MentionPrediction]
     iterations: int
-    state: PredictionState | None = None  # final working text, iterative mode
+    state: PredictionState | None = None  # text and final insertions, iterative mode
 
 
 # Mentions per window of chunks that prediction encodes and scores at once,
@@ -124,8 +115,8 @@ _SCORE_BLOCK = 64
 
 
 def _score_spans(
-    texts: list[str],
-    spans: list[list[tuple[int, int]]],
+    texts: Sequence[str],
+    spans: Sequence[list[tuple[int, int]]],
     mention_params: EncoderParams,
     cache: LabelCache,
     rows: np.ndarray | None,
@@ -179,9 +170,9 @@ def iterate_chunks(
     """Insert-and-repredict every chunk until each mention carries an insertion.
 
     Per round: re-encode the working text, re-predict every mention
-    (resolved ones too, since their context has changed) keeping the
-    higher-scoring prediction, then insert verbalizations for the
-    top-scoring third of the mentions among those still unresolved.
+    (those with an insertion too, since their context has changed)
+    keeping the higher-scoring prediction, then insert verbalizations for
+    the top-scoring third of the mentions among those still without one.
     ``rows`` is as for ``predict_chunks``. The rounds of all chunks run in
     lockstep: each round re-encodes and re-scores every chunk still
     active in one ``_score_spans`` pass, then each chunk updates its slots
@@ -193,11 +184,8 @@ def iterate_chunks(
     iterations = [0] * len(chunks)
     active = [i for i, state in enumerate(states) if state.slots]
     while active:
-        picks = iter(_score_spans(
-            [states[i].working_text for i in active],
-            [[slot.span for slot in states[i].slots] for i in active],
-            mention_params, cache, rows,
-        ))
+        texts, spans = zip(*(states[i].render() for i in active))
+        picks = iter(_score_spans(texts, spans, mention_params, cache, rows))
         still_active = []
         for i in active:
             state = states[i]
@@ -224,12 +212,13 @@ def iterate_chunks(
 
 
 def _insert_round(state: PredictionState, records: dict[str, EntityRecord]) -> bool:
-    """Insert verbalizations for the top-scoring ceil(n/3) unresolved mentions.
+    """Insert verbalizations for the top-scoring ceil(n/3) mentions that
+    have none yet.
 
     Order is descending score, ties to the earlier mention; insertions
-    are made left to right. Returns whether an unresolved mention is left.
+    are made left to right. Returns whether a mention without one is left.
     """
-    unresolved = [i for i, s in enumerate(state.slots) if not s.resolved]
+    unresolved = [i for i, s in enumerate(state.slots) if s.inserted is None]
     if not unresolved:
         return False
     per_round = math.ceil(len(state.slots) / 3)
@@ -237,7 +226,7 @@ def _insert_round(state: PredictionState, records: dict[str, EntityRecord]) -> b
     for i in sorted(unresolved[:per_round]):
         slot = state.slots[i]
         insert_verbalization(state, i, insertion_text(records[slot.predicted_id]))
-    return not all(s.resolved for s in state.slots)
+    return any(s.inserted is None for s in state.slots)
 
 
 @dataclass

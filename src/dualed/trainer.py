@@ -315,6 +315,8 @@ def _stored_rows(config_path: Path, config: TrainConfig, label_key: bytes):
         ):
             raise ValidationError(f"{path}: its ids or row width contradict its header")
         rows = np.frombuffer(fh.read(8 * n * width), dtype="<f8").reshape(n, width)
+    if not np.isfinite(rows).all():
+        raise ValidationError(f"{path}: a stored label row holds NaN or infinity")
     return l_key, ids, rows.astype(np.float64)
 
 
@@ -379,14 +381,6 @@ def dynamic_negative_count(batch_mentions: int, neg_budget: int) -> int:
 # ── iterative-training insertions ────────────────────────────────────────────
 
 
-@dataclass
-class PreparedChunk:
-    """A chunk as the encoder will see it in this step."""
-
-    text: str
-    spans: list[tuple[int, int]]  # mention offsets into text, mention order
-
-
 def apply_iterative_insertions(
     batch: list[Chunk],
     records: dict[str, EntityRecord],
@@ -394,7 +388,7 @@ def apply_iterative_insertions(
     processed_spans: int,
     rng: np.random.Generator,
     predict_fn,
-) -> tuple[list[PreparedChunk], set[tuple[int, int]]]:
+) -> list[PredictionState]:
     """Insert label descriptions for a sampled subset of each chunk's mentions.
 
     Before the span-count switch the gold label is inserted (each
@@ -403,8 +397,8 @@ def apply_iterative_insertions(
     inserted instead, and only where its score beats the batch median.
     ``predict_fn`` maps the batch to one prediction list per chunk, in
     mention order (``predictor.predict_chunks``); it is called once, and
-    only after the switch. Returns the prepared texts plus the set of
-    (chunk index, mention index) pairs whose loss terms must be dropped.
+    only after the switch. Returns one state per chunk; the loss terms of
+    the mentions whose slot holds an insertion must be dropped.
     """
     use_predictions = processed_spans >= config.switch_after_spans
     sorted_ids = sorted(records)
@@ -416,10 +410,8 @@ def apply_iterative_insertions(
         scores = [p.score for preds in batch_preds for p in preds]
         median = float(np.median(scores)) if scores else math.inf
 
-    prepared: list[PreparedChunk] = []
-    excluded: set[tuple[int, int]] = set()
-    for ci, chunk in enumerate(batch):
-        state = PredictionState.for_document(chunk)
+    states = [PredictionState.for_document(chunk) for chunk in batch]
+    for ci, (chunk, state) in enumerate(zip(batch, states)):
         eligible = [mi for mi, m in enumerate(chunk.mentions) if m.gold_label in records]
         if eligible:
             n_insert = min(math.ceil(config.insert_fraction * len(chunk.mentions)),
@@ -436,13 +428,8 @@ def apply_iterative_insertions(
                     label_id = chunk.mentions[mi].gold_label
                     if config.corrupt_rate > 0 and rng.random() < config.corrupt_rate:
                         label_id = _random_wrong_label(sorted_ids, label_id, rng)
-                state.slots[mi].predicted_id = label_id
                 insert_verbalization(state, mi, insertion_text(records[label_id]))
-                excluded.add((ci, mi))
-        prepared.append(
-            PreparedChunk(text=state.working_text, spans=[s.span for s in state.slots])
-        )
-    return prepared, excluded
+    return states
 
 
 def _random_wrong_label(sorted_ids: list[str], gold: str, rng: np.random.Generator) -> str:
@@ -497,12 +484,15 @@ class Trainer:
         self.refreshes += 1
 
     def _interval_refreshes(self, before: int, after: int) -> int:
+        """Count every refresh boundary crossed between the two span
+        positions; with no update between them, the labels are encoded once."""
         interval = self.config.refresh_interval_spans
         if not interval:
             return 0
         fires = after // interval - before // interval
-        for _ in range(fires):
+        if fires:
             self.refresh_cache()
+            self.refreshes += fires - 1
         return fires
 
     # -- one batch --
@@ -510,9 +500,9 @@ class Trainer:
     def train_step(self, batch: list[Chunk]) -> StepStats:
         """One update from one batch, in five phases.
 
-        1. Tokenize the chunks that have mentions and locate the anchored
-           mentions (linkable and not excluded); one ``encode_spans``
-           call gives their anchors.
+        1. Render and tokenize the chunks that have mentions and locate
+           the anchored mentions (linkable and without an insertion); one
+           ``encode_spans`` call gives their anchors.
         2. Each anchor's negatives, in mention order.
         3. One grouped forward of the step's labels, in first-use order
            (per mention: the gold, then its negatives).
@@ -524,7 +514,7 @@ class Trainer:
         batch_mentions = sum(len(c.mentions) for c in batch)
 
         if config.iterative and batch_mentions:
-            prepared, excluded = apply_iterative_insertions(
+            states = apply_iterative_insertions(
                 batch,
                 self.records,
                 config,
@@ -533,11 +523,7 @@ class Trainer:
                 lambda chunks: predict_chunks(chunks, self.mention_params, self.cache),
             )
         else:
-            prepared = [
-                PreparedChunk(c.text, [(m.start, m.end) for m in c.mentions])
-                for c in batch
-            ]
-            excluded = set()
+            states = [PredictionState.for_document(c) for c in batch]
 
         if config.neg_count == DYNAMIC:
             k = dynamic_negative_count(max(batch_mentions, 1), config.neg_budget)
@@ -549,20 +535,24 @@ class Trainer:
 
         # 1. anchors
         seqs, ranges, golds = [], [], []
+        excluded: set[tuple[int, int]] = set()
         skipped = 0
-        for ci, (chunk, prep) in enumerate(zip(batch, prepared)):
-            if not chunk.mentions:
+        for ci, state in enumerate(states):
+            if not state.slots:
                 continue
-            seq = tokenize(prep.text, self.mention_params.vocab_size)
-            spans = []
-            for mi, mention in enumerate(chunk.mentions):
-                if mention.gold_label not in self.records:
+            text, spans = state.render()
+            seq = tokenize(text, self.mention_params.vocab_size)
+            chunk_ranges = []
+            for mi, (slot, span) in enumerate(zip(state.slots, spans)):
+                if slot.mention.gold_label not in self.records:
                     skipped += 1
-                elif (ci, mi) not in excluded:
-                    spans.append(token_range(seq, prep.spans[mi]))
-                    golds.append(mention.gold_label)
+                elif slot.inserted is not None:
+                    excluded.add((ci, mi))
+                else:
+                    chunk_ranges.append(token_range(seq, span))
+                    golds.append(slot.mention.gold_label)
             seqs.append(seq)
-            ranges.append(spans)
+            ranges.append(chunk_ranges)
         anchors = encode_spans(seqs, ranges, self.mention_params, config.pooling)
 
         # 2. negatives

@@ -2,11 +2,12 @@
 
 These are the straightforward forms the library no longer runs: the
 per-sequence encoder forward and backward, the token-range scan, the
-training step that encodes one label at a time, prediction one chunk
-and one mention at a time, the scalar similarity and the forward-only
-losses. Library results must match them bit for bit (encoder, token
-range, training step, prediction) or to the stated tolerance
-(similarities, loss values).
+working text spliced one insertion at a time, the training step that
+encodes one label at a time, prediction one chunk and one mention at a
+time, the scalar similarity and the forward-only losses. Library results
+must match them bit for bit (encoder, token range, working text,
+training step, prediction) or to the stated tolerance (similarities,
+loss values).
 """
 
 import math
@@ -38,7 +39,6 @@ from dualed.predictor import (
     DocumentPrediction,
     MentionPrediction,
     PredictionState,
-    insert_verbalization,
     insertion_text,
 )
 
@@ -107,6 +107,48 @@ def token_range_scan(seq, char_span):
     return lo, hi
 
 
+# ── the working text, spliced one insertion at a time ───────────────────────
+
+
+class SplicedText:
+    """A chunk's working text, spliced in place at each insertion: every
+    mention span and earlier insertion at or after the splice point shifts
+    by the inserted length."""
+
+    def __init__(self, text, mentions):
+        self.text = text
+        self.spans = [(m.start, m.end) for m in mentions]
+        self.inserted = []  # (start, length) of each insertion in self.text
+
+    def insert(self, index, text):
+        """Splice " (text)" right after mention ``index``."""
+        inserted = f" ({text})"
+        pos = self.spans[index][1]
+        self.text = self.text[:pos] + inserted + self.text[pos:]
+        shift = len(inserted)
+        self.spans = [(s + shift, e + shift) if s >= pos else (s, e) for s, e in self.spans]
+        self.inserted = [(s + shift, n) if s >= pos else (s, n) for s, n in self.inserted]
+        self.inserted.append((pos, shift))
+
+    def strip(self):
+        """The working text with every insertion cut out again."""
+        out, pos = [], 0
+        for s, length in sorted(self.inserted):
+            out.append(self.text[pos:s])
+            pos = s + length
+        out.append(self.text[pos:])
+        return "".join(out)
+
+
+def spliced(state):
+    """``state``'s insertions spliced, in slot order, into its own text."""
+    text = SplicedText(state.text, [slot.mention for slot in state.slots])
+    for i, slot in enumerate(state.slots):
+        if slot.inserted is not None:
+            text.insert(i, slot.inserted)
+    return text
+
+
 # ── the training step, one label at a time ───────────────────────────────────
 
 
@@ -152,15 +194,16 @@ def train_step_per_label(trainer, batch):
     config = trainer.config
     batch_mentions = sum(len(c.mentions) for c in batch)
     if config.iterative and batch_mentions:
-        prepared, excluded = tm.apply_iterative_insertions(
+        states = tm.apply_iterative_insertions(
             batch, trainer.records, config, trainer.processed_spans, trainer.rng,
             lambda chunks: [predict_document_one(c, trainer.mention_params, trainer.cache)
                             for c in chunks],
         )
     else:
-        prepared = [tm.PreparedChunk(c.text, [(m.start, m.end) for m in c.mentions])
-                    for c in batch]
-        excluded = set()
+        states = [PredictionState.for_document(c) for c in batch]
+    prepared = [spliced(state) for state in states]
+    excluded = {(ci, mi) for ci, state in enumerate(states)
+                for mi, slot in enumerate(state.slots) if slot.inserted is not None}
     if config.neg_count == tm.DYNAMIC:
         k = tm.dynamic_negative_count(max(batch_mentions, 1), config.neg_budget)
     else:
@@ -278,36 +321,35 @@ def predict_document_one(doc, mention_params, cache, rows=None):
 
 def predict_iterative_one(doc, mention_params, cache, records, rows=None):
     """Insert-and-repredict of one chunk on its own, round by round, over
-    the ascending cache ``rows`` (every row when None)."""
-    state = PredictionState.for_document(doc)
-    total = len(state.slots)
+    the ascending cache ``rows`` (every row when None). The working text
+    is spliced at each insertion, and the result's ``state`` is that
+    ``SplicedText``."""
+    text = SplicedText(doc.text, doc.mentions)
+    total = len(doc.mentions)
     if total == 0:
-        return DocumentPrediction([], [], 0, state)
+        return DocumentPrediction([], [], 0, text)
     per_round = math.ceil(total / 3)
+    picks = [(None, -math.inf)] * total
+    resolved = [False] * total
     first_pass = []
     iterations = 0
     while True:
         iterations += 1
-        spans = [slot.span for slot in state.slots]
-        predictions = nearest_labels_one(state.working_text, spans, mention_params,
-                                         cache, rows)
-        for slot, (label_id, score) in zip(state.slots, predictions):
-            if score > slot.score:
-                slot.predicted_id, slot.score = label_id, score
+        predictions = nearest_labels_one(text.text, text.spans, mention_params, cache, rows)
+        picks = [new if new[1] > old[1] else old for old, new in zip(picks, predictions)]
         if iterations == 1:
-            first_pass = [MentionPrediction(s.mention, s.predicted_id, s.score)
-                          for s in state.slots]
-        unresolved = [i for i, s in enumerate(state.slots) if not s.resolved]
+            first_pass = [MentionPrediction(m, *pick) for m, pick in zip(doc.mentions, picks)]
+        unresolved = [i for i in range(total) if not resolved[i]]
         if not unresolved:
             break
-        unresolved.sort(key=lambda i: (-state.slots[i].score, i))
+        unresolved.sort(key=lambda i: (-picks[i][1], i))
         for i in sorted(unresolved[:per_round]):
-            slot = state.slots[i]
-            insert_verbalization(state, i, insertion_text(records[slot.predicted_id]))
-        if all(s.resolved for s in state.slots):
+            text.insert(i, insertion_text(records[picks[i][0]]))
+            resolved[i] = True
+        if all(resolved):
             break
-    final = [MentionPrediction(s.mention, s.predicted_id, s.score) for s in state.slots]
-    return DocumentPrediction(final, first_pass, iterations, state)
+    final = [MentionPrediction(m, *pick) for m, pick in zip(doc.mentions, picks)]
+    return DocumentPrediction(final, first_pass, iterations, text)
 
 
 def predict_corpus_one(docs, mention_params, cache, records=None, limits=(100, 2800),

@@ -33,7 +33,7 @@ from dualed.predictor import iterate_chunks, predict_chunks, target_label_set
 from dualed.synthetic import make_task, write_corpus_file, write_label_file
 from dualed.trainer import TrainConfig, Trainer
 from dualed.verbalizer import truncate_soft, verbalize, verbalize_all
-from oracles import loss_value, similarity
+from oracles import loss_value, similarity, spliced
 from test_encoder import token_backward, token_vectors
 
 SEEDS = (0, 1, 2)
@@ -320,7 +320,9 @@ def test_criterion_6_iterative_invariants():
         assert 1 <= result.iterations <= len(doc.mentions)
         for first, last in zip(result.first_pass, result.predictions):
             assert last.score >= first.score  # monotone stored scores
-        assert result.state.strip_insertions() == doc.text  # text integrity
+        splice = spliced(result.state)  # text integrity
+        assert result.state.render() == (splice.text, splice.spans)
+        assert splice.strip() == doc.text
         if len(doc.mentions) == 1:
             assert result.predictions[0].predicted_id == one_shot[0].predicted_id
             assert result.predictions[0].score == one_shot[0].score

@@ -1,7 +1,11 @@
 """End-to-end checks of every subcommand on a small synthetic task."""
 
+import contextlib
+import io
 import json
 import struct
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 from dualed import cli
 from dualed import trainer as tm
 from dualed.cli import main
-from dualed.corpus import load_corpus, load_label_set
+from dualed.corpus import Document, EntityRecord, Mention, load_corpus, load_label_set
 from dualed.encoder import EncoderParams, load_checkpoint, save_checkpoint
 from dualed.errors import ValidationError
 from dualed.predictor import predict_corpus, target_label_set
@@ -385,6 +389,8 @@ class TestStoredLabelCache:
         pytest.param(lambda b: b + b"\0", id="appended-byte"),
         pytest.param(lambda b: b[:102] + struct.pack("<I", 13) + b[106:], id="row-count"),
         pytest.param(lambda b: b[:118] + b"{" + b[119:], id="ids-not-json"),
+        pytest.param(lambda b: b[:-8] + struct.pack("<d", float("nan")), id="nan-row"),
+        pytest.param(lambda b: b[:-16] + struct.pack("<d", -np.inf) + b[-8:], id="inf-row"),
     ])
     def test_a_malformed_file_is_validation_error(self, workspace, model, tmp_path, capsys,
                                                   damage):
@@ -417,6 +423,133 @@ class TestTrainWithoutUpdates:
         assert run("train", "--corpus", workspace / "train.jsonl", "--labels", labels,
                    "--config", workspace / "config.txt", "--epochs", "0",
                    "--out", tmp_path / "run") == 0
+
+
+class TestInputsThatCannotTrain:
+    """A mention or title without a token, or a mention no chunk can hold,
+    fails before training, naming its file; ``train`` leaves no --out."""
+
+    LONG = "a" * 2801  # longer than the default max_chars_per_chunk
+
+    @pytest.mark.parametrize("flag, row, message", [
+        pytest.param("--corpus", {"id": "d", "text": "alpha -- beta", "mentions": [
+            {"start": 6, "end": 8, "label": "E00"}]},
+            "line 1: document 'd': mention (6, 8) '--' holds no letter or digit",
+            id="mention-without-token"),
+        pytest.param("--labels", {"id": "E00", "title": "!!!"},
+                     "line 1: entity 'E00': title '!!!' holds no letter or digit",
+                     id="title-without-token"),
+        pytest.param("--corpus", {"id": "d", "text": LONG, "mentions": [
+            {"start": 0, "end": 2801, "label": "E00"}]},
+            "document 'd': mention (0, 2801) is longer than max_chars_per_chunk=2800",
+            id="corpus-mention-longer-than-a-chunk"),
+        pytest.param("--dev", {"id": "d", "text": LONG, "mentions": [
+            {"start": 0, "end": 2801, "label": "E00"}]},
+            "document 'd': mention (0, 2801) is longer than max_chars_per_chunk=2800",
+            id="dev-mention-longer-than-a-chunk"),
+    ])
+    def test_train_fails_before_out(self, workspace, tmp_path, capsys, flag, row, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(row) + "\n")
+        argv = {"--corpus": workspace / "train.jsonl", "--dev": workspace / "dev.jsonl",
+                "--labels": workspace / "labels.jsonl", flag: bad}
+        with mock.patch.object(cli.Trainer, "train") as train:
+            code = run("train", *(arg for pair in argv.items() for arg in pair),
+                       "--config", workspace / "config.txt", "--out", tmp_path / "run")
+        assert code == 1
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        train.assert_not_called()
+        assert not (tmp_path / "run").exists()
+
+    def test_ablate_names_the_dev_corpus_of_a_mention_longer_than_a_chunk(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("VERBALIZED_THREADS", "1")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"id": "d", "text": self.LONG, "mentions": [
+            {"start": 0, "end": 2801, "label": "E00"}]}) + "\n")
+        with mock.patch.object(cli.Trainer, "train") as train:
+            code = run("ablate", "--axis", "pooling", "--seeds", "0",
+                       "--corpus", workspace / "train.jsonl",
+                       "--labels", workspace / "labels.jsonl", "--dev", bad)
+        assert code == 1
+        assert f"error: {bad}: document 'd': mention (0, 2801)" in capsys.readouterr().err
+        train.assert_not_called()
+
+    def test_predict_names_the_corpus_of_a_mention_longer_than_a_chunk(
+        self, workspace, tmp_path, capsys
+    ):
+        assert run("train", "--corpus", workspace / "train.jsonl",
+                   "--labels", workspace / "labels.jsonl", "--config", workspace / "config.txt",
+                   "--epochs", "1", "--max-chars-per-chunk", "40", "--out", tmp_path / "run") == 0
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"id": "d", "text": "a" * 41, "mentions": [
+            {"start": 0, "end": 41, "label": "E00"}]}) + "\n")
+        code = run("predict", "--corpus", bad, "--labels", workspace / "labels.jsonl",
+                   "--checkpoint", tmp_path / "run" / "checkpoint.bin",
+                   "--out", tmp_path / "x.jsonl")
+        assert code == 1
+        assert (f"error: {bad}: document 'd': mention (0, 41) is longer than "
+                f"max_chars_per_chunk=40") in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+
+@st.composite
+def small_inputs(draw):
+    """One to three documents of short words and one to four labels; a word
+    or a title may hold no letter or digit, and the chunks may be too short
+    for a mention."""
+    records = {f"E{i}": EntityRecord(
+        id=f"E{i}", title=draw(st.sampled_from(["a", "b é", "ab!", "ba", "é a", "!!"])),
+        description=draw(st.sampled_from([None, "ba", "?"]))
+    ) for i in range(draw(st.integers(1, 4)))}
+    word = st.sampled_from(["ab", "bé", "a-b", "éa", "ba", "b", "aé", "--"])
+    gold = st.sampled_from(sorted(records) + ["X"])
+    docs = []
+    for i in range(draw(st.integers(1, 3))):
+        words = draw(st.lists(word, min_size=1, max_size=6))
+        mentions, pos = [], 0
+        for w in words:
+            if draw(st.sampled_from([True, True, False])):
+                mentions.append(Mention(pos, pos + len(w), draw(gold), w))
+            pos += len(w) + 1
+        docs.append(Document(f"d{i}", " ".join(words), mentions))
+    config = {"epochs": 1, "vocab_size": 256, "dim": 4, "window": 2, "neg_count": 1,
+              "batch_docs": 2, "refresh_interval_spans": 3, "verbalization": "title_desc",
+              "max_chars_per_chunk": draw(st.integers(2, 40)),
+              "neg_mode": draw(st.sampled_from(["hard", "in_batch"])),
+              "iterative": draw(st.booleans()), "switch_after_spans": 2}
+    return docs, records, config
+
+
+class TestInputsLoadOrRun:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=small_inputs())
+    def test_loading_fails_naming_the_file_or_every_command_runs(self, inputs):
+        """Either loading fails with a validation error naming the file, or
+        training and all three predict modes finish. The one exception is a
+        run that makes no update."""
+        docs, records, config = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            corpus, labels, out = root / "corpus.jsonl", root / "labels.jsonl", root / "run"
+            write_corpus_file(docs, corpus)
+            write_label_file(records, labels)
+            (root / "config.txt").write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("train", "--corpus", corpus, "--labels", labels,
+                           "--config", root / "config.txt", "--out", out)
+            if code:
+                assert code == 1
+                assert (err.getvalue().startswith((f"error: {corpus}: ", f"error: {labels}: "))
+                        or "training made no update" in err.getvalue()), err.getvalue()
+                assert "training made no update" in err.getvalue() or not out.exists()
+                return
+            for extra in MODES.values():
+                assert run("predict", "--corpus", corpus, "--labels", labels,
+                           "--checkpoint", out / "checkpoint.bin",
+                           "--out", root / "pred.jsonl", *extra) == 0
 
 
 def save_unchecked(path, mention, label):

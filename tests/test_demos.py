@@ -69,7 +69,7 @@ EXPECTED = {
         "  'aaa': Label_A == Label_A  (score -0.000 -> -0.000)\n"
         "  'bbb': Label_One -> Label_Two  (score -0.050 -> -0.000)\n"
         "\n"
-        "stripping insertions restores the input: True\n"
+        "mention spans in the enriched text: [(0, 3), (18, 21)]\n"
     ),
 }
 

@@ -25,7 +25,12 @@ from dualed.predictor import (
 from dualed.synthetic import make_task
 from dualed.trainer import TrainConfig
 from dualed.verbalizer import verbalize_all
-from oracles import predict_corpus_one, predict_document_one, predict_iterative_one
+from oracles import (
+    SplicedText,
+    predict_corpus_one,
+    predict_document_one,
+    predict_iterative_one,
+)
 from strategies import documents
 
 LIMITS = TrainConfig().limits
@@ -53,9 +58,10 @@ class TestInsertVerbalization:
         doc = doc_with("Peggy Olson is awesome", [(0, 11, "Peggy_Olson")])
         state = PredictionState.for_document(doc)
         insert_verbalization(state, 0, "fictional character from Mad Men")
-        assert state.working_text == (
-            "Peggy Olson (fictional character from Mad Men) is awesome"
+        assert state.render() == (
+            "Peggy Olson (fictional character from Mad Men) is awesome", [(0, 11)]
         )
+        assert state.text == doc.text
 
     def test_title_fallback_without_description(self):
         rec = EntityRecord(id="John_Major", title="John Major")
@@ -68,11 +74,11 @@ class TestInsertVerbalization:
         state = PredictionState.for_document(doc)
         insert_verbalization(state, 0, "left")
         # " (left)" is 7 chars; the right mention moved by that much
-        assert state.slots[1].span == (14, 16)
-        s, e = state.slots[1].span
-        assert state.working_text[s:e] == "bb"
+        text, spans = state.render()
+        assert spans == [(0, 2), (14, 16)]
+        assert text[14:16] == "bb"
         insert_verbalization(state, 1, "right")
-        assert state.working_text == "aa (left) and bb (right) end"
+        assert state.render() == ("aa (left) and bb (right) end", [(0, 2), (14, 16)])
 
     def test_double_insertion_rejected(self):
         doc = doc_with("aa bb", [(0, 2, "A")])
@@ -81,28 +87,32 @@ class TestInsertVerbalization:
         with pytest.raises(ValidationError):
             insert_verbalization(state, 0, "y")
 
-    def test_strip_restores_original(self):
-        doc = doc_with("aa and bb and cc", [(0, 2, "A"), (7, 9, "B"), (14, 16, "C")])
-        state = PredictionState.for_document(doc)
-        insert_verbalization(state, 1, "middle first")
-        insert_verbalization(state, 0, "then left")
-        insert_verbalization(state, 2, "then right")
-        assert state.strip_insertions() == doc.text
-
-
     @settings(max_examples=400, deadline=None)
-    @given(doc=documents(alphabet="ab ()"), data=st.data())
-    def test_offsets_property(self, doc, data):
+    @given(doc=documents(alphabet="aé𝔸 \n()"), data=st.data())
+    def test_render_matches_the_splice(self, doc, data):
+        """Random insertion orders, adjacent mentions, mentions that end
+        inside a token, non-ASCII text: render equals splicing each
+        insertion into the text, every working span selects its mention's
+        surface, and cutting each insertion out gives back the text."""
         state = PredictionState.for_document(doc)
+        splice = SplicedText(doc.text, doc.mentions)
         order = data.draw(st.permutations(range(len(doc.mentions))))
         count = data.draw(st.integers(0, len(order)))
         for slot_index in order[:count]:
-            insert_verbalization(state, slot_index, data.draw(st.text(max_size=8)))
-            for slot in state.slots:
-                s, e = slot.span
-                assert state.working_text[s:e] == slot.mention.surface
-            assert state.strip_insertions() == doc.text
-        assert [slot.resolved for slot in state.slots] == [
+            inserted = data.draw(st.text(alphabet="aé𝔸 ()", max_size=8))
+            insert_verbalization(state, slot_index, inserted)
+            splice.insert(slot_index, inserted)
+            text, spans = state.render()
+            assert (text, spans) == (splice.text, splice.spans)
+            for m, (s, e) in zip(doc.mentions, spans):
+                assert text[s:e] == m.surface
+            for slot, (_, e) in reversed(list(zip(state.slots, spans))):
+                if slot.inserted is not None:
+                    cut = f" ({slot.inserted})"
+                    assert text[e:e + len(cut)] == cut
+                    text = text[:e] + text[e + len(cut):]
+            assert text == doc.text == splice.strip()
+        assert [slot.inserted is not None for slot in state.slots] == [
             i in order[:count] for i in range(len(doc.mentions))
         ]
 
@@ -338,7 +348,7 @@ class TestWindowedPredictionMatchesPerChunkOracle:
                 [got] = iterate_chunks([doc], params, cache, records, rows)
                 want = predict_iterative_one(doc, params, cache, records, rows)
                 assert got.iterations == want.iterations
-                assert got.state.working_text == want.state.working_text
+                assert got.state.render() == (want.state.text, want.state.spans)
                 for a, b in ((got.predictions, want.predictions),
                              (got.first_pass, want.first_pass)):
                     assert [(p.predicted_id, p.score.hex()) for p in a] == [

@@ -37,12 +37,12 @@ TRACED = {
     ],
     "predictor": [
         "CorpusPredictions", "DocumentPrediction", "MentionPrediction", "MentionSlot",
-        "PredictionState", "PredictionState.strip_insertions", "insert_verbalization",
+        "PredictionState", "PredictionState.render", "insert_verbalization",
         "insertion_text", "iterate_chunks", "predict_chunks", "predict_corpus",
         "target_label_set",
     ],
     "trainer": [
-        "PreparedChunk", "StepStats", "TrainConfig", "TrainConfig.to_mapping",
+        "StepStats", "TrainConfig", "TrainConfig.to_mapping",
         "Trainer", "Trainer.eval_cache", "Trainer.evaluate", "Trainer.refresh_cache",
         "Trainer.train", "Trainer.train_step", "apply_iterative_insertions",
         "dynamic_negative_count", "load_model", "load_predictor", "make_batches",

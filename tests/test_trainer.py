@@ -389,6 +389,11 @@ class TestLossDecrease:
         assert last < first, f"{loss}/{sim}: {first} -> {last}"
 
 
+def inserted(state):
+    """The indices of the mentions whose slot holds an insertion."""
+    return [mi for mi, slot in enumerate(state.slots) if slot.inserted is not None]
+
+
 class TestIterativeInsertions:
     def test_fraction_and_exclusions(self):
         task = tiny_task()
@@ -400,14 +405,15 @@ class TestIterativeInsertions:
                 Mention(7 * i, 7 * i + 6, f"E{i:02d}", "babdab") for i in range(9)
             ],
         )
-        prepared, excluded = apply_iterative_insertions(
+        [state] = apply_iterative_insertions(
             [chunk], task.records, trainer.config, 0,
             np.random.default_rng(0), predict_fn=None,
         )
-        assert len(excluded) == 3  # ceil(9 / 3)
-        assert prepared[0].text != chunk.text
-        for s, e in prepared[0].spans:
-            assert prepared[0].text[s:e] == "babdab"
+        assert len(inserted(state)) == 3  # ceil(9 / 3)
+        text, spans = state.render()
+        assert text != chunk.text
+        for s, e in spans:
+            assert text[s:e] == "babdab"
 
     def test_corrupt_rate_zero_inserts_gold(self):
         task = tiny_task()
@@ -417,28 +423,28 @@ class TestIterativeInsertions:
             text="the aaa x the bbb y",
             mentions=[Mention(4, 7, "E00", "aaa"), Mention(14, 17, "E01", "bbb")],
         )
-        prepared, excluded = apply_iterative_insertions(
+        [state] = apply_iterative_insertions(
             [chunk], task.records, config, 0,
             np.random.default_rng(1), predict_fn=None,
         )
-        assert len(excluded) == 2
+        assert len(inserted(state)) == 2
         for rec_id in ("E00", "E01"):
-            assert task.records[rec_id].description in prepared[0].text
+            assert task.records[rec_id].description in state.render()[0]
 
     def test_corrupt_rate_one_inserts_only_wrong_labels(self):
         task = tiny_task()
         config = small_config(iterative=True, corrupt_rate=1.0, insert_fraction=0.999)
         mentions = [Mention(7 * i, 7 * i + 6, f"E{i:02d}", "babdab") for i in range(10)]
         chunk = Chunk(parent_doc="d", text=" ".join(["babdab"] * 10), mentions=mentions)
-        prepared, excluded = apply_iterative_insertions(
+        [state] = apply_iterative_insertions(
             [chunk], task.records, config, 0,
             np.random.default_rng(2), predict_fn=None,
         )
-        assert len(excluded) == 10
+        assert len(inserted(state)) == 10
         # no inserted parenthetical may describe its own mention's gold label
-        text = prepared[0].text
+        text, spans = state.render()
         for mi, m in enumerate(mentions):
-            s, e = prepared[0].spans[mi]
+            s, e = spans[mi]
             close = text.index(")", e) + 1 if ")" in text[e:] else len(text)
             assert task.records[m.gold_label].description not in text[e:close]
 
@@ -463,15 +469,16 @@ class TestIterativeInsertions:
                 for ch in chunks
             ]
 
-        prepared, excluded = apply_iterative_insertions(
+        [state] = apply_iterative_insertions(
             [chunk], task.records, trainer.config, 50,
             np.random.default_rng(3), predict_fn=fake_predict,
         )
         assert calls == [[chunk]], "one batch prediction after the switch"
         # insertions only for sampled mentions scoring above the median
-        for ci, mi in excluded:
+        for mi in inserted(state):
             pred_desc = task.records[f"E{(mi + 5):02d}"].description
-            assert pred_desc in prepared[ci].text
+            assert state.slots[mi].inserted == pred_desc
+            assert pred_desc in state.render()[0]
 
     def test_excluded_mentions_contribute_zero_gradient(self):
         # an iterative step must produce the exact update obtained by
@@ -486,23 +493,25 @@ class TestIterativeInsertions:
         assert stats_a.excluded
 
         # replay the insertion sampling with an identical rng stream to
-        # recover the prepared (inserted) texts and remapped spans
+        # recover the rendered (inserted) texts and their spans
         prep_trainer, _ = make_trainer(task=task, **overrides)
-        prepared, excluded = apply_iterative_insertions(
+        states = apply_iterative_insertions(
             batch, task.records, prep_trainer.config, 0,
             np.random.default_rng(prep_trainer.config.seed), predict_fn=None,
         )
+        excluded = {(ci, mi) for ci, state in enumerate(states) for mi in inserted(state)}
         assert excluded == stats_a.excluded
 
         def rebuilt_batch(drop_excluded):
             chunks = []
-            for ci, (chunk, prep) in enumerate(zip(batch, prepared)):
+            for ci, (chunk, state) in enumerate(zip(batch, states)):
+                text, spans = state.render()
                 mentions = []
-                for mi, (m, (s, e)) in enumerate(zip(chunk.mentions, prep.spans)):
+                for mi, (m, (s, e)) in enumerate(zip(chunk.mentions, spans)):
                     if drop_excluded and (ci, mi) in excluded:
                         continue
-                    mentions.append(Mention(s, e, m.gold_label, prep.text[s:e]))
-                chunks.append(Chunk(parent_doc=chunk.parent_doc, text=prep.text,
+                    mentions.append(Mention(s, e, m.gold_label, text[s:e]))
+                chunks.append(Chunk(parent_doc=chunk.parent_doc, text=text,
                                     mentions=mentions))
             return chunks
 
@@ -851,3 +860,41 @@ class TestRefreshReuse:
         assert [row["refreshes"] for row in metrics] == [1, 2, 3]
         # the first epoch's refresh only: the dev evaluations build their own caches
         assert refresh.call_count == 1
+
+    def test_a_step_across_several_boundaries_encodes_the_labels_once(self, tmp_path):
+        """At an interval shorter than a step's spans, a step counts every
+        boundary it crosses but makes one full refresh, and the model
+        directory has the bytes of refreshing at every boundary."""
+        task = tiny_task()
+        config = small_config(epochs=2, refresh_interval_spans=3, batch_docs=8)
+
+        def per_boundary(trainer, before, after):  # a refresh at every boundary
+            fires = after // 3 - before // 3
+            for _ in range(fires):
+                trainer.refresh_cache()
+            return fires
+
+        def train(out, interval_refreshes):
+            trainer = Trainer(task.records, config)
+            step, fired = trainer.train_step, []
+
+            def counted_step(batch):
+                stats = step(batch)
+                fired.append(stats.refreshes)
+                return stats
+
+            with mock.patch.object(tm, "full_refresh", wraps=tm.full_refresh) as refresh, \
+                    mock.patch.object(trainer, "train_step", counted_step), \
+                    mock.patch.object(Trainer, "_interval_refreshes", interval_refreshes):
+                metrics = trainer.train(task.train_docs)
+            out.mkdir()
+            save_model(out, trainer, metrics)
+            return metrics, fired, refresh.call_count, {
+                f.name: f.read_bytes() for f in out.iterdir()}
+
+        metrics, fired, encodes, once = train(tmp_path / "once", Trainer._interval_refreshes)
+        assert max(fired) > 1
+        assert encodes == config.epochs + sum(n > 0 for n in fired)
+        assert metrics[-1]["refreshes"] == config.epochs + sum(fired) == 2 + 120 // 3
+        *_, every = train(tmp_path / "every", per_boundary)
+        assert once == every
