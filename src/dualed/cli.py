@@ -175,7 +175,14 @@ def cmd_predict(args) -> int:
     corpus, records, _ = _load_inputs(args.corpus, args.labels)
     config, mention_params, cache = load_predictor(args.checkpoint, records)
     _check_chunks(args.corpus, corpus, config.max_chars_per_chunk)
-    allowed = target_label_set(corpus, cache) if args.restrict_to_targets else None
+    allowed = None
+    if args.restrict_to_targets:
+        try:
+            allowed = target_label_set(corpus, cache)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.corpus}: no mention has its gold label in "
+                                  f"{args.labels}, so --restrict-to-targets leaves no "
+                                  f"label to predict") from exc
     preds = predict_corpus(
         corpus,
         mention_params,

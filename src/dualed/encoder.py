@@ -41,7 +41,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ValidationError, read_exact
+from .errors import ValidationError, read_exact, read_into
 
 MEAN = "mean"
 FIRST_LAST = "first_last"
@@ -116,6 +116,11 @@ def token_range(seq: TokenSequence, char_span: tuple[int, int]) -> tuple[int, in
 
 @dataclass
 class EncoderParams:
+    """One encoder's tensors. A trainer's are float64 and updated in place.
+    ``load_checkpoint``'s table is a read-only float32 view of the file's
+    bytes, whose rows the forward widens to float64 as it gathers them;
+    its d×d tensors are float64."""
+
     table: np.ndarray   # (V, d)
     w_self: np.ndarray  # (d, d)
     w_ctx: np.ndarray   # (d, d)
@@ -219,7 +224,9 @@ def _block_inputs(
     """Embeddings, window sizes (T, 1) and window means of stacked token ids (L, T)."""
     if ids.shape[1] == 0:
         raise ValidationError("cannot encode an empty token sequence")
-    emb = params.table[ids]
+    # a loaded table is float32: widening the gathered rows is exact, and a
+    # float64 table's gathered copy is returned as it is
+    emb = np.asarray(params.table[ids], dtype=np.float64)
     counts = _window_counts(ids.shape[1], params.window)[:, None]
     return emb, counts, _window_sums(emb, params.window) / counts
 
@@ -432,12 +439,26 @@ def pooled_width(dim: int, method: str) -> int:
 # uint32, then row-major little-endian float32 tensors in fixed order:
 # mention (table, w_self, w_ctx, bias), label (same). The sha256 of the
 # label encoder's tensor bytes keys the label cache a model directory
-# stores beside the checkpoint (``trainer.save_model``).
+# stores beside the checkpoint (``trainer.save_model``). A loaded (V, d)
+# table is a read-only float32 view of the bytes as read, and the forward
+# widens only the rows it gathers (``_block_inputs``).
+
+# Values per block when a (V, d) table is converted to float32 piecewise.
+_BLOCK_VALUES = 1 << 16
+
+
+def _row_blocks(tensor: np.ndarray):
+    """Views of consecutive rows of ``tensor``, at most _BLOCK_VALUES values
+    each unless one row holds more."""
+    step = max(1, _BLOCK_VALUES // max(1, int(np.prod(tensor.shape[1:]))))
+    for lo in range(0, len(tensor), step):
+        yield tensor[lo:lo + step]
 
 
 def save_checkpoint(path, mention: EncoderParams, label: EncoderParams) -> bytes:
     """Write both encoders; returns the sha256 digest of the label
-    encoder's bytes as written."""
+    encoder's bytes as written. Tensors are converted to float32 a row
+    block at a time, never a whole (V, d) table at once."""
     if (mention.vocab_size, mention.dim, mention.window) != (
         label.vocab_size,
         label.dim,
@@ -461,52 +482,51 @@ def save_checkpoint(path, mention: EncoderParams, label: EncoderParams) -> bytes
         fh.write(struct.pack("<III", mention.vocab_size, mention.dim, mention.window))
         for p in (mention, label):
             for tensor in (p.table, p.w_self, p.w_ctx, p.bias):
-                raw = memoryview(np.ascontiguousarray(tensor, dtype="<f4"))
-                fh.write(raw)
-                if p is label:
-                    label_sha.update(raw)
+                for block in _row_blocks(tensor):
+                    raw = memoryview(np.ascontiguousarray(block, dtype="<f4"))
+                    fh.write(raw)
+                    if p is label:
+                        label_sha.update(raw)
     return label_sha.digest()
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams, bytes]:
     """The (mention, label) encoders of a checkpoint, and the sha256 digest
     of the label encoder's bytes as read, the one ``save_checkpoint``
-    returned."""
-    label_sha = hashlib.sha256()
+    returned.
+
+    The tensors are read into one read-only float32 buffer. Each table is
+    a view of it; the d×d tensors are widened to float64. Every error
+    names ``path``.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise ValidationError(f"not a model checkpoint (bad magic {magic!r})")
-        v, d, w = struct.unpack("<III", read_exact(fh, 12, "checkpoint header"))
+            raise ValidationError(f"{path}: not a model checkpoint (bad magic {magic!r})")
+        v, d, w = struct.unpack("<III", read_exact(fh, 12, f"checkpoint header of {path}"))
         # the header's sizes decide how much is read, so check them first
-        implied = len(CHECKPOINT_MAGIC) + 12 + 8 * (v * d + 2 * d * d + d)
+        half = v * d + 2 * d * d + d  # values per encoder
+        implied = len(CHECKPOINT_MAGIC) + 12 + 8 * half
         actual = os.fstat(fh.fileno()).st_size
         if actual != implied:
             raise ValidationError(
-                f"checkpoint file is {actual} bytes, but its header (V={v}, d={d}) "
+                f"{path}: checkpoint file is {actual} bytes, but its header (V={v}, d={d}) "
                 f"implies {implied}"
             )
-        out = []
-        for encoder in ("mention", "label"):
-            tensors = []
-            for name, shape in (("table", (v, d)), ("w_self", (d, d)), ("w_ctx", (d, d)),
-                                ("bias", (d,))):
-                data = read_exact(fh, 4 * int(np.prod(shape)), "checkpoint file")
-                if encoder == "label":
-                    label_sha.update(data)
-                raw = np.frombuffer(data, dtype="<f4")
-                if not np.isfinite(raw).all():
-                    raise ValidationError(
-                        f"checkpoint {encoder} encoder's {name} holds NaN or infinity"
-                    )
-                tensors.append(raw.astype(np.float64).reshape(shape))
-            out.append(
-                EncoderParams(
-                    table=tensors[0],
-                    w_self=tensors[1],
-                    w_ctx=tensors[2],
-                    bias=tensors[3],
-                    window=w,
+        buf = read_into(fh, np.empty(2 * half, dtype="<f4"), f"checkpoint file {path}")
+    buf.flags.writeable = False
+    out, at = [], 0
+    for encoder in ("mention", "label"):
+        tensors = {}
+        for name, shape in (("table", (v, d)), ("w_self", (d, d)), ("w_ctx", (d, d)),
+                            ("bias", (d,))):
+            size = int(np.prod(shape))
+            raw = buf[at:at + size].reshape(shape)
+            at += size
+            if not np.isfinite(raw).all():
+                raise ValidationError(
+                    f"{path}: checkpoint {encoder} encoder's {name} holds NaN or infinity"
                 )
-            )
-    return out[0], out[1], label_sha.digest()
+            tensors[name] = raw if name == "table" else raw.astype(np.float64)
+        out.append(EncoderParams(**tensors, window=w))
+    return out[0], out[1], hashlib.sha256(buf[half:]).digest()

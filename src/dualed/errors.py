@@ -15,3 +15,12 @@ def read_exact(fh, size: int, what: str) -> bytes:
     if len(data) != size:
         raise ValidationError(f"truncated {what}: expected {size} bytes, got {len(data)}")
     return data
+
+
+def read_into(fh, out, what: str):
+    """Fill the array ``out`` from a binary file, or fail naming ``what``;
+    returns ``out``."""
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise ValidationError(f"truncated {what}: expected {out.nbytes} bytes, got {got}")
+    return out

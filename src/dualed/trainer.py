@@ -38,6 +38,7 @@ from .encoder import (
     POOLING_METHODS,
     EncoderGrads,
     EncoderParams,
+    _row_blocks,
     backward_spans,
     encode_spans,
     load_checkpoint,
@@ -46,7 +47,7 @@ from .encoder import (
     token_range,
     tokenize,
 )
-from .errors import ValidationError, read_exact
+from .errors import ValidationError, read_exact, read_into
 from .label_index import (
     LabelCache,
     build_cache,
@@ -228,7 +229,8 @@ def save_model(out_dir, trainer: Trainer, metrics: list[dict]) -> None:
     (out_dir / "config.txt").write_text(_config_text(trainer.config), encoding="utf-8")
     label = trainer.label_params
     for tensor in (label.table, label.w_self, label.w_ctx, label.bias):
-        tensor[...] = tensor.astype(np.float32)  # in place: no second (V, d) float64 table
+        for block in _row_blocks(tensor):  # in place, with no whole-table copy
+            block[...] = block.astype(np.float32)
     cache = trainer.eval_cache()
     ids = json.dumps(cache.ids).encode("ascii")
     with open(out_dir / "label_cache.bin", "wb") as fh:
@@ -314,10 +316,10 @@ def _stored_rows(config_path: Path, config: TrainConfig, label_key: bytes):
             config.dim, config.pooling
         ):
             raise ValidationError(f"{path}: its ids or row width contradict its header")
-        rows = np.frombuffer(fh.read(8 * n * width), dtype="<f8").reshape(n, width)
+        rows = read_into(fh, np.empty((n, width), dtype="<f8"), f"label cache {path}")
     if not np.isfinite(rows).all():
         raise ValidationError(f"{path}: a stored label row holds NaN or infinity")
-    return l_key, ids, rows.astype(np.float64)
+    return l_key, ids, rows
 
 
 def _config_text(config: TrainConfig) -> str:

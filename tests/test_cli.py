@@ -760,6 +760,24 @@ class TestExitCodes:
                    "--checkpoint", model, "--out", workspace / "x.jsonl")
         assert code == 1
 
+    def test_restricted_predict_without_a_gold_in_the_labels_names_both_files(
+        self, workspace, tmp_path, capsys
+    ):
+        model = tmp_path / "checkpoint.bin"
+        save_checkpoint(model, EncoderParams.init(64, 4, 2, seed=0),
+                        EncoderParams.init(64, 4, 2, seed=1))
+        (tmp_path / "config.txt").write_text("")
+        corpus = tmp_path / "ghosts.jsonl"
+        corpus.write_text(json.dumps({"id": "d", "text": "ab cd", "mentions": [
+            {"start": 0, "end": 2, "label": "GHOST"}]}) + "\n")
+        labels = workspace / "labels.jsonl"
+        code = run("predict", "--corpus", corpus, "--labels", labels, "--checkpoint", model,
+                   "--out", tmp_path / "x.jsonl", "--restrict-to-targets")
+        assert code == 1
+        assert (f"error: {corpus}: no mention has its gold label in {labels}, so "
+                f"--restrict-to-targets leaves no label to predict") in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_checkpoint_header_claiming_more_than_the_file_is_validation_error(
         self, workspace, capsys
     ):

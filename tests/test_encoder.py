@@ -1,6 +1,7 @@
 """Tokenizer, encoder forward/backward, pooling, and checkpoint format."""
 
 import hashlib
+import io
 import re
 import sys
 
@@ -27,7 +28,7 @@ from dualed.encoder import (
     token_range,
     tokenize,
 )
-from dualed.errors import ValidationError
+from dualed.errors import ValidationError, read_into
 from oracles import (
     accumulate,
     encode_one,
@@ -580,6 +581,41 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match=f"{encoder} encoder's {tensor} holds NaN"):
             save_checkpoint(path, params["mention"], params["label"])
         assert not path.exists()
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda raw: b"VRBXX1" + raw[6:], id="bad-magic"),
+        pytest.param(lambda raw: raw[:6], id="no-header"),
+        pytest.param(lambda raw: raw[:10], id="short-header"),
+        pytest.param(lambda raw: raw[:-1], id="short-body"),
+        pytest.param(lambda raw: raw + b"\x00", id="trailing-bytes"),
+        pytest.param(lambda raw: raw[:-4] + np.float32(np.nan).tobytes(), id="nan"),
+        pytest.param(lambda raw: raw[:18] + np.float32(np.inf).tobytes() + raw[22:],
+                     id="inf"),
+    ])
+    def test_every_error_names_the_file(self, tmp_path, damage):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, EncoderParams.init(8, 2, 1, seed=0),
+                        EncoderParams.init(8, 2, 1, seed=1))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValidationError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_short_read_is_validation_error(self):
+        # a file that shrinks between its size check and the read
+        with pytest.raises(ValidationError, match="truncated x: expected 8 bytes, got 5"):
+            read_into(io.BytesIO(bytes(5)), np.empty(2, dtype="<f4"), "x")
+
+    def test_loaded_tensors(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, EncoderParams.init(8, 2, 1, seed=0),
+                        EncoderParams.init(8, 2, 1, seed=1))
+        for p in load_checkpoint(path)[:2]:
+            # the table is a read-only float32 view; the d×d tensors are widened
+            assert p.table.dtype == np.float32
+            with pytest.raises(ValueError, match="read-only"):
+                p.table[0, 0] = 1.0
+            for t in (p.w_self, p.w_ctx, p.bias):
+                assert t.dtype == np.float64
 
     def test_float32_extremes_are_saved(self, tmp_path):
         mention = EncoderParams.init(8, 2, 1, seed=0)

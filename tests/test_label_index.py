@@ -1,5 +1,6 @@
 """Cache semantics, exact search and mining."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dualed.corpus import EntityRecord
-from dualed.encoder import _BLOCK, EncoderParams, pool_span, token_range, tokenize
+from dualed.encoder import (
+    _BLOCK,
+    POOLING_METHODS,
+    EncoderParams,
+    TokenSequence,
+    encode_spans,
+    pool_span,
+    token_range,
+    tokenize,
+)
 from dualed.errors import ValidationError
 from dualed.label_index import (
     LabelCache,
@@ -170,6 +180,44 @@ class TestGroupedRefresh:
         for row, label_id in enumerate(order):
             assert embs[row].tobytes() == cached(cache, label_id).tobytes()
         assert encode_labels(params, tokens, [], "mean").shape == (0, 8)
+
+
+def float32_and_widened(params):
+    """``params`` with its table rounded to a read-only float32 array, as
+    ``load_checkpoint`` returns it, and the same encoder with that table
+    widened to float64."""
+    table = params.table.astype(np.float32)
+    table.flags.writeable = False
+    return (dataclasses.replace(params, table=table),
+            dataclasses.replace(params, table=table.astype(np.float64)))
+
+
+class TestFloat32Table:
+    """The forward widens the rows it gathers from a float32 table. That is
+    exact, so every result has the bytes of the table widened whole."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 30), min_size=1, max_size=30),
+           n_labels=st.integers(1, 2 * _BLOCK), vocab=st.sampled_from([8, 256]),
+           dim=st.sampled_from([1, 3, 16]), window=st.sampled_from([0, 1, 5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bytes_as_the_widened_table(self, lengths, n_labels, vocab, dim, window,
+                                             seed):
+        rng = np.random.default_rng(seed)
+        narrow, wide = float32_and_widened(
+            EncoderParams.init(vocab, dim, window, seed=int(rng.integers(1 << 16))))
+        seqs = [TokenSequence(rng.integers(0, vocab, size=n), [(i, i + 1) for i in range(n)],
+                              "") for n in lengths]
+        ranges = [[tuple(sorted(rng.choice(n + 1, size=2, replace=False).tolist()))
+                   for _ in range(int(rng.integers(0, 4)))] for n in lengths]
+        records = varied_records(n_labels, seed=int(rng.integers(1 << 16)))
+        tokens = tokenize_labels(verbalize_all(records, "title_desc"), vocab)
+        for pooling in POOLING_METHODS:
+            assert (encode_spans(seqs, ranges, narrow, pooling).tobytes()
+                    == encode_spans(seqs, ranges, wide, pooling).tobytes())
+            caches = [build_cache(sorted(records), p, tokens, pooling, EUCLIDEAN)
+                      for p in (narrow, wide)]
+            assert caches[0].matrix.tobytes() == caches[1].matrix.tobytes()
 
 
 class TestWriteBack:
