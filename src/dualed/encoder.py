@@ -455,6 +455,13 @@ def _row_blocks(tensor: np.ndarray):
         yield tensor[lo:lo + step]
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, with no temporary of the array's
+    size: NaN propagates to the minimum and maximum, and an infinity is
+    one of them."""
+    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 def save_checkpoint(path, mention: EncoderParams, label: EncoderParams) -> bytes:
     """Write both encoders; returns the sha256 digest of the label
     encoder's bytes as written. Tensors are converted to float32 a row
@@ -523,7 +530,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, EncoderParams, bytes]:
             size = int(np.prod(shape))
             raw = buf[at:at + size].reshape(shape)
             at += size
-            if not np.isfinite(raw).all():
+            if not _all_finite(raw):
                 raise ValidationError(
                     f"{path}: checkpoint {encoder} encoder's {name} holds NaN or infinity"
                 )

@@ -10,11 +10,13 @@ row has the bits of encoding and pooling its label alone.
 
 Search is exact: every result (row and score bits) is the one a full
 per-row ``similarity_to_matrix`` scan of the cache would give, with ties
-broken toward the lowest row index. ``top_rows`` is the one search: it
-scores a block of anchors at once, over every row or over the rows
-``allowed_rows`` resolves, and ``mine_hard_negatives`` is its one-anchor
-call for the training step. Dot and cosine keep one matrix-vector
-product per anchor. Euclidean search shortlists rows from one GEMM of
+broken toward the lowest row index. ``top_rows`` is the one search:
+prediction scores all of a window's anchors with one call, over every
+row or over the rows ``allowed_rows`` resolves, and a training step
+mines the negatives of all its anchors with one call.
+``mine_hard_negatives`` is its public one-anchor form. A call takes the
+anchors in blocks of 64. Dot and cosine keep one matrix-vector product
+per anchor. Euclidean search shortlists a block's rows from one GEMM of
 the quadratic form q = ||a||^2 + ||r||^2 - 2 a.r, whose computed value
 lies within E = 2 gamma_{p+2} (||a||^2 + max ||r||^2) of the exact
 squared distance (gamma_n = n u / (1 - n u), u the float64 unit
@@ -229,6 +231,7 @@ def allowed_rows(cache: LabelCache, allowed_ids: set[str] | None) -> np.ndarray 
     return np.array(sorted(cache.row_of[i] for i in allowed_ids))
 
 
+_ANCHOR_BLOCK = 64  # anchors per top_rows search block
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
@@ -244,7 +247,7 @@ def top_rows(
     gold: np.ndarray | None = None,
     k: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best cache rows and their scores for a block of anchors, shape (M, p).
+    """Best cache rows and their scores for anchors of shape (M, p).
 
     Without ``gold``: each anchor's most similar row among the ascending
     rows ``allowed`` (every row when None), as (M, 1) row and score
@@ -252,7 +255,10 @@ def top_rows(
     ``allowed``): the min(k, N-1) most similar rows other than the gold,
     best first, as (M, t) arrays. Ties break toward the lowest row, and
     every row and score bit equals that of a full per-anchor
-    ``similarity_to_matrix`` scan (see the module docstring).
+    ``similarity_to_matrix`` scan (see the module docstring). The rows'
+    norms are computed once per call and the anchors are taken
+    ``_ANCHOR_BLOCK`` (64) at a time, so the search's temporaries hold
+    at most 64 x N values; no result depends on the block.
     """
     matrix, spec = cache.matrix, cache.sim_spec
     if anchors.ndim != 2 or anchors.shape[1] != matrix.shape[1]:
@@ -266,18 +272,27 @@ def top_rows(
     out_scores = np.zeros((len(anchors), take))
     if take < 1:
         return out_rows, out_scores
-    scan = np.arange(len(anchors))
+    scan = range(len(anchors))  # anchors scored by the per-anchor scan
     if spec.kind == EUCLIDEAN:
-        owners, rows, scan = _euclidean_shortlist(matrix, anchors, allowed, gold, take)
-        sims = _negated_norms(matrix[rows] - anchors[owners])
-        # per anchor, descending similarity, ties to the lowest row
-        order = np.lexsort((rows, -sims, owners))
-        live = np.setdiff1d(np.arange(len(anchors)), scan, assume_unique=True)
-        firsts = np.searchsorted(owners, live)[:, None] + np.arange(take)
-        out_rows[live] = rows[order[firsts]]
-        out_scores[live] = sims[order[firsts]]
+        with np.errstate(over="ignore", invalid="ignore"):  # such anchors are scanned
+            row_sq = np.einsum("ij,ij->i", matrix, matrix)
+        scan = []
+        for start in range(0, len(anchors), _ANCHOR_BLOCK):
+            stop = min(start + _ANCHOR_BLOCK, len(anchors))
+            owners, rows, block_scan = _euclidean_shortlist(
+                matrix, row_sq, anchors[start:stop], allowed,
+                None if gold is None else gold[start:stop], take,
+            )
+            sims = _negated_norms(matrix[rows] - anchors[start + owners])
+            # per anchor, descending similarity, ties to the lowest row
+            order = np.lexsort((rows, -sims, owners))
+            live = np.setdiff1d(np.arange(stop - start), block_scan, assume_unique=True)
+            firsts = np.searchsorted(owners, live)[:, None] + np.arange(take)
+            out_rows[start + live] = rows[order[firsts]]
+            out_scores[start + live] = sims[order[firsts]]
+            scan.extend((start + block_scan).tolist())
     row_norms = np.linalg.norm(matrix, axis=1) if spec.kind == COSINE else None
-    for i in scan.tolist():
+    for i in scan:
         sims = similarity_to_matrix(anchors[i], matrix, spec, row_norms)
         rows = allowed
         if rows is not None:
@@ -295,6 +310,7 @@ def top_rows(
 
 def _euclidean_shortlist(
     matrix: np.ndarray,
+    row_sq: np.ndarray,
     anchors: np.ndarray,
     allowed: np.ndarray | None,
     gold: np.ndarray | None,
@@ -302,10 +318,11 @@ def _euclidean_shortlist(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (anchor, row) pairs a full scan could rank in an anchor's first ``take``.
 
-    Returns ``(owners, rows, scan)``: the pairs, ascending by anchor and
-    then by row, and the anchors to scan in full instead. With m the
-    take-th smallest computed q (gold excluded) and E the GEMM bound,
-    the take-th smallest exact squared distance is at most m + E. The
+    ``row_sq`` holds the rows' squared norms. Returns ``(owners, rows,
+    scan)``: the pairs, ascending by anchor and then by row, and the
+    anchors to scan in full instead. With m the take-th smallest
+    computed q (gold excluded) and E the GEMM bound, the take-th
+    smallest exact squared distance is at most m + E. The
     per-row formula computes the squared distance with relative error
     gamma_{p+2}, and the square root merges values up to a factor 1 + 4u
     apart, so each row that the scan can rank in place ``take`` or better
@@ -318,7 +335,6 @@ def _euclidean_shortlist(
     """
     p = matrix.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # such anchors are scanned
-        row_sq = np.einsum("ij,ij->i", matrix, matrix)
         anchor_sq = np.einsum("ij,ij->i", anchors, anchors)
         gram = anchors @ matrix.T
         gram *= 2.0

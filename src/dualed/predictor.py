@@ -107,11 +107,9 @@ class DocumentPrediction:
     state: PredictionState | None = None  # text and final insertions, iterative mode
 
 
-# Mentions per window of chunks that prediction encodes and scores at once,
-# and anchors per scoring block. They bound the memory a window holds;
-# results do not depend on them.
+# Mentions per window of chunks that prediction encodes and scores at once.
+# It bounds the memory a window holds; results do not depend on it.
 _WINDOW = 256
-_SCORE_BLOCK = 64
 
 
 def _score_spans(
@@ -123,21 +121,16 @@ def _score_spans(
 ) -> list[tuple[str, float]]:
     """Nearest cached label of every span, text by text in span order.
 
-    The texts' spans are encoded in one ``encode_spans`` call, and the
-    anchors are scored ``_SCORE_BLOCK`` at a time. Every anchor, and so
-    every pick, has the bits of encoding its text alone and scanning the
-    cache for it alone.
+    The texts' spans are encoded in one ``encode_spans`` call and scored
+    in one ``top_rows`` call. Every anchor, and so every pick, has the
+    bits of encoding its text alone and scanning the cache for it alone.
     """
     seqs = [tokenize(text, mention_params.vocab_size) for text in texts]
     ranges = [[token_range(seq, span) for span in text_spans]
               for seq, text_spans in zip(seqs, spans)]
     anchors = encode_spans(seqs, ranges, mention_params, cache.pooling)
-    out: list[tuple[str, float]] = []
-    for start in range(0, len(anchors), _SCORE_BLOCK):
-        best, scores = top_rows(cache, anchors[start:start + _SCORE_BLOCK], rows)
-        out.extend((cache.ids[r], s) for r, s in zip(best[:, 0].tolist(),
-                                                     scores[:, 0].tolist()))
-    return out
+    best, scores = top_rows(cache, anchors, rows)
+    return [(cache.ids[r], s) for r, s in zip(best[:, 0].tolist(), scores[:, 0].tolist())]
 
 
 def predict_chunks(

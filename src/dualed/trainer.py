@@ -38,6 +38,7 @@ from .encoder import (
     POOLING_METHODS,
     EncoderGrads,
     EncoderParams,
+    _all_finite,
     _row_blocks,
     backward_spans,
     encode_spans,
@@ -53,9 +54,9 @@ from .label_index import (
     build_cache,
     encode_labels,
     full_refresh,
-    mine_hard_negatives,
     sample_in_batch_negatives,
     tokenize_labels,
+    top_rows,
     write_back,
 )
 from .evaluator import score as eval_score
@@ -317,7 +318,7 @@ def _stored_rows(config_path: Path, config: TrainConfig, label_key: bytes):
         ):
             raise ValidationError(f"{path}: its ids or row width contradict its header")
         rows = read_into(fh, np.empty((n, width), dtype="<f8"), f"label cache {path}")
-    if not np.isfinite(rows).all():
+    if not _all_finite(rows):
         raise ValidationError(f"{path}: a stored label row holds NaN or infinity")
     return l_key, ids, rows
 
@@ -505,7 +506,8 @@ class Trainer:
         1. Render and tokenize the chunks that have mentions and locate
            the anchored mentions (linkable and without an insertion); one
            ``encode_spans`` call gives their anchors.
-        2. Each anchor's negatives, in mention order.
+        2. The negatives: in hard mode, one ``top_rows`` search mines
+           every anchor's; in-batch sampling goes in mention order.
         3. One grouped forward of the step's labels, in first-use order
            (per mention: the gold, then its negatives).
         4. The losses in mention order.
@@ -560,11 +562,12 @@ class Trainer:
         # 2. negatives
         terms: list[tuple] = []             # (anchor row, gold, neg_ids)
         label_row: dict[str, int] = {}      # step labels in first-use order
+        if config.neg_mode == HARD:
+            gold_rows = np.array([self.cache.row_of[g] for g in golds], dtype=np.int64)
+            mined, _ = top_rows(self.cache, anchors, gold=gold_rows, k=k)
         for j, gold in enumerate(golds):
             if config.neg_mode == HARD:
-                neg_ids = [
-                    nid for nid, _ in mine_hard_negatives(self.cache, anchors[j], gold, k)
-                ]
+                neg_ids = [self.cache.ids[r] for r in mined[j].tolist()]
             else:
                 neg_ids = sample_in_batch_negatives(batch_golds, gold, k, self.rng)
             if not neg_ids:

@@ -2,12 +2,12 @@
 
 These are the straightforward forms the library no longer runs: the
 per-sequence encoder forward and backward, the token-range scan, the
-working text spliced one insertion at a time, the training step that
-encodes one label at a time, prediction one chunk and one mention at a
-time, the scalar similarity and the forward-only losses. Library results
-must match them bit for bit (encoder, token range, working text,
-training step, prediction) or to the stated tolerance (similarities,
-loss values).
+working text spliced one insertion at a time, hard-negative mining by a
+full scan, the training step that mines one anchor and encodes one label
+at a time, prediction one chunk and one mention at a time, the scalar
+similarity and the forward-only losses. Library results must match them
+bit for bit (encoder, token range, working text, mining, training step,
+prediction) or to the stated tolerance (similarities, loss values).
 """
 
 import math
@@ -19,12 +19,7 @@ from dualed import trainer as tm
 from dualed.corpus import chunk_document
 from dualed.encoder import EncoderGrads, pool_span, pool_span_backward, tokenize
 from dualed.errors import ValidationError
-from dualed.label_index import (
-    allowed_rows,
-    mine_hard_negatives,
-    sample_in_batch_negatives,
-    write_back,
-)
+from dualed.label_index import allowed_rows, sample_in_batch_negatives, write_back
 from dualed.losses import (
     DOT,
     EUCLIDEAN,
@@ -186,11 +181,21 @@ def apply_update(params, grads, lr):
         getattr(params, name)[...] -= lr * getattr(grads, name)
 
 
+def scan_negatives(cache, anchor, gold_id, k):
+    """Hard negatives by the per-row reference: a full scan, the gold set
+    to -inf, a stable descending sort. (label id, score hex) pairs, best
+    first."""
+    sims = similarity_to_matrix(anchor, cache.matrix, cache.sim_spec)
+    sims[cache.row_of[gold_id]] = -np.inf
+    order = np.argsort(-sims, kind="stable")[: min(k, len(cache.ids) - 1)]
+    return [(cache.ids[i], float(sims[i]).hex()) for i in order]
+
+
 def train_step_per_label(trainer, batch):
-    """``Trainer.train_step`` with every label encoded and back-propagated
-    on its own, at its first use, by the per-sequence oracles above, and
-    the dense step: zero (V, d) tables, accumulate, scale, np.sum clip,
-    update."""
+    """``Trainer.train_step`` with each anchor's negatives mined by its own
+    full scan, every label encoded and back-propagated on its own, at its
+    first use, by the per-sequence oracles above, and the dense step:
+    zero (V, d) tables, accumulate, scale, np.sum clip, update."""
     config = trainer.config
     batch_mentions = sum(len(c.mentions) for c in batch)
     if config.iterative and batch_mentions:
@@ -242,7 +247,7 @@ def train_step_per_label(trainer, batch):
             span = token_range_scan(seq, prep.spans[mi])
             anchor = pool_span(vectors, span, config.pooling)
             if config.neg_mode == tm.HARD:
-                mined = mine_hard_negatives(trainer.cache, anchor, mention.gold_label, k)
+                mined = scan_negatives(trainer.cache, anchor, mention.gold_label, k)
                 neg_ids = [nid for nid, _ in mined]
             else:
                 neg_ids = sample_in_batch_negatives(

@@ -36,7 +36,7 @@ from dualed.label_index import (
 )
 from dualed.losses import SIMILARITY_KINDS, SimilaritySpec, similarity_to_matrix
 from dualed.verbalizer import verbalize_all
-from oracles import encode_one, similarity
+from oracles import encode_one, scan_negatives, similarity
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
 
@@ -380,14 +380,6 @@ def scan_nearest(cache, anchor, allowed=None):
     return cache.ids[best], float(sims[best]).hex()
 
 
-def scan_negatives(cache, anchor, gold_id, k):
-    """Per-row reference: a full scan, the gold dropped, a stable descending sort."""
-    sims = similarity_to_matrix(anchor, cache.matrix, cache.sim_spec)
-    sims[cache.row_of[gold_id]] = -np.inf
-    order = np.argsort(-sims, kind="stable")[: min(k, len(cache.ids) - 1)]
-    return [(cache.ids[i], float(sims[i]).hex()) for i in order]
-
-
 def hexed(pairs):
     return [(label_id, float(score).hex()) for label_id, score in pairs]
 
@@ -500,6 +492,41 @@ class TestBlockScorerMatchesScan:
             want = scan_negatives(cache, anchor, cache.ids[g], k)
             assert hexed(zip([cache.ids[r] for r in row], score)) == want
 
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("call", ["plain", "allowed", "gold"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([1, 2, 9, 60]), p=st.sampled_from([1, 3, 32]),
+           kind=st.sampled_from(SIMILARITY_KINDS), seed=st.integers(0, 2**32 - 1),
+           coarse=st.booleans(), data=st.data())
+    def test_one_call_across_block_boundaries(self, m, call, n, p, kind, seed, coarse, data):
+        """One call over M anchors, M on either side of the 64-anchor
+        search blocks, gives each anchor its own scan's rows and scores."""
+        rng = np.random.default_rng(seed)
+        if coarse:  # exact ties and duplicated rows
+            matrix = rng.integers(-1, 2, (n, p)).astype(float)
+            anchors = rng.integers(-1, 2, (m, p)).astype(float)
+        else:
+            matrix, anchors = rng.normal(size=(n, p)), rng.normal(size=(m, p))
+        copies = rng.integers(m, size=m // 2)
+        anchors[copies] = matrix[rng.integers(n, size=len(copies))]
+        cache = cache_from_matrix(matrix, sim=SimilaritySpec(kind=kind))
+        if call == "gold":
+            gold = rng.integers(n, size=m)
+            k = data.draw(st.sampled_from([1, 3, n, n + 1]))
+            rows, scores = top_rows(cache, anchors, gold=gold, k=k)
+            assert rows.shape == scores.shape == (m, min(k, n - 1))
+            for anchor, g, row, score in zip(anchors, gold, rows, scores):
+                want = scan_negatives(cache, anchor, cache.ids[g], k)
+                assert hexed(zip([cache.ids[r] for r in row], score)) == want
+            return
+        allowed = None
+        if call == "allowed":
+            allowed = data.draw(st.sets(st.sampled_from(cache.ids), min_size=1))
+        rows, scores = top_rows(cache, anchors, allowed_rows(cache, allowed))
+        assert rows.shape == scores.shape == (m, 1)
+        for anchor, row, score in zip(anchors, rows[:, 0], scores[:, 0]):
+            assert (cache.ids[row], float(score).hex()) == scan_nearest(cache, anchor, allowed)
+
     def test_anchor_equal_to_a_row_scores_zero(self):
         cache = cache_from_matrix([[3.0, -1.0], [0.5, 0.5], [3.0, -1.0]])
         rows, scores = top_rows(cache, np.array([[3.0, -1.0], [0.5, 0.5]]))
@@ -526,7 +553,8 @@ class TestBlockScorerMatchesScan:
         rng = np.random.default_rng(6)
         matrix = rng.normal(size=(2000, 64))
         anchors = rng.normal(size=(20, 64))
-        owners, rows, scan = _euclidean_shortlist(matrix, anchors, None, None, 1)
+        row_sq = np.einsum("ij,ij->i", matrix, matrix)
+        owners, rows, scan = _euclidean_shortlist(matrix, row_sq, anchors, None, None, 1)
         assert len(scan) == 0
         assert np.bincount(owners, minlength=len(anchors)).tolist() == [1] * len(anchors)
 

@@ -221,16 +221,20 @@ class TestAgainstPerLabelStep:
         dict(neg_count="dyn", sim="dot", lr=0.05),  # over 64 labels per step
         dict(iterative=True, switch_after_spans=30),
         dict(pooling="mean", neg_mode="in_batch", edit=with_gradient_free_mentions),
+        dict(batch_docs=40, widest=65),  # 90 anchors: a second search block
     ])
     def test_steps_equal_the_per_label_oracle(self, overrides):
-        """Grouped passes, zero rows for mentions without a loss term and the
-        phase order change no bit of a step."""
+        """Grouped passes, one search for a step's anchors, zero rows for
+        mentions without a loss term and the phase order change no bit of
+        a step."""
         overrides = dict(overrides)
         edit = overrides.pop("edit", list)
+        widest = overrides.pop("widest", 0)  # loss terms some step must reach
         task = make_task(n_entities=90, n_surfaces=18, train_mentions=90,
                          dev_mentions=20, seed=4)
         config = small_config(**{"refresh_interval_spans": 40, "lr": 0.5, **overrides})
         grouped, reference = Trainer(task.records, config), Trainer(task.records, config)
+        most_terms = 0
         for epoch in range(2):
             for trainer in (grouped, reference):
                 trainer.refresh_cache()
@@ -243,10 +247,12 @@ class TestAgainstPerLabelStep:
                 got = grouped.train_step(seed_batches[0])
                 want = train_step_per_label(reference, seed_batches[1])
                 assert got == want
+                most_terms = max(most_terms, got.loss_terms)
         assert all(a.tobytes() == b.tobytes() for a, b in
                    zip(params_snapshot(grouped), params_snapshot(reference)))
         assert grouped.cache.matrix.tobytes() == reference.cache.matrix.tobytes()
         assert grouped.rng.random() == reference.rng.random()
+        assert most_terms >= widest
 
 
 class TestSparseStep:
@@ -823,8 +829,9 @@ class TestModelDirectory:
         finally:
             tracemalloc.stop()
         # Both float32 tables, read as one buffer, take the bytes of one
-        # float64 table; widening either table whole would add another.
-        assert peak < 1.25 * table_bytes
+        # float64 table; widening either table whole would add another,
+        # and a V x d temporary (an isfinite mask) an eighth of one.
+        assert peak < 1.05 * table_bytes
 
 
 class TestZeroUpdateRuns:
