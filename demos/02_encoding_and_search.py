@@ -3,8 +3,8 @@
 
 Builds both encoders, fills a label cache, embeds a mention with the
 batch span encoder (one row per token range), and compares the package's
-block search (``top_rows``, one row of results per anchor) against a
-hand-rolled scan.
+block search (``top_rows``, one row of results per anchor; with ``gold``,
+each anchor's hard negatives) against a hand-rolled scan.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from dualed import (
     allowed_rows,
     encode_spans,
     full_refresh,
-    mine_hard_negatives,
     token_range,
     tokenize,
     tokenize_labels,
@@ -61,8 +60,10 @@ print(f"mention 'Italy' in {text!r}")
 print(f"  nearest label: {label_id}  (similarity {score:.4f})")
 
 print("\nhard negatives for gold 'Italy_rugby' (most confusable first):")
-for neg_id, neg_score in mine_hard_negatives(cache, anchor, "Italy_rugby", k=3):
-    print(f"  {neg_id:<16} {neg_score:.4f}")
+# the same search with one gold row per anchor: its k best other rows
+rows, scores = top_rows(cache, anchors, gold=np.array([cache.row_of["Italy_rugby"]]), k=3)
+for row, neg_score in zip(rows[0], scores[0]):
+    print(f"  {cache.ids[row]:<16} {neg_score:.4f}")
 
 print("\nthe exact scan doubles as its own oracle:")
 by_hand = max(

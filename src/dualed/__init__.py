@@ -24,7 +24,6 @@ from .encoder import (
     backward_spans,
     encode_spans,
     load_checkpoint,
-    pool_span,
     save_checkpoint,
     token_range,
     tokenize,
@@ -36,7 +35,6 @@ from .label_index import (
     LabelTokens,
     allowed_rows,
     full_refresh,
-    mine_hard_negatives,
     sample_in_batch_negatives,
     tokenize_labels,
     top_rows,

@@ -23,8 +23,8 @@ the predictor use, and the encoder's only public forward and backward.
 Both stack sequences of equal token count into (L, T, d) blocks, whose
 matmuls and cumsums give every sequence the bits it gets alone; one
 sequence with one ``mean`` range (t, t + 1) per token gives its token
-vectors and their gradients. ``pool_span`` and ``pool_span_backward``
-pool and scatter one range.
+vectors and their gradients. A ``mean`` row has the bits of
+``vectors[lo:hi].mean(axis=0)`` over its own sequence's token vectors.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ def encode_spans(
 
     ``ranges[i]`` are token ranges [lo, hi) of ``seqs[i]``, and row j is
     the j-th range in (sequence, range) order, with the bits of encoding
-    its sequence alone and pooling the range with ``pool_span``.
+    its sequence alone and pooling the range (see the module docstring).
     Sequences of equal token count are encoded _BLOCK at a time, and each
     block is pooled as soon as it is built. Every sequence is encoded, one
     without ranges too.
@@ -338,19 +338,23 @@ def backward_spans(
     """Exact gradients of ``encode_spans`` w.r.t. every parameter tensor.
 
     Row j of ``span_grads`` is dLoss/d(row j of ``encode_spans``). Each
-    sequence's token gradients start from zeros and add its ranges'
-    ``pool_span_backward`` in range order. Sequences go through the block
+    sequence's token gradients start from zeros and take its ranges'
+    gradients g in range order: g / (hi - lo) is added to every token of
+    a ``mean`` range; for ``first_last`` g's first half is added to token
+    lo and its second half to token hi - 1, or their sum, as one value,
+    to the one token of a one-token range. Sequences go through the block
     backward _BLOCK at a time, which bounds the memory held at once, and
     are added in input order into one buffer whose table is row-sparse
     over the union of their token ids, ascending.
     """
     offsets = _range_offsets(seqs, ranges)
-    shape = (int(offsets[-1]), pooled_width(params.dim, pooling))
+    d = params.dim
+    shape = (int(offsets[-1]), pooled_width(d, pooling))
     if span_grads.shape != shape:
         raise ValidationError(f"span gradients of shape {span_grads.shape}, not {shape}")
     rows = np.unique(np.concatenate([np.empty(0, np.int64), *(s.token_ids for s in seqs)]))
     out = EncoderGrads(
-        table=np.zeros((len(rows), params.dim)),
+        table=np.zeros((len(rows), d)),
         w_self=np.zeros_like(params.w_self),
         w_ctx=np.zeros_like(params.w_ctx),
         bias=np.zeros_like(params.bias),
@@ -360,9 +364,16 @@ def backward_spans(
         window = seqs[start:start + _BLOCK]
         upstreams = []
         for i, seq in enumerate(window, start):
-            upstream = np.zeros((len(seq), params.dim))
-            for span, grad in zip(ranges[i], span_grads[offsets[i]:offsets[i + 1]]):
-                upstream += pool_span_backward(grad, span, pooling, len(seq), params.dim)
+            upstream = np.zeros((len(seq), d))
+            for (lo, hi), g in zip(ranges[i], span_grads[offsets[i]:offsets[i + 1]]):
+                _check_span(lo, hi, len(seq))
+                if pooling == MEAN:
+                    upstream[lo:hi] += g / (hi - lo)
+                elif hi - lo == 1:
+                    upstream[lo] += g[:d] + g[d:]
+                else:
+                    upstream[lo] += g[:d]
+                    upstream[hi - 1] += g[d:]
             upstreams.append(upstream)
         for grads in _backward_blocks(window, params, upstreams):
             out.table[np.searchsorted(rows, grads.rows)] += grads.table
@@ -377,51 +388,28 @@ def _check_span(lo: int, hi: int, n_tokens: int) -> None:
         raise ValidationError(f"empty or out-of-range pooling span ({lo}, {hi})")
 
 
-def pool_span(
-    token_vectors: np.ndarray, span: tuple[int, int], method: str
-) -> np.ndarray:
-    """Reduce token vectors in [lo, hi) to one span embedding."""
-    lo, hi = span
-    _check_span(lo, hi, token_vectors.shape[0])
-    if method == MEAN:
-        return token_vectors[lo:hi].mean(axis=0)
-    if method == FIRST_LAST:
-        return np.concatenate([token_vectors[lo], token_vectors[hi - 1]])
-    raise ValidationError(f"unknown pooling method {method!r}")
-
-
 def _pool_block(
     vectors: np.ndarray, spans: np.ndarray, method: str, owners: np.ndarray
 ) -> np.ndarray:
-    """``pool_span`` of stacked sequences: (L, T, d) vectors, (M, 2) spans.
+    """Pooled rows of stacked sequences: (L, T, d) vectors, (M, 2) spans.
 
-    Span i pools sequence ``owners[i]``. ``first_last`` gathers by fancy
-    indexing; every other method goes through ``pool_span`` span by span,
-    which keeps the bits of ``mean``.
+    Span i pools sequence ``owners[i]``; ``method`` is one that
+    ``pooled_width`` accepts. ``first_last`` gathers by fancy indexing;
+    ``mean`` gathers the spans of each length n into one (m, n, d) array,
+    whose ``.mean(axis=1)`` adds each span's rows in the order
+    ``.mean(axis=0)`` of the span alone does.
     """
-    if method != FIRST_LAST:
-        return np.stack([pool_span(vectors[o], span, method)
-                         for o, span in zip(owners.tolist(), spans)])
     for lo, hi in spans.tolist():
         _check_span(lo, hi, vectors.shape[1])
     lo, hi = spans[:, 0], spans[:, 1]
-    return np.concatenate([vectors[owners, lo], vectors[owners, hi - 1]], axis=1)
-
-
-def pool_span_backward(
-    upstream: np.ndarray, span: tuple[int, int], method: str, n_tokens: int, dim: int
-) -> np.ndarray:
-    """Scatter a span-embedding gradient back onto token vectors."""
-    lo, hi = span
-    _check_span(lo, hi, n_tokens)
-    out = np.zeros((n_tokens, dim))
-    if method == MEAN:
-        out[lo:hi] = upstream / (hi - lo)
-    elif method == FIRST_LAST:
-        out[lo] += upstream[:dim]
-        out[hi - 1] += upstream[dim:]
-    else:
-        raise ValidationError(f"unknown pooling method {method!r}")
+    if method == FIRST_LAST:
+        return np.concatenate([vectors[owners, lo], vectors[owners, hi - 1]], axis=1)
+    out = np.empty((len(spans), vectors.shape[2]))
+    lengths = hi - lo
+    for n in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == n)
+        tokens = lo[group, None] + np.arange(n)
+        out[group] = vectors[owners[group, None], tokens].mean(axis=1)
     return out
 
 

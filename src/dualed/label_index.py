@@ -8,13 +8,13 @@ embeddings for a refresh and for a training step alike, in one
 ``encoder.encode_spans`` call over the labels' title ranges, so every
 row has the bits of encoding and pooling its label alone.
 
-Search is exact: every result (row and score bits) is the one a full
-per-row ``similarity_to_matrix`` scan of the cache would give, with ties
-broken toward the lowest row index. ``top_rows`` is the one search:
-prediction scores all of a window's anchors with one call, over every
-row or over the rows ``allowed_rows`` resolves, and a training step
-mines the negatives of all its anchors with one call.
-``mine_hard_negatives`` is its public one-anchor form. A call takes the
+Search and mining are exact: every result (row and score bits) is the
+one a full per-row ``similarity_to_matrix`` scan of the cache would
+give, with ties broken toward the lowest row index. ``top_rows`` is the
+one search: prediction scores all of a window's anchors with one call,
+over every row or over the rows ``allowed_rows`` resolves, and a
+training step mines the hard negatives of all its anchors with one
+call that excludes each anchor's gold row (``gold``). A call takes the
 anchors in blocks of 64. Dot and cosine keep one matrix-vector product
 per anchor. Euclidean search shortlists a block's rows from one GEMM of
 the quadratic form q = ||a||^2 + ||r||^2 - 2 a.r, whose computed value
@@ -184,24 +184,6 @@ def write_back(cache: LabelCache, label_id: str, fresh: np.ndarray) -> LabelCach
     return cache
 
 
-def mine_hard_negatives(
-    cache: LabelCache, anchor: np.ndarray, gold_id: str, k: int
-) -> list[tuple[str, float]]:
-    """The k non-gold labels most similar to the anchor, per cached rows.
-
-    Descending similarity; ties break by ascending row index. Asking for
-    more than |E|-1 negatives returns all non-gold labels.
-    """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if gold_id not in cache.row_of:
-        raise ValidationError(f"gold id {gold_id!r} not in cache")
-    rows, scores = top_rows(
-        cache, anchor[None, :], gold=np.array([cache.row_of[gold_id]]), k=k
-    )
-    return [(cache.ids[r], float(s)) for r, s in zip(rows[0], scores[0])]
-
-
 def sample_in_batch_negatives(
     batch_gold_ids: list[str], gold_id: str, k: int, rng: np.random.Generator
 ) -> list[str]:
@@ -253,12 +235,16 @@ def top_rows(
     rows ``allowed`` (every row when None), as (M, 1) row and score
     arrays. With ``gold`` (one row per anchor; exclusive with
     ``allowed``): the min(k, N-1) most similar rows other than the gold,
-    best first, as (M, t) arrays. Ties break toward the lowest row, and
-    every row and score bit equals that of a full per-anchor
-    ``similarity_to_matrix`` scan (see the module docstring). The rows'
-    norms are computed once per call and the anchors are taken
+    best first, as (M, t) arrays: the hard negatives. Ties break toward
+    the lowest row, and every row and score bit equals that of a full
+    per-anchor ``similarity_to_matrix`` scan (see the module docstring).
+    The rows' norms are computed once per call and the anchors are taken
     ``_ANCHOR_BLOCK`` (64) at a time, so the search's temporaries hold
     at most 64 x N values; no result depends on the block.
+
+    A ``ValidationError`` names the value when a gold or allowed row is not
+    an integer in [0, N), the gold rows are not one per anchor, the allowed
+    rows are empty or not strictly ascending, or ``k < 1`` with ``gold``.
     """
     matrix, spec = cache.matrix, cache.sim_spec
     if anchors.ndim != 2 or anchors.shape[1] != matrix.shape[1]:
@@ -267,7 +253,22 @@ def top_rows(
         )
     if allowed is not None and gold is not None:
         raise ValidationError("allowed and gold rows are exclusive")
-    take = 1 if gold is None else min(k, matrix.shape[0] - 1)
+    n = matrix.shape[0]
+    if gold is not None:
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+        gold = _cache_rows("gold", gold, n)
+        if len(gold) != len(anchors):
+            raise ValidationError(f"{len(gold)} gold rows for {len(anchors)} anchors")
+    if allowed is not None:
+        allowed = _cache_rows("allowed", allowed, n)
+        if not len(allowed):
+            raise ValidationError("allowed rows must be non-empty")
+        down = np.flatnonzero(np.diff(allowed) <= 0)
+        if len(down):
+            raise ValidationError(f"allowed rows must be strictly ascending, but row "
+                                  f"{allowed[down[0] + 1]} follows row {allowed[down[0]]}")
+    take = 1 if gold is None else min(k, n - 1)
     out_rows = np.zeros((len(anchors), take), dtype=np.int64)
     out_scores = np.zeros((len(anchors), take))
     if take < 1:
@@ -306,6 +307,18 @@ def top_rows(
         out_rows[i] = best if rows is None else rows[best]
         out_scores[i] = sims[best]
     return out_rows, out_scores
+
+
+def _cache_rows(what: str, rows, n: int) -> np.ndarray:
+    """``rows`` as a 1-D integer array, each row in [0, n)."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValidationError(f"{what} rows must be a 1-D integer array, got shape "
+                              f"{rows.shape} of {rows.dtype}")
+    outside = rows[(rows < 0) | (rows >= n)]
+    if len(outside):
+        raise ValidationError(f"{what} row {outside[0]} is outside the cache's rows [0, {n})")
+    return rows
 
 
 def _euclidean_shortlist(

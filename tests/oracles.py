@@ -1,13 +1,15 @@
 """Independent reference implementations that the tests compare against.
 
 These are the straightforward forms the library no longer runs: the
-per-sequence encoder forward and backward, the token-range scan, the
-working text spliced one insertion at a time, hard-negative mining by a
-full scan, the training step that mines one anchor and encodes one label
-at a time, prediction one chunk and one mention at a time, the scalar
-similarity and the forward-only losses. Library results must match them
-bit for bit (encoder, token range, working text, mining, training step,
-prediction) or to the stated tolerance (similarities, loss values).
+per-sequence encoder forward and backward, span pooling and its
+backward one range at a time, the token-range scan, the working text
+spliced one insertion at a time, hard-negative mining by a full scan,
+the training step that mines one anchor and encodes one label at a time,
+prediction one chunk and one mention at a time, the scalar similarity
+and the forward-only losses. Library results must match them bit for
+bit (encoder, pooling, token range, working text, mining, training
+step, prediction) or to the stated tolerance (similarities, loss
+values).
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from dualed import trainer as tm
 from dualed.corpus import chunk_document
-from dualed.encoder import EncoderGrads, pool_span, pool_span_backward, tokenize
+from dualed.encoder import FIRST_LAST, MEAN, EncoderGrads, _check_span, tokenize
 from dualed.errors import ValidationError
 from dualed.label_index import allowed_rows, sample_in_batch_negatives, write_back
 from dualed.losses import (
@@ -100,6 +102,32 @@ def token_range_scan(seq, char_span):
     if lo is None:
         raise ValidationError(f"span ({s}, {e}) covers no tokens in {seq.source!r:.60}")
     return lo, hi
+
+
+def pool_span(token_vectors, span, method):
+    """Reduce token vectors in [lo, hi) to one span embedding."""
+    lo, hi = span
+    _check_span(lo, hi, token_vectors.shape[0])
+    if method == MEAN:
+        return token_vectors[lo:hi].mean(axis=0)
+    if method == FIRST_LAST:
+        return np.concatenate([token_vectors[lo], token_vectors[hi - 1]])
+    raise ValidationError(f"unknown pooling method {method!r}")
+
+
+def pool_span_backward(upstream, span, method, n_tokens, dim):
+    """Scatter a span-embedding gradient back onto token vectors."""
+    lo, hi = span
+    _check_span(lo, hi, n_tokens)
+    out = np.zeros((n_tokens, dim))
+    if method == MEAN:
+        out[lo:hi] = upstream / (hi - lo)
+    elif method == FIRST_LAST:
+        out[lo] += upstream[:dim]
+        out[hi - 1] += upstream[dim:]
+    else:
+        raise ValidationError(f"unknown pooling method {method!r}")
+    return out
 
 
 # ── the working text, spliced one insertion at a time ───────────────────────

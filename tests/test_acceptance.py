@@ -18,7 +18,6 @@ from dualed.label_index import (
     LabelCache,
     allowed_rows,
     full_refresh,
-    mine_hard_negatives,
     tokenize_labels,
     top_rows,
 )
@@ -205,18 +204,21 @@ def test_criterion_2_mining_oracle():
             cache = LabelCache(
                 ids=ids, matrix=matrix, pooling="mean", sim_spec=SimilaritySpec(kind)
             )
-            for _ in range(100):
-                anchor = rng.normal(size=16)
-                gold_row = int(rng.integers(pool_size))
+            anchors = np.empty((100, 16))
+            gold_rows = np.empty(100, dtype=np.int64)
+            for j in range(100):
+                anchors[j] = rng.normal(size=16)
+                gold_rows[j] = rng.integers(pool_size)
+            mined, _ = top_rows(cache, anchors, gold=gold_rows, k=20)
+            nearest, _ = top_rows(cache, anchors)
+            for anchor, gold_row, negatives, best in zip(anchors, gold_rows, mined, nearest):
                 # independent oracle: per-row scalar similarity + tuple sort
                 sims = [similarity(anchor, matrix[i], cache.sim_spec)
                         for i in range(pool_size)]
                 ranking = sorted(range(pool_size), key=lambda i: (-sims[i], i))
                 expected = [ids[i] for i in ranking if i != gold_row][:20]
-                mined = [i for i, _ in
-                         mine_hard_negatives(cache, anchor, ids[gold_row], k=20)]
-                assert mined == expected
-                assert top_rows(cache, anchor[None, :])[0][0, 0] == ranking[0]
+                assert [ids[r] for r in negatives] == expected
+                assert best[0] == ranking[0]
     elapsed = time.monotonic() - start
     report(2, "mining oracle", elapsed < 60.0, f"{elapsed:.1f}s")
 

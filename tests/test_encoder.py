@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dualed.encoder import (
     _BLOCK,
     _TOKEN_RUN,
+    _pool_block,
     FIRST_LAST,
     MEAN,
     EncoderParams,
@@ -21,8 +22,6 @@ from dualed.encoder import (
     encode_spans,
     fnv1a_64,
     load_checkpoint,
-    pool_span,
-    pool_span_backward,
     pooled_width,
     save_checkpoint,
     token_range,
@@ -33,6 +32,8 @@ from oracles import (
     accumulate,
     encode_one,
     encoder_backward_one,
+    pool_span,
+    pool_span_backward,
     token_range_scan,
     window_counts,
     window_sums,
@@ -208,29 +209,40 @@ class TestEncodeForward:
             token_vectors(tokenize("", V), random_params(rng))
 
 
+def pooled(vectors, span, method):
+    """The oracle's pooling of one span, checked against ``_pool_block`` on
+    a block of that one sequence."""
+    want = pool_span(vectors, span, method)
+    got = _pool_block(vectors[None], np.array([span]), method, np.zeros(1, dtype=np.int64))
+    assert np.array_equal(bits(got[0]), bits(want))
+    return want
+
+
 class TestPooling:
     vectors = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_mean(self):
-        np.testing.assert_allclose(pool_span(self.vectors, (0, 3), MEAN), [3.0, 4.0])
+        np.testing.assert_allclose(pooled(self.vectors, (0, 3), MEAN), [3.0, 4.0])
 
     def test_first_last(self):
         np.testing.assert_allclose(
-            pool_span(self.vectors, (0, 3), FIRST_LAST), [1.0, 2.0, 5.0, 6.0]
+            pooled(self.vectors, (0, 3), FIRST_LAST), [1.0, 2.0, 5.0, 6.0]
         )
 
     def test_single_token_first_last(self):
         np.testing.assert_allclose(
-            pool_span(self.vectors, (0, 1), FIRST_LAST), [1.0, 2.0, 1.0, 2.0]
+            pooled(self.vectors, (0, 1), FIRST_LAST), [1.0, 2.0, 1.0, 2.0]
         )
 
     def test_width_contract(self):
-        assert pool_span(self.vectors, (0, 2), MEAN).shape == (2,)
-        assert pool_span(self.vectors, (0, 2), FIRST_LAST).shape == (4,)
+        assert pooled(self.vectors, (0, 2), MEAN).shape == (2,)
+        assert pooled(self.vectors, (0, 2), FIRST_LAST).shape == (4,)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValidationError):
             pool_span(self.vectors, (1, 1), MEAN)
+        with pytest.raises(ValidationError):
+            _pool_block(self.vectors[None], np.array([[1, 1]]), MEAN, np.zeros(1, dtype=int))
 
 
 def numerical_param_grads(objective, params, h=1e-5):
@@ -385,6 +397,15 @@ def dense_oracle_backward(seqs, ranges, span_grads, params, method):
     return dense
 
 
+def spread_grads(rng, shape):
+    """Gradients whose magnitudes span 1e-5 to 1e5, about a tenth of them
+    zeros of either sign."""
+    grads = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, size=shape)
+    zero = rng.random(shape) < 0.1
+    grads[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
+    return grads
+
+
 def check_spans_against_oracle(rng, lengths, vocab, dim, window, max_ranges=3):
     """encode_spans and backward_spans equal the per-sequence oracle in bits,
     for both poolings, and so do the token vectors and gradients of each
@@ -409,7 +430,7 @@ def check_spans_against_oracle(rng, lengths, vocab, dim, window, max_ranges=3):
         for j, row in enumerate(want):
             assert np.array_equal(bits(pooled[j]), bits(row)), (method, j)
 
-        span_grads = rng.normal(size=pooled.shape)
+        span_grads = spread_grads(rng, pooled.shape)
         got = backward_spans(seqs, ranges, span_grads, p, method)
         dense = dense_oracle_backward(seqs, ranges, span_grads, p, method)
         all_ids = np.concatenate([seq.token_ids for seq in seqs])
@@ -437,6 +458,7 @@ class TestSpanEncoder:
         rng = np.random.default_rng(12)
         check_spans_against_oracle(rng, [1], 8, 32, 5)
         check_spans_against_oracle(rng, [7], 8, 32, 300)
+        check_spans_against_oracle(rng, [1, 6, 6], 8, 1, 2)
         # more sequences of one length than one block holds
         lengths = [3] * (2 * _BLOCK + 5) + [1] * (_BLOCK + 1) + list(range(1, 30))
         check_spans_against_oracle(rng, lengths, 64, 32, 2)
@@ -447,6 +469,9 @@ class TestSpanEncoder:
         check_spans_against_oracle(rng, [4, 4, 9], 8, 3, 1, max_ranges=0)
         # many overlapping ranges per sequence, single-token ones included
         check_spans_against_oracle(rng, [2, 5, 5, 30], 8, 3, 1, max_ranges=12)
+        # ranges of many lengths, up to 300 tokens, in one block, at d = 1 and 64
+        for dim in (1, 64):
+            check_spans_against_oracle(rng, [300, 300, 300], 1024, dim, 2, max_ranges=100)
         p = random_params(rng)
         seqs = [random_seq(rng, 4), random_seq(rng, 2)]
         ranges = [[], [(0, 2), (1, 2), (0, 1)]]

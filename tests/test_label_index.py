@@ -16,7 +16,6 @@ from dualed.encoder import (
     EncoderParams,
     TokenSequence,
     encode_spans,
-    pool_span,
     token_range,
     tokenize,
 )
@@ -28,7 +27,6 @@ from dualed.label_index import (
     build_cache,
     encode_labels,
     full_refresh,
-    mine_hard_negatives,
     sample_in_batch_negatives,
     tokenize_labels,
     top_rows,
@@ -36,7 +34,7 @@ from dualed.label_index import (
 )
 from dualed.losses import SIMILARITY_KINDS, SimilaritySpec, similarity_to_matrix
 from dualed.verbalizer import verbalize_all
-from oracles import encode_one, scan_negatives, similarity
+from oracles import encode_one, pool_span, scan_negatives, similarity
 
 EUCLIDEAN = SimilaritySpec(kind="euclidean")
 
@@ -66,6 +64,13 @@ def nearest(cache, anchor, allowed=None):
     """``top_rows`` for one anchor over an allowed-id set: (label id, score)."""
     rows, scores = top_rows(cache, anchor[None, :], allowed_rows(cache, allowed))
     return cache.ids[rows[0, 0]], float(scores[0, 0])
+
+
+def mine(cache, anchor, gold_id, k):
+    """``top_rows`` with ``gold`` for one anchor: (label id, score) pairs."""
+    rows, scores = top_rows(cache, anchor[None, :], gold=np.array([cache.row_of[gold_id]]),
+                            k=k)
+    return [(cache.ids[r], float(s)) for r, s in zip(rows[0], scores[0])]
 
 
 def brute_force_ranking(cache, anchor):
@@ -245,18 +250,18 @@ class TestMineHardNegatives:
     def test_constructed_fixture(self):
         # rows: e1 = gold, e2 closest, e3 next, e4 far
         cache = cache_from_matrix([[1, 0], [0.9, 0.1], [0, 1], [-1, 0]])
-        out = mine_hard_negatives(cache, np.array([1.0, 0.0]), "e1", k=2)
+        out = mine(cache, np.array([1.0, 0.0]), "e1", k=2)
         assert [label_id for label_id, _ in out] == ["e2", "e3"]
         assert out[0][1] == pytest.approx(-math.hypot(0.1, 0.1))
 
     def test_k_covers_all_non_gold(self):
         cache = cache_from_matrix(np.arange(8).reshape(4, 2).astype(float))
-        out = mine_hard_negatives(cache, np.array([0.0, 1.0]), "e2", k=99)
+        out = mine(cache, np.array([0.0, 1.0]), "e2", k=99)
         assert sorted(label_id for label_id, _ in out) == ["e1", "e3", "e4"]
 
     def test_exact_match_ranks_first(self):
         cache = cache_from_matrix([[5, 5], [1, 2], [9, 9]])
-        out = mine_hard_negatives(cache, np.array([1.0, 2.0]), "e1", k=1)
+        out = mine(cache, np.array([1.0, 2.0]), "e1", k=1)
         assert out[0][0] == "e2"
         assert out[0][1] == pytest.approx(0.0)
 
@@ -266,12 +271,12 @@ class TestMineHardNegatives:
         for _ in range(20):
             anchor = rng.normal(size=4)
             gold = f"e{int(rng.integers(30)) + 1}"
-            out = mine_hard_negatives(cache, anchor, gold, k=29)
+            out = mine(cache, anchor, gold, k=29)
             assert gold not in [label_id for label_id, _ in out]
 
     def test_tie_break_by_row_index(self):
         cache = cache_from_matrix([[0, 0], [1, 0], [1, 0], [1, 0]])
-        out = mine_hard_negatives(cache, np.array([1.0, 0.0]), "e1", k=3)
+        out = mine(cache, np.array([1.0, 0.0]), "e1", k=3)
         assert [label_id for label_id, _ in out] == ["e2", "e3", "e4"]
 
 
@@ -317,7 +322,7 @@ class TestOracleEquivalenceAllMetrics:
         for _ in range(10):
             anchor = rng.normal(size=6)
             gold = f"e{int(rng.integers(500)) + 1}"
-            mined = [i for i, _ in mine_hard_negatives(cache, anchor, gold, k=25)]
+            mined = [i for i, _ in mine(cache, anchor, gold, k=25)]
             gold_row = cache.row_of[gold]
             oracle = [
                 cache.ids[row]
@@ -468,24 +473,13 @@ class TestBlockScorerMatchesScan:
 
     @settings(max_examples=300, deadline=None)
     @given(block=BLOCKS, kind=st.sampled_from(SIMILARITY_KINDS), data=st.data())
-    def test_mining(self, block, kind, data):
-        matrix, anchors = block
-        cache = cache_from_matrix(matrix, sim=SimilaritySpec(kind=kind))
-        gold = data.draw(st.sampled_from(cache.ids))
-        k = data.draw(st.integers(1, len(cache.ids) + 1))
-        for anchor in anchors:
-            want = scan_negatives(cache, anchor, gold, k)
-            assert hexed(mine_hard_negatives(cache, anchor, gold, k)) == want
-
-    @settings(max_examples=300, deadline=None)
-    @given(block=BLOCKS, kind=st.sampled_from(SIMILARITY_KINDS), data=st.data())
     def test_mining_block(self, block, kind, data):
         matrix, anchors = block
         cache = cache_from_matrix(matrix, sim=SimilaritySpec(kind=kind))
         n = len(cache.ids)
         gold = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=len(anchors),
                                            max_size=len(anchors))), dtype=np.int64)
-        k = data.draw(st.integers(1, min(n + 1, 6)))
+        k = data.draw(st.integers(1, n + 1))
         rows, scores = top_rows(cache, anchors, gold=gold, k=k)
         assert rows.shape == scores.shape == (len(anchors), min(k, n - 1))
         for anchor, g, row, score in zip(anchors, gold, rows, scores):
@@ -546,7 +540,7 @@ class TestBlockScorerMatchesScan:
             assert hexed([nearest(cache, anchor)]) == [scan_nearest(cache, anchor)]
             assert hexed([nearest(cache, anchor, {"e3", "e5"})]) == [
                 scan_nearest(cache, anchor, {"e3", "e5"})]
-            assert hexed(mine_hard_negatives(cache, anchor, "e3", 4)) == scan_negatives(
+            assert hexed(mine(cache, anchor, "e3", 4)) == scan_negatives(
                 cache, anchor, "e3", 4)
 
     def test_shortlist_is_short_on_generic_rows(self):
@@ -562,6 +556,26 @@ class TestBlockScorerMatchesScan:
         cache = cache_from_matrix(np.eye(3))
         with pytest.raises(ValidationError):
             top_rows(cache, np.ones((1, 3)), np.array([0]), np.array([1]))
+
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    @pytest.mark.parametrize("call, match", [
+        ({"gold": np.array([0, 1]), "k": 0}, "k must be an integer >= 1, got 0"),
+        ({"gold": np.array([0, 1]), "k": 2.0}, "k must be an integer >= 1, got 2.0"),
+        ({"gold": np.array([1, -1])}, r"gold row -1 is outside the cache's rows \[0, 3\)"),
+        ({"gold": np.array([0, 3])}, r"gold row 3 is outside the cache's rows \[0, 3\)"),
+        ({"gold": np.array([[0, 1], [1, 2]])}, r"1-D integer array, got shape \(2, 2\)"),
+        ({"gold": np.array([0.0, 1.0])}, "1-D integer array, got shape .* of float64"),
+        ({"gold": np.array([0])}, "1 gold rows for 2 anchors"),
+        ({"gold": np.array([0, 1, 2])}, "3 gold rows for 2 anchors"),
+        ({"allowed": np.array([0, 3])}, r"allowed row 3 is outside the cache's rows \[0, 3\)"),
+        ({"allowed": np.array([2, 0])}, "strictly ascending, but row 0 follows row 2"),
+        ({"allowed": np.array([1, 1])}, "strictly ascending, but row 1 follows row 1"),
+        ({"allowed": np.array([], dtype=np.int64)}, "allowed rows must be non-empty"),
+    ])
+    def test_bad_rows_or_k_rejected(self, kind, call, match):
+        cache = cache_from_matrix(np.eye(3), sim=SimilaritySpec(kind=kind))
+        with pytest.raises(ValidationError, match=match):
+            top_rows(cache, np.ones((2, 3)), **call)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -22,14 +22,14 @@ TRACED = {
     ],
     "encoder": [
         "EncoderGrads", "EncoderParams", "TokenSequence", "backward_spans", "encode_spans",
-        "fnv1a_64", "load_checkpoint", "pool_span", "pool_span_backward", "pooled_width",
-        "save_checkpoint", "token_range", "tokenize",
+        "fnv1a_64", "load_checkpoint", "pooled_width", "save_checkpoint",
+        "token_range", "tokenize",
     ],
     "evaluator": ["ChangeTable", "EvalReport", "change_analysis", "score"],
     "label_index": [
         "LabelCache", "LabelTokens", "allowed_rows", "build_cache", "encode_labels",
-        "full_refresh", "mine_hard_negatives", "sample_in_batch_negatives",
-        "tokenize_labels", "top_rows", "write_back",
+        "full_refresh", "sample_in_batch_negatives", "tokenize_labels", "top_rows",
+        "write_back",
     ],
     "losses": [
         "LossGradients", "LossSpec", "LossSpec.resolve_margin", "SimilaritySpec",
@@ -62,7 +62,7 @@ PACKAGE_ALL = [
     "chunk_document", "corpus", "dynamic_negative_count", "encode_spans", "encoder",
     "errors", "evaluator", "full_refresh", "insert_verbalization",
     "iterate_chunks", "label_index", "load_checkpoint", "load_corpus", "load_label_set",
-    "load_model", "load_predictor", "loss_gradients", "losses", "make_batches", "mine_hard_negatives", "pool_span",
+    "load_model", "load_predictor", "loss_gradients", "losses", "make_batches",
     "predict_chunks", "predict_corpus", "predictor",
     "sample_in_batch_negatives", "save_checkpoint", "save_model", "score", "target_label_set",
     "token_range", "tokenize", "tokenize_labels", "top_rows", "trainer",
